@@ -479,7 +479,7 @@ def stage_evaluate(cfg: RunConfig, ws: Workspace) -> list[Path]:
             fh.write("sample_id,score\n")
             for i, s in zip(idx, scores):
                 sample_id = f"{ds.network[i]}:{ds.port[i]}:{int(ds.present_day[i])}"
-                fh.write(f"{sample_id},{s!r}\n")
+                fh.write(f"{sample_id},{float(s)!r}\n")
         outputs.append(pred_path)
     ws.log_stage("evaluate", [], outputs, time.time() - t0)
     return outputs

@@ -60,32 +60,54 @@ def write_container(
             fh.write(blob)
 
 
+def _read_exact(fh, n: int, path: Path, what: str) -> bytes:
+    blob = fh.read(n)
+    if len(blob) != n:
+        raise DataError(f"{path}: truncated {what}")
+    return blob
+
+
+def _read_json_block(fh, path: Path, what: str, kind: type):
+    (length,) = struct.unpack("<I", _read_exact(fh, 4, path, f"{what} length"))
+    blob = _read_exact(fh, length, path, what)
+    try:
+        value = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise DataError(f"{path}: undecodable {what}: {exc}") from None
+    if not isinstance(value, kind):
+        raise DataError(f"{path}: {what} is not a JSON {kind.__name__}")
+    return value
+
+
 def read_container(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a container written by :func:`write_container`.
 
     Returns ``(arrays, meta)``. Raises :class:`DataError` on a bad magic,
-    version, or truncated payload.
+    version or index, undecodable JSON, or a file truncated anywhere.
     """
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise DataError(f"{path}: not an ILOS1 container (magic {magic!r})")
-        (version,) = struct.unpack("<B", fh.read(1))
+        (version,) = struct.unpack("<B", _read_exact(fh, 1, path, "header"))
         if version != VERSION:
             raise DataError(f"{path}: unsupported container version {version}")
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        (index_len,) = struct.unpack("<I", fh.read(4))
-        index = json.loads(fh.read(index_len).decode("utf-8"))
+        meta = _read_json_block(fh, path, "metadata", dict)
+        index = _read_json_block(fh, path, "array index", list)
 
         arrays: dict[str, np.ndarray] = {}
         for entry in index:
-            dtype = np.dtype(entry["dtype"])
-            shape = tuple(entry["shape"])
+            try:
+                name, dtype_name = entry["name"], entry["dtype"]
+                shape = tuple(int(n) for n in entry["shape"])
+                ok = dtype_name in _ALLOWED_DTYPES
+            except (KeyError, TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise DataError(f"{path}: bad array index entry {entry!r}")
+            dtype = np.dtype(dtype_name)
             nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-            blob = fh.read(nbytes)
-            if len(blob) != nbytes:
-                raise DataError(f"{path}: truncated payload for array {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
+            blob = _read_exact(fh, nbytes, path, f"payload for array {name!r}")
+            arrays[name] = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
     return arrays, meta

@@ -11,6 +11,17 @@ Two families share the node layout and traversal:
 Exact greedy split finding throughout; candidate thresholds are midpoints
 between consecutive distinct observed values, ties broken toward the lower
 feature index, lower threshold, and left default direction.
+
+The booster's split search has two kernels that return identical results
+(XGBoost's column blocks, Chen & Guestrin 2016, sections 3.4 and 4.1).
+``train_gbdt`` sorts each column's observed values once per fit, because
+the rows never change across rounds. Nodes of at least
+``PRESORT_MIN_ROWS`` rows filter those presorted orders down to their
+members. Smaller nodes run one 2-D stable sort, cumsum and gain pass over
+all columns at once. Node row ids are always increasing, so a filtered
+stable order equals a stable sort of the node. Both kernels use the same
+floating-point operations as a per-column sort, so they pick the same
+splits to the bit.
 """
 
 from __future__ import annotations
@@ -205,8 +216,182 @@ def predict_proba(model: TreeEnsemble, rows: np.ndarray) -> np.ndarray:
 # Booster
 
 
+#: Nodes with at least this many rows search the columns presorted once per
+#: fit; smaller nodes sort their own rows in one 2-D pass, which is cheaper
+#: there than scanning every column's full presorted order (timings per node
+#: size in BENCH_booster_split.json).
+PRESORT_MIN_ROWS = 500
+
+
+@dataclass(frozen=True)
+class _SortedColumns:
+    """Training rows as column blocks, each column's observed rows presorted.
+
+    Rows never change across boosting rounds, so the sort is done once per
+    fit. ``order[f]`` holds the row ids of column ``f``'s observed values in
+    ascending value order, ties by row id; ``values[f]`` holds those values.
+    """
+
+    columns: np.ndarray  # (d, n): the rows transposed, C-contiguous
+    order: list[np.ndarray]
+    values: list[np.ndarray]
+
+    @classmethod
+    def of(cls, rows: np.ndarray) -> "_SortedColumns":
+        columns = np.ascontiguousarray(rows.T)
+        full = np.argsort(columns, axis=1, kind="stable")  # NaN sorts last
+        n_obs = (~np.isnan(columns)).sum(axis=1)
+        order = [full[f, :k].copy() for f, k in enumerate(n_obs)]  # drops the NaN tails
+        return cls(columns, order, [columns[f, o] for f, o in enumerate(order)])
+
+
+def _score_candidates(
+    gl_obs: np.ndarray,
+    hl_obs: np.ndarray,
+    g_obs: np.ndarray,
+    h_obs: np.ndarray,
+    G: float,
+    H: float,
+    thr: np.ndarray,
+    features: np.ndarray,
+    counts: np.ndarray,
+    reg_lambda: float,
+    min_child_hessian: float,
+) -> tuple[float, float, int, float, bool] | None:
+    """Best positive-gain split among a node's candidate thresholds, or None.
+
+    Candidates come feature by feature, ``counts[i]`` of them for
+    ``features[i]``, thresholds ascending within a feature. ``gl_obs`` and
+    ``hl_obs`` are the gradient and hessian totals of the observed rows left
+    of each candidate; ``g_obs`` and ``h_obs`` those of all observed rows of
+    each feature. The absent set's totals are added to the left child, then
+    to the right, and the better routing kept; a child under
+    ``min_child_hessian`` scores -inf. Ties go to the lower feature, the
+    lower threshold and the left default direction. A feature with a NaN
+    gain never wins, as when each feature's ``argmax`` was taken on its own.
+    """
+    parent = G * G / (H + reg_lambda)
+
+    def gain(gl: np.ndarray, hl: np.ndarray) -> np.ndarray:
+        gr = G - gl
+        hr = H - hl
+        value = 0.5 * (gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda) - parent)
+        ok = (hl >= min_child_hessian) & (hr >= min_child_hessian)
+        return np.where(ok, value, -np.inf)
+
+    g_missing = np.repeat(G - g_obs, counts)
+    h_missing = np.repeat(H - h_obs, counts)
+    gain_left = gain(gl_obs + g_missing, hl_obs + h_missing)
+    gain_right = gain(gl_obs, hl_obs)
+    take_left = gain_left >= gain_right
+    cand = np.where(take_left, gain_left, gain_right)
+    starts = np.cumsum(counts) - counts
+    top = np.maximum.reduceat(cand, starts)  # NaN propagates
+    top = np.where(top > 0.0, top, 0.0)
+    i = int(np.argmax(top))
+    if top[i] == 0.0:
+        return None
+    k = starts[i] + int(np.argmax(cand[starts[i] : starts[i] + counts[i]]))
+    flipped = gain_right[k] if take_left[k] else gain_left[k]
+    return float(cand[k]), float(flipped), int(features[i]), float(thr[k]), bool(take_left[k])
+
+
+def _split_presorted(
+    cols: _SortedColumns,
+    idx: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    reg_lambda: float,
+    min_child_hessian: float,
+) -> tuple[float, float, int, float, bool] | None:
+    """Large-node kernel: filter each column's presorted order to the node.
+
+    ``idx`` is increasing, so the filtered order equals a stable sort of the
+    node's observed values.
+    """
+    G = g[idx].sum()
+    H = h[idx].sum()
+    member = np.zeros(cols.columns.shape[1], dtype=bool)
+    member[idx] = True
+    features, counts, g_obs, h_obs = [], [], [], []
+    gl_obs, hl_obs, thr = [], [], []
+    for f, (order, values) in enumerate(zip(cols.order, cols.values)):
+        keep = member[order]
+        v = values[keep]
+        cut = np.flatnonzero(v[:-1] < v[1:])
+        if cut.size == 0:
+            continue
+        sel = order[keep]
+        gi = g[sel]
+        hi = h[sel]
+        features.append(f)
+        counts.append(cut.size)
+        g_obs.append(gi.sum())
+        h_obs.append(hi.sum())
+        gl_obs.append(np.cumsum(gi)[cut])
+        hl_obs.append(np.cumsum(hi)[cut])
+        thr.append(0.5 * (v[cut] + v[cut + 1]))
+    if not features:
+        return None
+    return _score_candidates(
+        np.concatenate(gl_obs),
+        np.concatenate(hl_obs),
+        np.asarray(g_obs),
+        np.asarray(h_obs),
+        G,
+        H,
+        np.concatenate(thr),
+        np.asarray(features),
+        np.asarray(counts),
+        reg_lambda,
+        min_child_hessian,
+    )
+
+
+def _split_node_sorted(
+    cols: _SortedColumns,
+    idx: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    reg_lambda: float,
+    min_child_hessian: float,
+) -> tuple[float, float, int, float, bool] | None:
+    """Small-node kernel: one 2-D sort, cumsum and gain pass over all columns."""
+    g_node = g[idx]
+    h_node = h[idx]
+    G = g_node.sum()
+    H = h_node.sum()
+    x = cols.columns[:, idx]
+    order = np.argsort(x, axis=1, kind="stable")  # NaN sorts last
+    v = np.take_along_axis(x, order, axis=1)
+    cut = v[:, :-1] < v[:, 1:]  # False next to NaN
+    counts = cut.sum(axis=1)
+    features = np.flatnonzero(counts)
+    if features.size == 0:
+        return None
+    gs = g_node[order]
+    hs = h_node[order]
+    n_obs = (~np.isnan(v[features])).sum(axis=1)
+    # Each column's observed slice is summed as its own contiguous 1-D array,
+    # as in the presorted kernel: numpy sums those pairwise, and a 2-D or
+    # zero-padded sum would associate differently and change the bits.
+    return _score_candidates(
+        np.cumsum(gs, axis=1)[:, :-1][cut],
+        np.cumsum(hs, axis=1)[:, :-1][cut],
+        np.array([gs[f, :k].sum() for f, k in zip(features, n_obs)]),
+        np.array([hs[f, :k].sum() for f, k in zip(features, n_obs)]),
+        G,
+        H,
+        0.5 * (v[:, :-1][cut] + v[:, 1:][cut]),
+        features,
+        counts[features],
+        reg_lambda,
+        min_child_hessian,
+    )
+
+
 def _best_split_booster(
-    rows: np.ndarray,
+    cols: _SortedColumns,
     idx: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
@@ -217,70 +402,14 @@ def _best_split_booster(
 
     Gain is the second-order split gain with the absent set's gradient and
     hessian totals added to the default side; both routings are scored and
-    the better kept (ties go left).
+    the better kept (ties go left). ``idx`` must be increasing.
     """
-    g_node = g[idx]
-    h_node = h[idx]
-    G = g_node.sum()
-    H = h_node.sum()
-    parent = G * G / (H + reg_lambda)
-
-    best_gain = 0.0
-    best: tuple[float, float, int, float, bool] | None = None
-    for f in range(rows.shape[1]):
-        vals = rows[idx, f]
-        obs = ~np.isnan(vals)
-        if not obs.any():
-            continue  # no observed values: no candidate thresholds
-        v = vals[obs]
-        gi = g_node[obs]
-        hi = h_node[obs]
-        order = np.argsort(v, kind="stable")
-        v = v[order]
-        gi = gi[order]
-        hi = hi[order]
-        g_missing = G - gi.sum()
-        h_missing = H - hi.sum()
-
-        cut = np.flatnonzero(v[:-1] < v[1:])
-        if cut.size == 0:
-            continue
-        thr = 0.5 * (v[cut] + v[cut + 1])
-        gl_obs = np.cumsum(gi)[cut]
-        hl_obs = np.cumsum(hi)[cut]
-
-        # Absent set routed left:
-        gl = gl_obs + g_missing
-        hl = hl_obs + h_missing
-        gr = G - gl
-        hr = H - hl
-        gain_left = 0.5 * (gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda) - parent)
-        ok_left = (hl >= min_child_hessian) & (hr >= min_child_hessian)
-        gain_left = np.where(ok_left, gain_left, -np.inf)
-
-        # Absent set routed right:
-        gl2 = gl_obs
-        hl2 = hl_obs
-        gr2 = G - gl2
-        hr2 = H - hl2
-        gain_right = 0.5 * (
-            gl2 * gl2 / (hl2 + reg_lambda) + gr2 * gr2 / (hr2 + reg_lambda) - parent
-        )
-        ok_right = (hl2 >= min_child_hessian) & (hr2 >= min_child_hessian)
-        gain_right = np.where(ok_right, gain_right, -np.inf)
-
-        take_left = gain_left >= gain_right
-        cand = np.where(take_left, gain_left, gain_right)
-        k = int(np.argmax(cand))
-        if cand[k] > best_gain:
-            best_gain = float(cand[k])
-            flipped = float(gain_right[k] if take_left[k] else gain_left[k])
-            best = (best_gain, flipped, f, float(thr[k]), bool(take_left[k]))
-    return best
+    kernel = _split_presorted if idx.size >= PRESORT_MIN_ROWS else _split_node_sorted
+    return kernel(cols, idx, g, h, reg_lambda, min_child_hessian)
 
 
 def _grow_booster_tree(
-    rows: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: BoosterConfig
+    cols: _SortedColumns, g: np.ndarray, h: np.ndarray, cfg: BoosterConfig
 ) -> Tree:
     feature: list[int] = []
     threshold: list[float] = []
@@ -304,14 +433,14 @@ def _grow_booster_tree(
 
     root = new_node()
     frontier: list[tuple[int, np.ndarray, int]] = [
-        (root, np.arange(rows.shape[0], dtype=np.int64), 0)
+        (root, np.arange(cols.columns.shape[1], dtype=np.int64), 0)
     ]
     while frontier:
         node, idx, depth = frontier.pop(0)
         split = None
         if depth < cfg.max_depth and idx.size >= 2:
             split = _best_split_booster(
-                rows, idx, g, h, cfg.reg_lambda, cfg.min_child_hessian
+                cols, idx, g, h, cfg.reg_lambda, cfg.min_child_hessian
             )
         if split is None:
             G = g[idx].sum()
@@ -319,7 +448,7 @@ def _grow_booster_tree(
             value[node] = -G / (H + cfg.reg_lambda) * cfg.learning_rate
             continue
         best_gain, flipped, f, thr, go_left_default = split
-        vals = rows[idx, f]
+        vals = cols.columns[f, idx]
         go_left = np.where(np.isnan(vals), go_left_default, vals < thr)
         feature[node] = f
         threshold[node] = thr
@@ -359,13 +488,14 @@ def train_gbdt(
     p0 = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
     base = float(np.log(p0 / (1.0 - p0)))
     margin = np.full(rows.shape[0], base, dtype=np.float64)
+    cols = _SortedColumns.of(rows)
     trees: list[Tree] = []
     loss_history: list[float] = []
     for _ in range(config.n_trees):
         p = _sigmoid(margin)
         g = p - y
         h = p * (1.0 - p)
-        tree = _grow_booster_tree(rows, g, h, config)
+        tree = _grow_booster_tree(cols, g, h, config)
         trees.append(tree)
         margin += tree_values(tree, rows)
         loss_history.append(_logloss(y, margin))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import shutil
+import struct
 
 import pytest
 
@@ -89,6 +91,44 @@ def test_full_pipeline_report_bounds(pipeline_ws):
         assert 0.0 <= model_report["overall"] <= 0.1
         for d in model_report["per_network"].values():
             assert 0.0 <= d <= 0.1
+
+
+def test_predictions_scores_parse_as_plain_floats(pipeline_ws):
+    cfg, _ = pipeline_ws
+    paths = sorted((Workspace(cfg.workspace).root / "eval").glob("*/predictions.csv"))
+    assert paths
+    for path in paths:
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        assert header == "sample_id,score"
+        assert lines
+        for line in lines:
+            assert 0.0 <= float(line.rsplit(",", 1)[1]) <= 1.0
+
+
+def container_cut_points(blob: bytes) -> dict[str, int]:
+    """A byte offset inside the header, the metadata and the array index."""
+    (meta_len,) = struct.unpack("<I", blob[6:10])
+    index_at = 10 + meta_len
+    (index_len,) = struct.unpack("<I", blob[index_at : index_at + 4])
+    return {
+        "header": 8,
+        "metadata": 10 + meta_len // 2,
+        "index": index_at + 4 + index_len // 2,
+    }
+
+
+@pytest.mark.parametrize("where", ["header", "metadata", "index"])
+def test_cli_truncated_container_exits_1(pipeline_ws, tmp_path, capsys, where):
+    cfg, _ = pipeline_ws
+    ws = tmp_path / "ws"
+    shutil.copytree(cfg.workspace, ws)
+    target = ws / "build" / "net1" / "windows.ilos"
+    blob = target.read_bytes()
+    target.write_bytes(blob[: container_cut_points(blob)[where]])
+    config = tmp_path / "run.yaml"
+    cfg.dump(config)
+    assert cli_entry(["evaluate", "--config", str(config), "--workspace", str(ws)]) == 1
+    assert "truncated" in capsys.readouterr().err
 
 
 def test_runlog_has_hashed_lineage(pipeline_ws):

@@ -54,6 +54,36 @@ def test_rejects_truncated_payload(tmp_path):
         read_container(path)
 
 
+def test_rejects_truncation_at_every_offset(tmp_path):
+    path = tmp_path / "data.ilos"
+    write_container(path, {"a": np.arange(3.0), "b": np.ones(2, dtype=np.int8)}, {"k": "v"})
+    blob = path.read_bytes()
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(DataError):
+            read_container(path)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (b'{"k"', b'{"k\xff', "undecodable metadata"),  # not UTF-8
+        (b'{"k"', b'["k"', "undecodable metadata"),  # not JSON
+        (b'{"k": "v"}', b'["k", "v"]', "metadata is not a JSON dict"),
+        (b'"dtype": "int8"', b'"dtypo": "int8"', "bad array index entry"),
+        (b'"int8"', b'"<O8 "', "bad array index entry"),  # dtype not allowed
+    ],
+)
+def test_rejects_corrupt_blocks(tmp_path, old, new, message):
+    path = tmp_path / "data.ilos"
+    write_container(path, {"a": np.arange(3.0), "b": np.ones(2, dtype=np.int8)}, {"k": "v"})
+    blob = path.read_bytes()
+    assert blob.count(old) == 1 and len(old) == len(new)
+    path.write_bytes(blob.replace(old, new))
+    with pytest.raises(DataError, match=message):
+        read_container(path)
+
+
 def test_rejects_object_dtype(tmp_path):
     with pytest.raises(DataError, match="dtype"):
         write_container(tmp_path / "x.ilos", {"a": np.array(["s"], dtype=object)}, {})

@@ -6,6 +6,7 @@ import pytest
 from iloscast.errors import ConfigError, DataError
 from iloscast.trees import (
     FULL_TREE_GRID,
+    PRESORT_MIN_ROWS,
     BoosterConfig,
     ForestConfig,
     Tree,
@@ -16,6 +17,9 @@ from iloscast.trees import (
     train_random_forest,
     tree_values,
     route_leaf_ids,
+    _SortedColumns,
+    _split_node_sorted,
+    _split_presorted,
 )
 
 
@@ -137,6 +141,131 @@ def test_booster_default_direction_gain_optimal_with_absences():
             found_split = True
             assert chosen >= flipped
         assert found_split
+
+
+def mixed_rows(rng, n):
+    """Rows with every column shape the split search must handle, ~30 % absent."""
+    rows = np.column_stack(
+        [
+            rng.normal(size=n),  # continuous
+            np.round(rng.normal(size=n), 1),  # many duplicate values
+            np.full(n, np.nan),  # never observed
+            np.full(n, 5.0),  # constant
+            rng.integers(0, 4, size=n).astype(float),  # four distinct values
+            rng.normal(size=n),
+        ]
+    )
+    absent = rng.random(rows.shape) < 0.3
+    absent[:, 3] = False  # the constant column stays fully observed
+    rows[absent] = np.nan
+    signal = np.nan_to_num(rows[:, 0]) + 0.5 * np.nan_to_num(rows[:, 4], nan=3.0)
+    labels = (signal + 0.7 * rng.normal(size=n) > 1.0).astype(float)
+    return rows, labels
+
+
+def replay_split_nodes(model: TreeEnsemble, rows, labels):
+    """Yield (tree, node, idx, g, h) for every split node of every round."""
+    y = labels.astype(np.float64)
+    margin = np.full(rows.shape[0], model.base_score)
+    for tree in model.trees:
+        p = sigmoid(margin)
+        g = p - y
+        h = p * (1.0 - p)
+        frontier = [(0, np.arange(rows.shape[0]))]
+        while frontier:
+            node, idx = frontier.pop()
+            if tree.feature[node] < 0:
+                continue
+            yield tree, node, idx, g, h
+            vals = rows[idx, tree.feature[node]]
+            go_left = np.where(np.isnan(vals), tree.default_left[node], vals < tree.threshold[node])
+            frontier.append((int(tree.left[node]), idx[go_left]))
+            frontier.append((int(tree.right[node]), idx[~go_left]))
+        margin += tree_values(tree, rows)
+
+
+def per_column_split(rows, idx, g, h, reg_lambda, min_child_hessian):
+    """Reference search that sorts the node's observed values column by column,
+    with the same floating-point operations as the production kernels, so
+    their results must match it bit for bit."""
+    G, H = g[idx].sum(), h[idx].sum()
+    parent = G * G / (H + reg_lambda)
+    best, best_gain = None, 0.0
+    for f in range(rows.shape[1]):
+        vals = rows[idx, f]
+        obs = ~np.isnan(vals)
+        order = np.argsort(vals[obs], kind="stable")
+        v, gi, hi = vals[obs][order], g[idx][obs][order], h[idx][obs][order]
+        cut = np.flatnonzero(v[:-1] < v[1:])
+        if cut.size == 0:
+            continue
+        gains = []
+        for gl, hl in (
+            (np.cumsum(gi)[cut] + (G - gi.sum()), np.cumsum(hi)[cut] + (H - hi.sum())),
+            (np.cumsum(gi)[cut], np.cumsum(hi)[cut]),
+        ):
+            gr, hr = G - gl, H - hl
+            value = 0.5 * (gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda) - parent)
+            gains.append(np.where((hl >= min_child_hessian) & (hr >= min_child_hessian), value, -np.inf))
+        take_left = gains[0] >= gains[1]
+        cand = np.where(take_left, gains[0], gains[1])
+        k = int(np.argmax(cand))
+        if cand[k] > best_gain:
+            best_gain = float(cand[k])
+            flipped = float(gains[1][k] if take_left[k] else gains[0][k])
+            best = (best_gain, flipped, f, float(0.5 * (v[cut[k]] + v[cut[k] + 1])), bool(take_left[k]))
+    return best
+
+
+def test_presorted_splits_match_exhaustive_oracle_on_large_nodes():
+    rng = np.random.default_rng(31)
+    rows, labels = mixed_rows(rng, 1500)
+    cfg = BoosterConfig(n_trees=2, max_depth=3, min_child_hessian=0.5)
+    model = train_gbdt(rows, labels, cfg)
+    checked = 0
+    for tree, node, idx, g, h in replay_split_nodes(model, rows, labels):
+        if idx.size < PRESORT_MIN_ROWS:
+            continue
+        f, thr, default_left = int(tree.feature[node]), float(tree.threshold[node]), bool(tree.default_left[node])
+        oracle = oracle_best_split(rows, idx, g, h, cfg.reg_lambda, cfg.min_child_hessian)
+        assert oracle is not None
+        of, othr, odef, ogain = oracle
+        chosen = directional_gain(rows, idx, g, h, f, thr, default_left, cfg.reg_lambda, cfg.min_child_hessian)
+        flipped = directional_gain(rows, idx, g, h, f, thr, not default_left, cfg.reg_lambda, cfg.min_child_hessian)
+        assert chosen == pytest.approx(ogain, rel=1e-9)
+        assert tree.gain[node] == pytest.approx(ogain, rel=1e-9)
+        assert chosen >= flipped
+        if (f, thr) == (of, othr) and flipped != pytest.approx(chosen, rel=1e-9):
+            assert default_left == odef
+        checked += 1
+    assert checked >= 4
+
+
+def test_both_split_kernels_agree_bit_for_bit():
+    rng = np.random.default_rng(32)
+    rows, labels = mixed_rows(rng, 1200)
+    cols = _SortedColumns.of(rows)
+    cfg = BoosterConfig(n_trees=2, max_depth=4, min_child_hessian=0.5)
+    model = train_gbdt(rows, labels, cfg)
+    nodes = [(idx, g, h) for _, _, idx, g, h in replay_split_nodes(model, rows, labels)]
+    assert any(idx.size >= PRESORT_MIN_ROWS for idx, _, _ in nodes)
+    assert any(idx.size < PRESORT_MIN_ROWS for idx, _, _ in nodes)
+    g, h = nodes[0][1], nodes[0][2]
+    for size in (2, 3, 40, 499, 500, 900):
+        nodes.append((np.sort(rng.choice(rows.shape[0], size=size, replace=False)), g, h))
+    found = 0
+    for idx, g, h in nodes:
+        args = (idx, g, h, cfg.reg_lambda, cfg.min_child_hessian)
+        expected = per_column_split(rows, *args)
+        found += expected is not None
+        assert _split_presorted(cols, *args) == expected
+        assert _split_node_sorted(cols, *args) == expected
+    assert found >= len(nodes) - 2  # the 2- and 3-row nodes may have no legal split
+    # Only the never-observed and constant columns: no candidate anywhere.
+    for idx, g, h in nodes[:3]:
+        bare = _SortedColumns.of(rows[:, 2:4])
+        assert _split_presorted(bare, idx, g, h, 1.0, 0.5) is None
+        assert _split_node_sorted(bare, idx, g, h, 1.0, 0.5) is None
 
 
 def test_booster_all_labels_identical():
