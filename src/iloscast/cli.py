@@ -25,7 +25,7 @@ import yaml
 from .dataset import WindowDataset, write_audit_csv
 from .errors import ConfigError, IloscastError, MissingArtifactError, NumericError
 from .ingest import series_from_arrays, series_to_arrays
-from .container import read_container, write_container
+from .container import read_container, read_json, write_container
 from .metrics import evaluate_scores, write_curve_csv
 from .pipeline import (
     BritsSettings,
@@ -416,7 +416,7 @@ def _load_models(ws: Workspace, names: list[str] | None) -> list[TrainedModel]:
             raise MissingArtifactError(f"no trained model artifacts for {sorted(missing)}")
     out = []
     for model_dir in dirs:
-        meta = json.loads((model_dir / "meta.json").read_text(encoding="utf-8"))
+        meta = read_json(model_dir / "meta.json")
         if meta["kind"] == "brits":
             model = BritsModel.load(model_dir / "model.ilos")
         else:
@@ -437,7 +437,7 @@ def _load_models(ws: Workspace, names: list[str] | None) -> list[TrainedModel]:
 
 
 def _dataset_for(ws: Workspace, trained: TrainedModel, datasets: dict, mega: list) -> WindowDataset:
-    meta = json.loads((ws.root / "models" / trained.name / "meta.json").read_text(encoding="utf-8"))
+    meta = read_json(ws.root / "models" / trained.name / "meta.json")
     scope = meta.get("dataset", trained.scope)
     if scope == "mega":
         if not mega:
@@ -461,15 +461,16 @@ def stage_evaluate(cfg: RunConfig, ws: Workspace) -> list[Path]:
         extra = {}
         if truth_path.exists():
             extra["precursor_only"] = precursor_mask(ds, load_ground_truth(truth_path))
-        report = evaluate_model(trained, ds, facilities=facilities, extra_masks=extra)
+        idx = ds.indices(split=TEST)
+        scores = trained.predictor(ds)(idx)
+        report = evaluate_model(
+            trained, ds, facilities=facilities, extra_masks=extra, scores=scores
+        )
         eval_dir = ws.dir("eval", trained.name)
         scores_path = eval_dir / "scores.json"
         scores_path.write_text(json.dumps(report, sort_keys=True, indent=2), encoding="utf-8")
         outputs.append(scores_path)
         # Per-model overall PR curve and raw scores for plotting and audit.
-        fn = trained.predictor(ds)
-        idx = ds.indices(split=TEST)
-        scores = fn(idx)
         _, curve = evaluate_scores(scores, ds.label[idx])
         curve_path = eval_dir / "pr_curve.csv"
         write_curve_csv(curve_path, curve)
@@ -490,7 +491,7 @@ def stage_report(cfg: RunConfig, ws: Workspace) -> list[Path]:
     eval_dir = ws.require("eval", "evaluate")
     per_model = {}
     for scores_path in sorted(eval_dir.glob("*/scores.json")):
-        report = json.loads(scores_path.read_text(encoding="utf-8"))
+        report = read_json(scores_path)
         per_model[report["model"]] = report
     if not per_model:
         raise MissingArtifactError(f"no evaluation outputs under {eval_dir}")

@@ -11,7 +11,9 @@ Layout (little-endian):
     bytes   raw C-order array payloads, concatenated in index order
 
 Writes are byte-deterministic for identical inputs, which the
-reproducibility checks rely on.
+reproducibility checks rely on. ``read_json`` reads the JSON artifacts
+that sit beside containers (model metadata, tree ensembles, scores) with
+the same error mapping.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, MissingArtifactError
 
 MAGIC = b"ILOS1"
 VERSION = 1
@@ -69,7 +71,10 @@ def _read_exact(fh, n: int, path: Path, what: str) -> bytes:
 
 def _read_json_block(fh, path: Path, what: str, kind: type):
     (length,) = struct.unpack("<I", _read_exact(fh, 4, path, f"{what} length"))
-    blob = _read_exact(fh, length, path, what)
+    return _decode_json(_read_exact(fh, length, path, what), path, what, kind)
+
+
+def _decode_json(blob: bytes, path: Path, what: str, kind: type):
     try:
         value = json.loads(blob.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
@@ -111,3 +116,17 @@ def read_container(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             blob = _read_exact(fh, nbytes, path, f"payload for array {name!r}")
             arrays[name] = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
     return arrays, meta
+
+
+def read_json(path: str | Path) -> dict:
+    """Read a JSON object artifact.
+
+    Raises :class:`MissingArtifactError` when the file does not exist and
+    :class:`DataError` when it is not UTF-8 JSON holding an object.
+    """
+    path = Path(path)
+    try:
+        blob = path.read_bytes()
+    except FileNotFoundError:
+        raise MissingArtifactError(f"missing artifact {path}") from None
+    return _decode_json(blob, path, "JSON", dict)

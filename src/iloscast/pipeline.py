@@ -215,44 +215,54 @@ def evaluate_model(
     dataset: WindowDataset,
     facilities: tuple[str, ...] = (),
     extra_masks: dict[str, np.ndarray] | None = None,
+    scores: np.ndarray | None = None,
 ) -> dict:
     """Test-split scores: per network, weighted average, optional facility
-    subsets and extra named masks (e.g. precursor-only)."""
-    fn = trained.predictor(dataset)
+    subsets and extra named masks (e.g. precursor-only).
+
+    The model scores ``dataset.indices(split=TEST)`` once and every subset
+    is a slice of those scores. A caller that has already scored them
+    passes them as ``scores``, in that index order.
+    """
+    test = dataset.indices(split=TEST)
+    if scores is None:
+        scores = trained.predictor(dataset)(test)
+    labels = dataset.label[test]
     report: dict = {"model": trained.name, "per_network": {}, "per_facility": {}, "subsets": {}}
+
+    def d_value(keep: np.ndarray, subset: str) -> float | None:
+        """D on the kept test samples; None when they hold no positive."""
+        if labels[keep].sum() == 0:
+            return None
+        return evaluate_scores(scores[keep], labels[keep], subset=subset)[0].value
 
     sizes = []
     values = []
     for net in dataset.networks:
-        idx = dataset.indices(split=TEST, network=net)
-        if idx.size == 0 or dataset.label[idx].sum() == 0:
-            continue
-        score, _ = evaluate_scores(fn(idx), dataset.label[idx], subset=f"network={net}")
-        report["per_network"][net] = score.value
-        sizes.append(int(idx.size))
-        values.append(score.value)
+        keep = dataset.network[test] == net
+        value = d_value(keep, f"network={net}")
+        if value is not None:
+            report["per_network"][net] = value
+            sizes.append(int(keep.sum()))
+            values.append(value)
     if values:
         report["weighted_average"] = float(
             sum(v * s for v, s in zip(values, sizes)) / sum(sizes)
         )
 
-    overall_idx = dataset.indices(split=TEST)
-    score, _ = evaluate_scores(fn(overall_idx), dataset.label[overall_idx], subset="overall")
+    score, _ = evaluate_scores(scores, labels, subset="overall")
     report["overall"] = score.value
 
     for fac in facilities:
-        idx = dataset.indices(split=TEST, facility=fac)
-        if idx.size == 0 or dataset.label[idx].sum() == 0:
-            continue
-        score, _ = evaluate_scores(fn(idx), dataset.label[idx], subset=f"facility={fac}")
-        report["per_facility"][fac] = score.value
+        keep = dataset.x[test, 0, dataset.schema.onehot_index(fac)] == 1.0
+        value = d_value(keep, f"facility={fac}")
+        if value is not None:
+            report["per_facility"][fac] = value
 
     for name, mask in (extra_masks or {}).items():
-        idx = overall_idx[mask[overall_idx]]
-        if idx.size == 0 or dataset.label[idx].sum() == 0:
-            continue
-        score, _ = evaluate_scores(fn(idx), dataset.label[idx], subset=name)
-        report["subsets"][name] = score.value
+        value = d_value(mask[test], name)
+        if value is not None:
+            report["subsets"][name] = value
 
     return report
 

@@ -11,6 +11,17 @@ the two directions' imputation matrices together.
 
 Everything is float64 numpy with hand-written backpropagation, verified
 against central finite differences.
+
+Recurrent model cost: one step evaluates the four LSTM gates with a single
+``tanh`` over the (B, 4H) pre-activation, since sigma(a) = 1/2 +
+tanh(a/2)/2, and keeps that one (B, 4H) gate array for backprop.
+Forward-only passes (``brits_forward`` and through it prediction and
+imputation, and ``evaluate_losses``) run the same time loop with step
+caching off and sum the estimation error inside it. The other sigmoids
+(combination weight, output probability) use the shared
+``activation.sigmoid``, the exact branch-free form of the two-sided
+stable sigmoid; the tanh form would round differently, which the tree
+ensembles sharing that function must not do.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .activation import sigmoid
 from .container import read_container, write_container
 from .errors import DataError, NumericError
 from .missing import compute_time_gaps
@@ -48,14 +60,7 @@ PARAM_BLOCKS = (
 )
 CLASSIFIER_BLOCKS = ("cls_W", "cls_b")
 
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+DEFAULT_LOSS_WEIGHTS = {"estimation": 1.0, "consistency": 1.0, "classification": 1.0}
 
 
 def init_rits_params(
@@ -99,7 +104,7 @@ class BritsModel:
     n_features: int
     hidden_size: int
     loss_weights: dict[str, float] = field(
-        default_factory=lambda: {"estimation": 1.0, "consistency": 1.0, "classification": 1.0}
+        default_factory=lambda: dict(DEFAULT_LOSS_WEIGHTS)
     )
 
     def copy(self) -> "BritsModel":
@@ -177,14 +182,37 @@ def _check_batch(x: np.ndarray, mask: np.ndarray, delta: np.ndarray) -> tuple[np
     return x, mask, delta
 
 
-def _rits_forward_cached(
-    params: dict[str, np.ndarray], x: np.ndarray, mask: np.ndarray, delta: np.ndarray
+def _gate_affine(hidden_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scale and shift that turn one tanh into the four LSTM gates.
+
+    sigma(a) = 1/2 + tanh(a/2)/2, so with gates = tanh(a * scale) * scale +
+    shift the input, forget and output blocks (scale 1/2, shift 1/2) are
+    sigmoids and the candidate block (scale 1, shift 0) is tanh(a).
+    """
+    h = hidden_size
+    scale = np.full(4 * h, 0.5)
+    scale[2 * h : 3 * h] = 1.0
+    shift = np.where(scale == 0.5, 0.5, 0.0)
+    return scale, shift
+
+
+def _rits_forward(
+    params: dict[str, np.ndarray],
+    x: np.ndarray,
+    mask: np.ndarray,
+    delta: np.ndarray,
+    keep_steps: bool = False,
 ) -> dict:
-    """Forward pass retaining per-step intermediates for backprop."""
+    """Forward pass of one direction over checked (B, T, F) input.
+
+    With ``keep_steps`` the result also holds the per-step intermediates
+    that backprop needs; forward-only callers leave it off and keep none.
+    """
     B, T, F = x.shape
     H = params["cls_W"].shape[0]
     offdiag = 1.0 - np.eye(F)
     w_off = params["feat_W"] * offdiag
+    gate_scale, gate_shift = _gate_affine(H)
 
     h = np.zeros((B, H))
     c = np.zeros((B, H))
@@ -192,6 +220,7 @@ def _rits_forward_cached(
     hidden = np.empty((B, T, H))
     x_prime = np.empty((B, T, F))
     x_comp = np.empty((B, T, F))
+    abs_err = np.zeros(B)
 
     for t in range(T):
         xt, mt, dt = x[:, t], mask[:, t], delta[:, t]
@@ -204,15 +233,16 @@ def _rits_forward_cached(
         xh = mt * xt + (1.0 - mt) * xhat
         zhat = xh @ w_off.T + params["feat_b"]
         comb_in = np.concatenate([gamma_x, mt], axis=1)
-        beta = _sigmoid(comb_in @ params["comb_W"].T + params["comb_b"])
+        beta = sigmoid(comb_in @ params["comb_W"].T + params["comb_b"])
         chat = beta * zhat + (1.0 - beta) * xhat
         xc = mt * xt + (1.0 - mt) * chat
         u = np.concatenate([xc, mt], axis=1)
-        a = u @ params["lstm_W"].T + h_dec @ params["lstm_U"].T + params["lstm_b"]
-        gi = _sigmoid(a[:, :H])
-        gf = _sigmoid(a[:, H : 2 * H])
-        gg = np.tanh(a[:, 2 * H : 3 * H])
-        go = _sigmoid(a[:, 3 * H :])
+        gates = u @ params["lstm_W"].T + h_dec @ params["lstm_U"].T + params["lstm_b"]
+        gates *= gate_scale
+        np.tanh(gates, out=gates)
+        gates *= gate_scale
+        gates += gate_shift
+        gi, gf, gg, go = (gates[:, k * H : (k + 1) * H] for k in range(4))
         c_prev = c
         c = gf * c_prev + gi * gg
         tanh_c = np.tanh(c)
@@ -222,46 +252,32 @@ def _rits_forward_cached(
         hidden[:, t] = h
         x_prime[:, t] = chat
         x_comp[:, t] = xc
-        steps.append(
-            {
-                "gamma_h": gamma_h,
-                "s_h_pos": s_h > 0,
-                "gamma_x": gamma_x,
-                "s_x_pos": s_x > 0,
-                "h_prev": h_prev,
-                "h_dec": h_dec,
-                "xhat": xhat,
-                "xh": xh,
-                "zhat": zhat,
-                "beta": beta,
-                "chat": chat,
-                "u": u,
-                "gi": gi,
-                "gf": gf,
-                "gg": gg,
-                "go": go,
-                "c_prev": c_prev,
-                "tanh_c": tanh_c,
-            }
-        )
+        err = np.abs(xhat - xt) + np.abs(zhat - xt) + np.abs(chat - xt)
+        abs_err += (mt * err).sum(axis=1)
+        if keep_steps:
+            steps.append(
+                {
+                    "gamma_h": gamma_h,
+                    "s_h_pos": s_h > 0,
+                    "s_x_pos": s_x > 0,
+                    "h_prev": h_prev,
+                    "h_dec": h_dec,
+                    "xhat": xhat,
+                    "xh": xh,
+                    "zhat": zhat,
+                    "comb_in": comb_in,
+                    "beta": beta,
+                    "chat": chat,
+                    "u": u,
+                    "gates": gates,
+                    "c_prev": c_prev,
+                    "tanh_c": tanh_c,
+                }
+            )
 
     logit_raw = hidden[:, -1] @ params["cls_W"] + params["cls_b"][0]
     logit = np.clip(logit_raw, -LOGIT_CLAMP, LOGIT_CLAMP)
-    prob = _sigmoid(logit)
-
-    m_count = mask.reshape(B, -1).sum(axis=1)
-    est_norm = 3.0 * np.maximum(m_count, 1.0)
-    abs_err = np.zeros(B)
-    for t in range(T):
-        st = steps[t]
-        mt = mask[:, t]
-        err = (
-            np.abs(st["xhat"] - x[:, t])
-            + np.abs(st["zhat"] - x[:, t])
-            + np.abs(st["chat"] - x[:, t])
-        )
-        abs_err += (mt * err).sum(axis=1)
-    est_per_sample = abs_err / est_norm
+    est_norm = 3.0 * np.maximum(mask.reshape(B, -1).sum(axis=1), 1.0)
 
     return {
         "x": x,
@@ -275,8 +291,8 @@ def _rits_forward_cached(
         "x_comp": x_comp,
         "logit_raw": logit_raw,
         "logit": logit,
-        "prob": prob,
-        "est_per_sample": est_per_sample,
+        "prob": sigmoid(logit),
+        "est_per_sample": abs_err / est_norm,
         "est_norm": est_norm,
     }
 
@@ -286,7 +302,7 @@ def rits_forward(
 ) -> RitsOutput:
     """Run one direction; accepts (T, F) or (B, T, F) input."""
     x, mask, delta = _check_batch(x, mask, delta)
-    cache = _rits_forward_cached(params, x, mask, delta)
+    cache = _rits_forward(params, x, mask, delta)
     return RitsOutput(
         x_prime=cache["x_prime"],
         x_comp=cache["x_comp"],
@@ -304,7 +320,7 @@ def _rits_backward(
     d_logit: np.ndarray,
     est_weight: float,
 ) -> dict[str, np.ndarray]:
-    """BPTT for one direction.
+    """BPTT for one direction over a ``keep_steps`` forward cache.
 
     ``d_chat_extra`` carries upstream gradient on the combined estimates
     (consistency term); ``d_logit`` the classification gradient on the
@@ -315,6 +331,9 @@ def _rits_backward(
     B, T, F = x.shape
     H = params["cls_W"].shape[0]
     grads = {k: np.zeros_like(v) for k, v in params.items()}
+    # Only the complement half of the LSTM input carries gradient upstream;
+    # the mask half is data.
+    lstm_w_in = np.ascontiguousarray(params["lstm_W"][:, :F])
 
     # Per-sample estimation normalization, batch-averaged.
     alpha = (est_weight / (cache["est_norm"] * B))[:, None]
@@ -326,32 +345,25 @@ def _rits_backward(
 
     dh = dz[:, None] * params["cls_W"][None, :]
     dc = np.zeros((B, H))
+    da = np.empty((B, 4 * H))
     for t in range(T - 1, -1, -1):
         st = steps[t]
         xt, mt, dt = x[:, t], mask[:, t], cache["delta"][:, t]
+        gi, gf, gg, go = (st["gates"][:, k * H : (k + 1) * H] for k in range(4))
+        tanh_c = st["tanh_c"]
 
-        # LSTM cell
-        do = dh * st["tanh_c"]
-        dc = dc + dh * st["go"] * (1.0 - st["tanh_c"] ** 2)
-        di = dc * st["gg"]
-        dgg = dc * st["gi"]
-        df = dc * st["c_prev"]
-        dc_prev = dc * st["gf"]
-        da = np.concatenate(
-            [
-                di * st["gi"] * (1.0 - st["gi"]),
-                df * st["gf"] * (1.0 - st["gf"]),
-                dgg * (1.0 - st["gg"] ** 2),
-                do * st["go"] * (1.0 - st["go"]),
-            ],
-            axis=1,
-        )
+        # LSTM cell: gradient on the (B, 4H) pre-activation, block by block.
+        da[:, 3 * H :] = dh * tanh_c * go * (1.0 - go)
+        dc = dc + dh * go * (1.0 - tanh_c**2)
+        da[:, :H] = dc * gg * gi * (1.0 - gi)
+        da[:, H : 2 * H] = dc * st["c_prev"] * gf * (1.0 - gf)
+        da[:, 2 * H : 3 * H] = dc * gi * (1.0 - gg**2)
+        dc_prev = dc * gf
         grads["lstm_W"] += da.T @ st["u"]
         grads["lstm_U"] += da.T @ st["h_dec"]
         grads["lstm_b"] += da.sum(axis=0)
-        du = da @ params["lstm_W"]
+        dxc = da @ lstm_w_in
         dh_dec = da @ params["lstm_U"]
-        dxc = du[:, :F]
 
         # Complement and the three estimates with their masked-MAE terms.
         dchat = (1.0 - mt) * dxc + mt * np.sign(st["chat"] - xt) * alpha + d_chat_extra[:, t]
@@ -360,8 +372,7 @@ def _rits_backward(
         dxhat = dchat * (1.0 - st["beta"]) + mt * np.sign(st["xhat"] - xt) * alpha
 
         ds_b = dbeta * st["beta"] * (1.0 - st["beta"])
-        comb_in = np.concatenate([st["gamma_x"], mt], axis=1)
-        grads["comb_W"] += ds_b.T @ comb_in
+        grads["comb_W"] += ds_b.T @ st["comb_in"]
         grads["comb_b"] += ds_b.sum(axis=0)
         dgamma_x = ds_b @ params["comb_W"][:, :F]
 
@@ -379,7 +390,8 @@ def _rits_backward(
         ds_h = -dgamma_h * st["gamma_h"] * st["s_h_pos"]
         grads["decay_h_W"] += ds_h.T @ dt
         grads["decay_h_b"] += ds_h.sum(axis=0)
-        ds_x = -dgamma_x * st["gamma_x"] * st["s_x_pos"]
+        gamma_x = st["comb_in"][:, :F]
+        ds_x = -dgamma_x * gamma_x * st["s_x_pos"]
         grads["decay_x_W"] += ds_x.T @ dt
         grads["decay_x_b"] += ds_x.sum(axis=0)
 
@@ -416,20 +428,53 @@ def backward_inputs(x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.nda
     return xb, mb, compute_time_gaps(mb)
 
 
+def _forward_pair(
+    model: BritsModel, x: np.ndarray, mask: np.ndarray, delta: np.ndarray, keep_steps: bool = False
+) -> tuple[dict, dict, np.ndarray]:
+    """Both directions over checked input, plus the aligned complement gap.
+
+    Consistency ties the two directions' imputation matrices (the
+    complements) together; observed entries agree by construction, so the
+    gap is nonzero on the filled-in cells only.
+    """
+    fwd = _rits_forward(model.fwd, x, mask, delta, keep_steps)
+    xb, mb, db = backward_inputs(x, mask)
+    bwd = _rits_forward(model.bwd, xb, mb, db, keep_steps)
+    return fwd, bwd, fwd["x_comp"] - bwd["x_comp"][:, ::-1]
+
+
+def _loss_components(fwd: dict, bwd: dict, diff: np.ndarray, y: np.ndarray) -> dict[str, float]:
+    """Batch-mean loss components; classification is BCE on the clamped logits."""
+    return {
+        "estimation_fwd": float(fwd["est_per_sample"].mean()),
+        "estimation_bwd": float(bwd["est_per_sample"].mean()),
+        "consistency": float(np.mean(np.abs(diff))),
+        "classification_fwd": float(_bce(fwd["logit"], y).mean()),
+        "classification_bwd": float(_bce(bwd["logit"], y).mean()),
+    }
+
+
+def total_loss(comps: dict[str, float], weights: dict[str, float], phase: int = 2) -> float:
+    """The training objective from its components.
+
+    Estimation (both directions) and consistency always count; phase 2
+    adds classification (both directions), phase 1 leaves it out.
+    """
+    w_cls = weights["classification"] if phase == 2 else 0.0
+    return (
+        weights["estimation"] * (comps["estimation_fwd"] + comps["estimation_bwd"])
+        + weights["consistency"] * comps["consistency"]
+        + w_cls * (comps["classification_fwd"] + comps["classification_bwd"])
+    )
+
+
 def brits_forward(
     model: BritsModel, x: np.ndarray, mask: np.ndarray, delta: np.ndarray
 ) -> BritsOutput:
-    """Run both directions and average their outputs."""
+    """Run both directions and average their outputs; keeps no step caches."""
     x, mask, delta = _check_batch(x, mask, delta)
-    fwd = _rits_forward_cached(model.fwd, x, mask, delta)
-    xb, mb, db = backward_inputs(x, mask)
-    bwd = _rits_forward_cached(model.bwd, xb, mb, db)
-
+    fwd, bwd, diff = _forward_pair(model, x, mask, delta)
     chat_b_aligned = bwd["x_prime"][:, ::-1]
-    # Consistency ties the two directions' imputation matrices (the
-    # complements) together; observed entries agree by construction, so the
-    # penalty acts on the filled-in cells only.
-    consistency = float(np.mean(np.abs(fwd["x_comp"] - bwd["x_comp"][:, ::-1])))
     mean_prime = 0.5 * (fwd["x_prime"] + chat_b_aligned)
     imputed = mask * x + (1.0 - mask) * mean_prime
     return BritsOutput(
@@ -441,18 +486,17 @@ def brits_forward(
         x_prime_bwd=chat_b_aligned,
         estimation_fwd=float(fwd["est_per_sample"].mean()),
         estimation_bwd=float(bwd["est_per_sample"].mean()),
-        consistency=consistency,
+        consistency=float(np.mean(np.abs(diff))),
     )
 
 
 def brits_loss(outputs: BritsOutput, label: np.ndarray, weights: dict[str, float] | None = None) -> dict[str, float]:
-    """Loss components and total for a labeled batch.
+    """Loss components and phase-2 total for a labeled batch.
 
     Classification is per-direction binary cross-entropy on clamped
-    logits; the total sums estimation (both directions), consistency, and
-    classification (both directions).
+    logits. ``outputs`` carries probabilities only, so the logits are
+    recovered from them here.
     """
-    w = weights or {"estimation": 1.0, "consistency": 1.0, "classification": 1.0}
     y = np.asarray(label, dtype=np.float64).reshape(-1)
 
     def bce_from_prob(p: np.ndarray) -> float:
@@ -467,11 +511,7 @@ def brits_loss(outputs: BritsOutput, label: np.ndarray, weights: dict[str, float
         "classification_fwd": bce_from_prob(outputs.prob_fwd),
         "classification_bwd": bce_from_prob(outputs.prob_bwd),
     }
-    comps["total"] = (
-        w["estimation"] * (comps["estimation_fwd"] + comps["estimation_bwd"])
-        + w["consistency"] * comps["consistency"]
-        + w["classification"] * (comps["classification_fwd"] + comps["classification_bwd"])
-    )
+    comps["total"] = total_loss(comps, weights or DEFAULT_LOSS_WEIGHTS)
     return comps
 
 
@@ -490,54 +530,29 @@ def brits_loss_and_grads(
     """
     x, mask, delta = _check_batch(x, mask, delta)
     y = np.asarray(label, dtype=np.float64).reshape(-1)
-    B, T, F = x.shape
+    B = x.shape[0]
     w = model.loss_weights
     w_cls = w["classification"] if phase == 2 else 0.0
 
-    fwd = _rits_forward_cached(model.fwd, x, mask, delta)
-    xb, mb, db = backward_inputs(x, mask)
-    bwd = _rits_forward_cached(model.bwd, xb, mb, db)
+    fwd, bwd, diff = _forward_pair(model, x, mask, delta, keep_steps=True)
+    comps = _loss_components(fwd, bwd, diff, y)
+    comps["total"] = total_loss(comps, w, phase)
+    if not np.isfinite(comps["total"]):
+        raise NumericError(f"non-finite loss: {comps}")
 
-    # Consistency between the aligned complements; observed entries cancel,
-    # so the gradient reaches the combined estimates through (1 - mask).
-    diff = fwd["x_comp"] - bwd["x_comp"][:, ::-1]
-    consistency = float(np.mean(np.abs(diff)))
-
+    # The consistency gradient reaches the combined estimates through
+    # (1 - mask), because observed entries of the complements cancel.
     cons_scale = w["consistency"] / diff.size
     d_chat_fwd = (1.0 - mask) * np.sign(diff) * cons_scale
     d_chat_bwd = ((1.0 - mask) * -np.sign(diff) * cons_scale)[:, ::-1].copy()
-
-    def class_grad(cache: dict) -> tuple[float, np.ndarray]:
-        loss = float(_bce(cache["logit"], y).mean())
-        dlogit = (cache["prob"] - y) / B
-        return loss, dlogit
-
-    bce_f, dlogit_f = class_grad(fwd)
-    bce_b, dlogit_b = class_grad(bwd)
-
     grads = {
         "fwd": _rits_backward(
-            model.fwd, fwd, d_chat_fwd, w_cls * dlogit_f, w["estimation"]
+            model.fwd, fwd, d_chat_fwd, w_cls * ((fwd["prob"] - y) / B), w["estimation"]
         ),
         "bwd": _rits_backward(
-            model.bwd, bwd, d_chat_bwd, w_cls * dlogit_b, w["estimation"]
+            model.bwd, bwd, d_chat_bwd, w_cls * ((bwd["prob"] - y) / B), w["estimation"]
         ),
     }
-
-    comps = {
-        "estimation_fwd": float(fwd["est_per_sample"].mean()),
-        "estimation_bwd": float(bwd["est_per_sample"].mean()),
-        "consistency": consistency,
-        "classification_fwd": bce_f,
-        "classification_bwd": bce_b,
-    }
-    comps["total"] = (
-        w["estimation"] * (comps["estimation_fwd"] + comps["estimation_bwd"])
-        + w["consistency"] * comps["consistency"]
-        + w_cls * (comps["classification_fwd"] + comps["classification_bwd"])
-    )
-    if not np.isfinite(comps["total"]):
-        raise NumericError(f"non-finite loss: {comps}")
     return comps, grads
 
 
@@ -613,36 +628,19 @@ class RitsData:
 
 
 def evaluate_losses(model: BritsModel, data: RitsData, phase: int, batch_size: int = 1024) -> dict[str, float]:
-    """Batched loss evaluation without gradients; components sample-averaged."""
-    total = {
-        "estimation_fwd": 0.0,
-        "estimation_bwd": 0.0,
-        "consistency": 0.0,
-        "classification_fwd": 0.0,
-        "classification_bwd": 0.0,
-    }
-    n = data.n
-    y = data.label.astype(np.float64)
-    for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
-        out = brits_forward(model, data.x[lo:hi], data.mask[lo:hi], data.delta[lo:hi])
-        b = hi - lo
-        total["estimation_fwd"] += out.estimation_fwd * b
-        total["estimation_bwd"] += out.estimation_bwd * b
-        total["consistency"] += out.consistency * b
-        yb = y[lo:hi]
-        for key, p in (("classification_fwd", out.prob_fwd), ("classification_bwd", out.prob_bwd)):
-            logit = np.clip(np.log(p / (1.0 - p)), -LOGIT_CLAMP, LOGIT_CLAMP)
-            total[key] += float(_bce(logit, yb).sum())
-    comps = {k: v / n for k, v in total.items()}
-    w = model.loss_weights
-    w_cls = w["classification"] if phase == 2 else 0.0
+    """Batched loss evaluation without gradients or step caches; components
+    sample-averaged, plus their ``estimation`` sum and the phase's total."""
+    sums: dict[str, float] = {}
+    for lo in range(0, data.n, batch_size):
+        hi = min(lo + batch_size, data.n)
+        x, mask, delta = _check_batch(data.x[lo:hi], data.mask[lo:hi], data.delta[lo:hi])
+        fwd, bwd, diff = _forward_pair(model, x, mask, delta)
+        batch = _loss_components(fwd, bwd, diff, data.label[lo:hi].astype(np.float64))
+        for key, value in batch.items():
+            sums[key] = sums.get(key, 0.0) + value * (hi - lo)
+    comps = {k: v / data.n for k, v in sums.items()}
     comps["estimation"] = comps["estimation_fwd"] + comps["estimation_bwd"]
-    comps["total"] = (
-        w["estimation"] * comps["estimation"]
-        + w["consistency"] * comps["consistency"]
-        + w_cls * (comps["classification_fwd"] + comps["classification_bwd"])
-    )
+    comps["total"] = total_loss(comps, model.loss_weights, phase)
     return comps
 
 

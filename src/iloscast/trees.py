@@ -33,6 +33,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .activation import sigmoid
+from .container import read_json
 from .errors import ConfigError, DataError
 
 _LEAF = -1
@@ -145,7 +147,7 @@ class TreeEnsemble:
 
     @classmethod
     def load(cls, path: str | Path) -> "TreeEnsemble":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = read_json(path)
         if payload.get("format") != "iloscast-tree-ensemble" or payload.get("version") != 1:
             raise DataError(f"{path}: not a version-1 tree ensemble file")
         cfg_cls = ForestConfig if payload["kind"] == "forest" else BoosterConfig
@@ -159,17 +161,8 @@ class TreeEnsemble:
         )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _logloss(y: np.ndarray, margin: np.ndarray) -> float:
-    p = np.clip(_sigmoid(margin), 1e-15, 1.0 - 1e-15)
+    p = np.clip(sigmoid(margin), 1e-15, 1.0 - 1e-15)
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
@@ -203,7 +196,7 @@ def predict_proba(model: TreeEnsemble, rows: np.ndarray) -> np.ndarray:
         margin = np.full(rows.shape[0], model.base_score, dtype=np.float64)
         for tree in model.trees:
             margin += tree_values(tree, rows)
-        return _sigmoid(margin)
+        return sigmoid(margin)
     if not model.trees:
         raise DataError("forest has no trees")
     acc = np.zeros(rows.shape[0], dtype=np.float64)
@@ -492,7 +485,7 @@ def train_gbdt(
     trees: list[Tree] = []
     loss_history: list[float] = []
     for _ in range(config.n_trees):
-        p = _sigmoid(margin)
+        p = sigmoid(margin)
         g = p - y
         h = p * (1.0 - p)
         tree = _grow_booster_tree(cols, g, h, config)
@@ -683,7 +676,7 @@ def grid_search_trees(
         for k, tree in enumerate(full.trees, start=1):
             margin += tree_values(tree, rows_va)
             if k in checkpoints:
-                scores.append((k, float(metric(_sigmoid(margin), y_va))))
+                scores.append((k, float(metric(sigmoid(margin), y_va))))
     elif kind == "forest":
         cfg = config or ForestConfig()
         full = train_random_forest(

@@ -117,18 +117,47 @@ def container_cut_points(blob: bytes) -> dict[str, int]:
     }
 
 
-@pytest.mark.parametrize("where", ["header", "metadata", "index"])
-def test_cli_truncated_container_exits_1(pipeline_ws, tmp_path, capsys, where):
+def copied_workspace(pipeline_ws, tmp_path):
+    """A private copy of the shared workspace, and a config file pointing at it."""
     cfg, _ = pipeline_ws
     ws = tmp_path / "ws"
     shutil.copytree(cfg.workspace, ws)
+    config = tmp_path / "run.yaml"
+    cfg.dump(config)
+    return ws, ["--config", str(config), "--workspace", str(ws)]
+
+
+@pytest.mark.parametrize("where", ["header", "metadata", "index"])
+def test_cli_truncated_container_exits_1(pipeline_ws, tmp_path, capsys, where):
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
     target = ws / "build" / "net1" / "windows.ilos"
     blob = target.read_bytes()
     target.write_bytes(blob[: container_cut_points(blob)[where]])
-    config = tmp_path / "run.yaml"
-    cfg.dump(config)
-    assert cli_entry(["evaluate", "--config", str(config), "--workspace", str(ws)]) == 1
+    assert cli_entry(["evaluate"] + args) == 1
     assert "truncated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "stage, artifact",
+    [
+        ("evaluate", "models/booster_net1/meta.json"),
+        ("evaluate", "models/booster_net1/model.json"),
+        ("report", "eval/booster_net1/scores.json"),
+    ],
+)
+def test_cli_truncated_json_exits_1(pipeline_ws, tmp_path, capsys, stage, artifact):
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    target = ws / artifact
+    target.write_bytes(target.read_bytes()[:10])
+    assert cli_entry([stage] + args) == 1
+    assert "undecodable" in capsys.readouterr().err
+
+
+def test_cli_missing_model_meta_exits_3(pipeline_ws, tmp_path, capsys):
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    (ws / "models" / "booster_net1" / "meta.json").unlink()
+    assert cli_entry(["evaluate"] + args) == 3
+    assert "meta.json" in capsys.readouterr().err
 
 
 def test_runlog_has_hashed_lineage(pipeline_ws):

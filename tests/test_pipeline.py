@@ -55,6 +55,89 @@ def test_booster_report_structure(small_world):
     assert report["weighted_average"] == pytest.approx(expect)
 
 
+def per_subset_report(trained, dataset, facilities, extra_masks, seen):
+    """Reference: score every subset of the test split with its own predictor
+    call; ``seen`` collects each subset's (scores, labels)."""
+    from iloscast.metrics import evaluate_scores
+    from iloscast.windows import TEST
+
+    fn = trained.predictor(dataset)
+    report = {"model": trained.name, "per_network": {}, "per_facility": {}, "subsets": {}}
+
+    def d_value(idx, subset):
+        if idx.size == 0 or dataset.label[idx].sum() == 0:
+            return None
+        seen[subset] = (fn(idx), dataset.label[idx])
+        return evaluate_scores(*seen[subset], subset=subset)[0].value
+
+    sizes, values = [], []
+    for net in dataset.networks:
+        idx = dataset.indices(split=TEST, network=net)
+        value = d_value(idx, f"network={net}")
+        if value is not None:
+            report["per_network"][net] = value
+            sizes.append(int(idx.size))
+            values.append(value)
+    if values:
+        report["weighted_average"] = float(
+            sum(v * s for v, s in zip(values, sizes)) / sum(sizes)
+        )
+    report["overall"] = d_value(dataset.indices(split=TEST), "overall")
+    for fac in facilities:
+        value = d_value(dataset.indices(split=TEST, facility=fac), f"facility={fac}")
+        if value is not None:
+            report["per_facility"][fac] = value
+    test = dataset.indices(split=TEST)
+    for name, mask in extra_masks.items():
+        value = d_value(test[mask[test]], name)
+        if value is not None:
+            report["subsets"][name] = value
+    return report
+
+
+def test_evaluate_model_scores_test_split_once(small_world, monkeypatch):
+    """One predictor call; every subset gets the same scores and labels, bit
+    for bit, as scoring it on its own (D alone saturates at 0.1 here)."""
+    from iloscast import pipeline
+    from iloscast.pipeline import TrainedModel
+
+    result, _, mega = small_world
+    trained = train_tree_model(mega, "booster", "mega", grid=(10, 20), seed=3)
+    facilities = ("OTM", "ETH")
+    masks = {"precursor_only": precursor_mask(mega, result.events)}
+    expected_inputs = {}
+    expected = per_subset_report(trained, mega, facilities, masks, expected_inputs)
+
+    calls = []
+    predictor = TrainedModel.predictor
+
+    def counting(self, dataset):
+        fn = predictor(self, dataset)
+
+        def wrapped(idx):
+            calls.append(idx.size)
+            return fn(idx)
+
+        return wrapped
+
+    inputs = {}
+    evaluate_scores = pipeline.evaluate_scores
+
+    def recording(scores, labels, subset=""):
+        inputs[subset] = (scores, labels)
+        return evaluate_scores(scores, labels, subset=subset)
+
+    monkeypatch.setattr(TrainedModel, "predictor", counting)
+    monkeypatch.setattr(pipeline, "evaluate_scores", recording)
+    report = evaluate_model(trained, mega, facilities=facilities, extra_masks=masks)
+    assert calls == [mega.indices(split=2).size]
+    assert report == expected
+    assert inputs.keys() == expected_inputs.keys()
+    for subset, (scores, labels) in expected_inputs.items():
+        assert inputs[subset][0].tobytes() == scores.tobytes(), subset
+        assert inputs[subset][1].tobytes() == labels.tobytes(), subset
+
+
 def test_brits_stage_and_finetune_workspace(tmp_path):
     cfg = RunConfig(
         seed=20240801,

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from iloscast.activation import sigmoid
 from iloscast.errors import DataError
 from iloscast.missing import compute_time_gaps
 from iloscast.rits import (
@@ -16,10 +17,14 @@ from iloscast.rits import (
     brits_loss,
     brits_loss_and_grads,
     brits_predict,
+    evaluate_losses,
     finite_difference_block_errors,
     init_brits,
     rits_forward,
     train_brits,
+    _check_batch,
+    _forward_pair,
+    _rits_forward,
 )
 
 F, H = 5, 8
@@ -330,3 +335,52 @@ def test_decay_factors_in_unit_interval():
         s = delta[:, t] @ params["decay_h_W"].T + params["decay_h_b"]
         gamma = np.exp(-np.maximum(0.0, s))
         assert np.all((gamma > 0.0) & (gamma <= 1.0))
+
+
+def test_fused_gates_match_separate_nonlinearities():
+    """One tanh yields sigmoid input/forget/output and tanh candidate gates."""
+    model = jittered_model()
+    x, mask, delta, _ = make_batch(seed=31, batch=4)
+    params = model.fwd
+    cache = _rits_forward(params, x, mask, delta, keep_steps=True)
+    for st in cache["steps"]:
+        a = st["u"] @ params["lstm_W"].T + st["h_dec"] @ params["lstm_U"].T + params["lstm_b"]
+        want = np.concatenate(
+            [sigmoid(a[:, : 2 * H]), np.tanh(a[:, 2 * H : 3 * H]), sigmoid(a[:, 3 * H :])],
+            axis=1,
+        )
+        np.testing.assert_allclose(st["gates"], want, rtol=0, atol=4e-16)
+
+
+def test_forward_only_pass_equals_training_forward_bit_for_bit():
+    model = jittered_model()
+    x, mask, delta = _check_batch(*make_batch(seed=32, batch=6)[:3])
+    for params in (model.fwd, model.bwd):
+        bare = _rits_forward(params, x, mask, delta)
+        cached = _rits_forward(params, x, mask, delta, keep_steps=True)
+        assert bare["steps"] == [] and len(cached["steps"]) == x.shape[1]
+        for key in ("prob", "logit", "x_prime", "x_comp", "hidden", "est_per_sample"):
+            assert bare[key].tobytes() == cached[key].tobytes(), key
+    # brits_forward is the cache-free pair; the training pair keeps caches.
+    out = brits_forward(model, x, mask, delta)
+    fwd, bwd, diff = _forward_pair(model, x, mask, delta, keep_steps=True)
+    assert out.prob_fwd.tobytes() == fwd["prob"].tobytes()
+    assert out.prob_bwd.tobytes() == bwd["prob"].tobytes()
+    assert out.x_prime_fwd.tobytes() == fwd["x_prime"].tobytes()
+    assert out.x_prime_bwd.tobytes() == bwd["x_prime"][:, ::-1].tobytes()
+    assert out.estimation_fwd == float(fwd["est_per_sample"].mean())
+    assert out.estimation_bwd == float(bwd["est_per_sample"].mean())
+    assert out.consistency == float(np.mean(np.abs(diff)))
+
+
+def test_validation_losses_equal_training_components():
+    """evaluate_losses over one batch reproduces the training step's loss."""
+    model = jittered_model()
+    data = make_data(33, 12)
+    for phase in (1, 2):
+        comps, _ = brits_loss_and_grads(
+            model, data.x, data.mask, data.delta, data.label, phase=phase
+        )
+        val = evaluate_losses(model, data, phase, batch_size=data.n)
+        for key, value in comps.items():
+            assert val[key] == pytest.approx(value, rel=1e-14, abs=0.0), key
