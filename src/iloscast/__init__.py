@@ -2,15 +2,19 @@
 performance-monitoring telemetry."""
 
 from .schema import FeatureSchema, PmRecord
-from .ingest import PortSeries, build_schema, merge_to_port_level, parse_pm_csv
+from .ingest import PmColumns, PortSeries, build_schema, merge_to_port_level, parse_pm_csv, read_pm_csv
 from .windows import (
     NormStats,
     SplitAssignment,
+    WindowBatch,
     WindowSample,
     chronological_split,
     filter_defective,
+    filter_reasons,
     label_window,
     slide_windows,
+    stack_windows,
+    window_labels,
     zscore_apply,
     zscore_fit,
 )

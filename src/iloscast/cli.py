@@ -25,7 +25,7 @@ import yaml
 from .dataset import WindowDataset, write_audit_csv
 from .errors import ConfigError, IloscastError, MissingArtifactError, NumericError
 from .ingest import series_from_arrays, series_to_arrays
-from .container import read_container, read_json, write_container
+from .container import read_container, read_json, require_keys, write_container, write_json
 from .metrics import evaluate_scores, write_curve_csv
 from .pipeline import (
     BritsSettings,
@@ -165,9 +165,7 @@ def stage_synth(cfg: RunConfig, ws: Workspace) -> list[Path]:
         raise ConfigError(f"bad synth options: {exc}") from exc
     out_dir = ws.dir("synth")
     result = generate(gen_cfg, out_dir, threads=max(1, cfg.threads))
-    (out_dir / "summary.json").write_text(
-        json.dumps(result.summary, sort_keys=True, indent=2), encoding="utf-8"
-    )
+    write_json(out_dir / "summary.json", result.summary)
     outputs = list(result.csv_paths) + [result.truth_path]
     ws.log_stage("synth", [], outputs, time.time() - t0)
     return outputs
@@ -199,7 +197,7 @@ def stage_ingest(cfg: RunConfig, ws: Workspace) -> list[Path]:
             "date_span": [start.isoformat(), end.isoformat()],
         }
         manifest_path = net_dir / "manifest.json"
-        manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2), encoding="utf-8")
+        write_json(manifest_path, manifest)
         outputs += [container, manifest_path]
     ws.log_stage("ingest", inputs, outputs, time.time() - t0)
     return outputs
@@ -209,7 +207,9 @@ def _load_ingested(ws: Workspace) -> dict[str, tuple[FeatureSchema, list]]:
     ingest_dir = ws.require("ingest", "ingest")
     out = {}
     for net_dir in sorted(p for p in ingest_dir.iterdir() if p.is_dir()):
-        arrays, meta = read_container(net_dir / "series.ilos")
+        path = net_dir / "series.ilos"
+        arrays, meta = read_container(path)
+        require_keys(meta, ("schema", "ports"), path, "metadata")
         schema = FeatureSchema.from_dict(meta["schema"])
         out[net_dir.name] = (schema, series_from_arrays(arrays, meta))
     if not out:
@@ -229,9 +229,7 @@ def stage_build(cfg: RunConfig, ws: Workspace) -> list[Path]:
         ds.save(net_dir / "windows.ilos")
         write_audit_csv(net_dir / "audit.csv", audits[net])
         stats_path = net_dir / "stats.json"
-        stats_path.write_text(
-            json.dumps(dataset_stats(ds), sort_keys=True, indent=2), encoding="utf-8"
-        )
+        write_json(stats_path, dataset_stats(ds))
         outputs += [net_dir / "windows.ilos", net_dir / "audit.csv", stats_path]
     inputs = sorted((ws.root / "ingest").glob("*/series.ilos"))
     ws.log_stage("build", inputs, outputs, time.time() - t0)
@@ -262,9 +260,7 @@ def _load_mega(ws: Workspace) -> WindowDataset:
             net: int(mega.indices(network=net).size) for net in mega.networks
         },
     }
-    (path.parent / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2), encoding="utf-8"
-    )
+    write_json(path.parent / "manifest.json", manifest)
     return mega
 
 
@@ -299,7 +295,7 @@ def _save_model(
     if parent_hash is not None:
         meta["pretrained_parent_sha256"] = parent_hash
     meta_path = model_dir / "meta.json"
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2), encoding="utf-8")
+    write_json(meta_path, meta)
     outputs.append(meta_path)
     if trained.history:
         hist_path = model_dir / "history.csv"
@@ -405,7 +401,11 @@ def stage_finetune(cfg: RunConfig, ws: Workspace) -> list[Path]:
     return outputs
 
 
-def _load_models(ws: Workspace, names: list[str] | None) -> list[TrainedModel]:
+def _load_models(
+    ws: Workspace, names: list[str] | None
+) -> list[tuple[TrainedModel, str, list[Path]]]:
+    """Each trained model, the dataset scope it was trained on, and the
+    files it was read from."""
     models_dir = ws.require("models", "train")
     dirs = sorted(p for p in models_dir.iterdir() if p.is_dir())
     if names:
@@ -416,51 +416,52 @@ def _load_models(ws: Workspace, names: list[str] | None) -> list[TrainedModel]:
             raise MissingArtifactError(f"no trained model artifacts for {sorted(missing)}")
     out = []
     for model_dir in dirs:
-        meta = read_json(model_dir / "meta.json")
+        meta_path = model_dir / "meta.json"
+        meta = read_json(meta_path, required=("name", "kind", "scope"))
         if meta["kind"] == "brits":
-            model = BritsModel.load(model_dir / "model.ilos")
+            model_path = model_dir / "model.ilos"
+            model = BritsModel.load(model_path)
         else:
-            model = TreeEnsemble.load(model_dir / "model.json")
-        out.append(
-            TrainedModel(
-                name=meta["name"],
-                kind=meta["kind"],
-                scope=meta["scope"],
-                model=model,
-                imputation=meta.get("imputation", "none"),
-                grid_scores=[tuple(x) for x in meta.get("grid_scores", [])],
-            )
+            model_path = model_dir / "model.json"
+            model = TreeEnsemble.load(model_path)
+        trained = TrainedModel(
+            name=meta["name"],
+            kind=meta["kind"],
+            scope=meta["scope"],
+            model=model,
+            imputation=meta.get("imputation", "none"),
+            grid_scores=[tuple(x) for x in meta.get("grid_scores", [])],
         )
+        out.append((trained, meta.get("dataset", trained.scope), [meta_path, model_path]))
     if not out:
         raise MissingArtifactError(f"no trained models under {models_dir}")
     return out
 
 
-def _dataset_for(ws: Workspace, trained: TrainedModel, datasets: dict, mega: list) -> WindowDataset:
-    meta = read_json(ws.root / "models" / trained.name / "meta.json")
-    scope = meta.get("dataset", trained.scope)
-    if scope == "mega":
-        if not mega:
-            mega.append(_load_mega(ws))
-        return mega[0]
-    if scope not in datasets:
-        raise MissingArtifactError(f"no built dataset for network {scope!r}")
-    return datasets[scope]
-
-
 def stage_evaluate(cfg: RunConfig, ws: Workspace) -> list[Path]:
     t0 = time.time()
     datasets = _load_datasets(ws)
-    mega_box: list[WindowDataset] = []
+    inputs = [ws.root / "build" / net / "windows.ilos" for net in datasets]
+    mega: WindowDataset | None = None
     models = _load_models(ws, cfg.evaluate.get("models"))
     facilities = tuple(cfg.evaluate.get("facilities", ()))
     truth_path = ws.root / "synth" / "ground_truth.csv"
+    truth = load_ground_truth(truth_path) if truth_path.exists() else None
     outputs = []
-    for trained in models:
-        ds = _dataset_for(ws, trained, datasets, mega_box)
+    for trained, scope, model_files in models:
+        inputs += model_files
+        if scope == "mega":
+            if mega is None:
+                mega = _load_mega(ws)
+                inputs.append(ws.root / "build" / "mega" / "windows.ilos")
+            ds = mega
+        elif scope in datasets:
+            ds = datasets[scope]
+        else:
+            raise MissingArtifactError(f"no built dataset for network {scope!r}")
         extra = {}
-        if truth_path.exists():
-            extra["precursor_only"] = precursor_mask(ds, load_ground_truth(truth_path))
+        if truth is not None:
+            extra["precursor_only"] = precursor_mask(ds, truth)
         idx = ds.indices(split=TEST)
         scores = trained.predictor(ds)(idx)
         report = evaluate_model(
@@ -468,7 +469,7 @@ def stage_evaluate(cfg: RunConfig, ws: Workspace) -> list[Path]:
         )
         eval_dir = ws.dir("eval", trained.name)
         scores_path = eval_dir / "scores.json"
-        scores_path.write_text(json.dumps(report, sort_keys=True, indent=2), encoding="utf-8")
+        write_json(scores_path, report)
         outputs.append(scores_path)
         # Per-model overall PR curve and raw scores for plotting and audit.
         _, curve = evaluate_scores(scores, ds.label[idx])
@@ -482,7 +483,9 @@ def stage_evaluate(cfg: RunConfig, ws: Workspace) -> list[Path]:
                 sample_id = f"{ds.network[i]}:{ds.port[i]}:{int(ds.present_day[i])}"
                 fh.write(f"{sample_id},{float(s)!r}\n")
         outputs.append(pred_path)
-    ws.log_stage("evaluate", [], outputs, time.time() - t0)
+    if truth is not None:
+        inputs.append(truth_path)
+    ws.log_stage("evaluate", inputs, outputs, time.time() - t0)
     return outputs
 
 
@@ -491,13 +494,13 @@ def stage_report(cfg: RunConfig, ws: Workspace) -> list[Path]:
     eval_dir = ws.require("eval", "evaluate")
     per_model = {}
     for scores_path in sorted(eval_dir.glob("*/scores.json")):
-        report = read_json(scores_path)
+        report = read_json(scores_path, required=("model",))
         per_model[report["model"]] = report
     if not per_model:
         raise MissingArtifactError(f"no evaluation outputs under {eval_dir}")
     report_dir = ws.dir("report")
     report_path = report_dir / "report.json"
-    report_path.write_text(json.dumps({"models": per_model}, sort_keys=True, indent=2), encoding="utf-8")
+    write_json(report_path, {"models": per_model})
     outputs = [report_path]
     if cfg.report.get("plots", False):
         outputs += _render_plots(ws, eval_dir, report_dir)

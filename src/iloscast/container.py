@@ -11,16 +11,23 @@ Layout (little-endian):
     bytes   raw C-order array payloads, concatenated in index order
 
 Writes are byte-deterministic for identical inputs, which the
-reproducibility checks rely on. ``read_json`` reads the JSON artifacts
-that sit beside containers (model metadata, tree ensembles, scores) with
-the same error mapping.
+reproducibility checks rely on, and atomic: :func:`atomic_write` fills a
+temporary file beside the target and moves it into place only once it is
+complete, so an interrupted write leaves the previous artifact intact.
+``read_json`` reads the JSON artifacts that sit beside containers (model
+metadata, tree ensembles, scores) with the same error mapping, and
+``write_json`` writes them.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import secrets
 import struct
+from contextlib import contextmanager
 from pathlib import Path
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -33,11 +40,35 @@ VERSION = 1
 _ALLOWED_DTYPES = {"float64", "float32", "int64", "int32", "int8", "uint8", "bool"}
 
 
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "wb", **open_kwargs) -> Iterator[IO]:
+    """Open a temporary file beside ``path`` for writing; when the block
+    completes, move it onto ``path``, and when the block raises, delete it.
+
+    ``mode`` and ``open_kwargs`` are those of :func:`open`.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(temp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write a JSON artifact (sorted keys, indent 2) atomically."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2))
+
+
 def write_container(
     path: str | Path, arrays: dict[str, np.ndarray], meta: dict | None = None
 ) -> None:
     """Write named arrays plus a JSON metadata dict to ``path``."""
-    path = Path(path)
     index = []
     payloads = []
     for name, arr in arrays.items():
@@ -50,8 +81,7 @@ def write_container(
     meta_blob = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
     index_blob = json.dumps(index, sort_keys=True).encode("utf-8")
 
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<B", VERSION))
         fh.write(struct.pack("<I", len(meta_blob)))
@@ -118,15 +148,24 @@ def read_container(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, meta
 
 
-def read_json(path: str | Path) -> dict:
-    """Read a JSON object artifact.
+def require_keys(obj: dict, keys: tuple[str, ...], path: str | Path, what: str = "JSON") -> dict:
+    """Return ``obj``; raise :class:`DataError` naming the keys it lacks."""
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise DataError(f"{path}: {what} is missing key(s) {', '.join(map(repr, missing))}")
+    return obj
+
+
+def read_json(path: str | Path, required: tuple[str, ...] = ()) -> dict:
+    """Read a JSON object artifact that holds at least the ``required`` keys.
 
     Raises :class:`MissingArtifactError` when the file does not exist and
-    :class:`DataError` when it is not UTF-8 JSON holding an object.
+    :class:`DataError` when it is not UTF-8 JSON holding an object or lacks
+    a required key.
     """
     path = Path(path)
     try:
         blob = path.read_bytes()
     except FileNotFoundError:
         raise MissingArtifactError(f"missing artifact {path}") from None
-    return _decode_json(blob, path, "JSON", dict)
+    return require_keys(_decode_json(blob, path, "JSON", dict), required, path)

@@ -14,31 +14,54 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import read_container, write_container
+from .container import atomic_write, read_container, require_keys, write_container
 from .errors import DataError
 from .ingest import PortSeries
 from .missing import compute_mask, compute_time_gaps, flatten_for_trees, impute_median, impute_zero, train_medians
 from .schema import FeatureSchema
+# slide_windows, label_window and filter_defective are not called here; they
+# stay bound in this module as the per-sample views of the kernels that
+# build_dataset calls, where perfbench's tracer looks them up.
 from .windows import (
+    REASONS,
     NormStats,
     TRAIN,
     chronological_split,
     filter_defective,
+    filter_reasons,
     label_window,
     slide_windows,
+    stack_windows,
+    window_labels,
     zscore_apply,
     zscore_fit,
 )
 
 
 @dataclass(frozen=True)
-class AuditRow:
-    network_id: str
-    port_id: str
-    present_day: date
-    label: int
-    kept: bool
-    reason: str | None
+class Audit:
+    """One row per emitted window, kept or dropped, as columns.
+
+    ``present_day`` holds date ordinals; ``reason`` holds codes into
+    :data:`~iloscast.windows.REASONS`, 0 for a kept window.
+    """
+
+    network_id: np.ndarray
+    port_id: np.ndarray
+    present_day: np.ndarray
+    label: np.ndarray
+    reason: np.ndarray
+
+    def __len__(self) -> int:
+        return self.reason.size
+
+    @property
+    def kept(self) -> np.ndarray:
+        return self.reason == 0
+
+
+#: The arrays a saved dataset holds.
+_ARRAYS = ("x", "label", "split", "present_day", "network_code", "port_code")
 
 
 @dataclass
@@ -165,6 +188,8 @@ class WindowDataset:
     @classmethod
     def load(cls, path: str | Path) -> "WindowDataset":
         arrays, meta = read_container(path)
+        require_keys(meta, ("schema", "norm", "networks", "ports"), path, "metadata")
+        require_keys(arrays, _ARRAYS, path, "array set")
         nets = np.asarray(meta["networks"], dtype=object)
         ports = np.asarray(meta["ports"], dtype=object)
         return cls(
@@ -187,48 +212,34 @@ def build_dataset(
     schema: FeatureSchema,
     past_days: int = 7,
     future_days: int = 7,
-) -> tuple[WindowDataset, list[AuditRow]]:
-    """Window, label, filter, split, and fit normalization in one pass.
+) -> tuple[WindowDataset, Audit]:
+    """Window, label, filter, split, and fit normalization, each over all
+    windows at once.
 
     Returns the dataset of kept samples plus an audit row per emitted
     window (kept or dropped).
     """
-    audit: list[AuditRow] = []
-    kept = []
-    for series in series_list:
-        for sample in slide_windows(series, schema, past_days, future_days):
-            sample = label_window(sample)
-            decision = filter_defective(sample, schema)
-            audit.append(
-                AuditRow(
-                    network_id=sample.network_id,
-                    port_id=sample.port_id,
-                    present_day=sample.present_day,
-                    label=sample.label,
-                    kept=decision.keep,
-                    reason=decision.reason,
-                )
-            )
-            if decision.keep:
-                kept.append(sample)
+    windows = stack_windows(series_list, schema, past_days, future_days)
+    label = window_labels(windows.future_uas, windows.future_hccs)
+    reason = filter_reasons(windows.x, windows.future_observed, schema)
+    network = np.array([s.network_id for s in series_list], dtype=object)[windows.series]
+    port = np.array([s.port_id for s in series_list], dtype=object)[windows.series]
+    audit = Audit(network, port, windows.present_day, label, reason)
 
-    if not kept:
+    keep = reason == 0
+    if not keep.any():
         raise DataError("no samples survived filtering")
 
-    assignment = chronological_split(kept)
-    x = np.stack([s.x for s in kept])
-    label = np.array([s.label for s in kept], dtype=np.int8)
-    network = np.array([s.network_id for s in kept], dtype=object)
-    port = np.array([s.port_id for s in kept], dtype=object)
-    days = np.array([s.present_day.toordinal() for s in kept], dtype=np.int64)
-
+    days = windows.present_day[keep]
+    assignment = chronological_split(days)
+    x = windows.x[keep]
     norm = zscore_fit(x[assignment.tags == TRAIN], schema.n_numeric)
     dataset = WindowDataset(
         schema=schema,
         x=x,
-        label=label,
-        network=network,
-        port=port,
+        label=label[keep],
+        network=network[keep],
+        port=port[keep],
         present_day=days,
         split=assignment.tags,
         norm=norm,
@@ -239,20 +250,19 @@ def build_dataset(
     return dataset, audit
 
 
-def write_audit_csv(path: str | Path, audit: list[AuditRow]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def write_audit_csv(path: str | Path, audit: Audit) -> None:
+    days, day_index = np.unique(audit.present_day, return_inverse=True)
+    iso = np.array([date.fromordinal(d).isoformat() for d in days.tolist()], dtype=object)
+    reason = np.array([r or "" for r in REASONS], dtype=object)[audit.reason]
+    rows = zip(
+        audit.network_id.tolist(),
+        audit.port_id.tolist(),
+        iso[day_index].tolist(),
+        audit.label.tolist(),
+        audit.kept.astype(int).tolist(),
+        reason.tolist(),
+    )
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["network_id", "port_id", "present_day", "label", "kept", "reason"])
-        for row in audit:
-            writer.writerow(
-                [
-                    row.network_id,
-                    row.port_id,
-                    row.present_day.isoformat(),
-                    row.label,
-                    int(row.kept),
-                    row.reason or "",
-                ]
-            )
+        writer.writerows(rows)

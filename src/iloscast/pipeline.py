@@ -12,9 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import AuditRow, WindowDataset, build_dataset
+from .dataset import Audit, WindowDataset, build_dataset
 from .errors import DataError
-from .ingest import merge_to_port_level, parse_pm_csv
+from .ingest import PmColumns, build_schema, merge_to_port_level, read_pm_csv
 from .metrics import evaluate_scores, pr_auc_truncated, pr_curve
 from .rits import BritsModel, TrainSchedule, brits_predict, init_brits, train_brits
 from .schema import FeatureSchema
@@ -40,37 +40,19 @@ def truncated_auc_metric(scores: np.ndarray, labels: np.ndarray) -> float:
 def ingest_csvs(
     paths: list[str | Path], protocol_indicators: tuple[str, ...] = PROTOCOL_INDICATORS
 ) -> dict[str, tuple[FeatureSchema, list]]:
-    """Two-pass ingest: derive one schema per network, then merge series.
+    """Parse every file once into columns, then derive each network's
+    schema and max-merge its ports.
 
-    Files are streamed twice so record objects are never all materialized.
-    Returns {network_id: (schema, port series list)}.
+    Returns {network_id: (schema, port series list)} in network order.
     """
-    nets: dict[str, dict] = {}
-    for path in paths:
-        for rec in parse_pm_csv(path):
-            entry = nets.setdefault(rec.network_id, {"pms": set(), "facs": set()})
-            entry["pms"].add(rec.pm_name)
-            entry["facs"].add(rec.facility_type)
-    if not nets:
+    rows = PmColumns.concat([read_pm_csv(path) for path in paths])
+    if not len(rows):
         raise DataError("no records found in the input files")
-
-    schemas = {}
-    for net, entry in nets.items():
-        numeric = sorted(entry["pms"] | {"UAS", "HCCS"})
-        schemas[net] = FeatureSchema(
-            numeric_features=tuple(numeric),
-            onehot_features=tuple(sorted(entry["facs"])),
-            protocol_indicators=tuple(protocol_indicators),
-        )
-
-    buckets: dict[str, list] = {net: [] for net in nets}
-    for path in paths:
-        for rec in parse_pm_csv(path):
-            buckets[rec.network_id].append(rec)
-
     out = {}
-    for net in sorted(nets):
-        out[net] = (schemas[net], merge_to_port_level(buckets[net], schemas[net]))
+    for code, net in sorted(enumerate(rows.networks), key=lambda item: item[1]):
+        net_rows = rows.take(rows.network == code)
+        schema = build_schema(net_rows, protocol_indicators)
+        out[net] = (schema, merge_to_port_level(net_rows, schema))
     return out
 
 
@@ -78,7 +60,7 @@ def build_network_datasets(
     ingested: dict[str, tuple[FeatureSchema, list]],
     past_days: int = 7,
     future_days: int = 7,
-) -> tuple[dict[str, WindowDataset], dict[str, list[AuditRow]]]:
+) -> tuple[dict[str, WindowDataset], dict[str, Audit]]:
     datasets = {}
     audits = {}
     for net in sorted(ingested):

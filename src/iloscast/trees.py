@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .activation import sigmoid
-from .container import read_json
+from .container import read_json, require_keys
 from .errors import ConfigError, DataError
 
 _LEAF = -1
@@ -85,6 +85,10 @@ class Tree:
             gain=np.asarray(d["gain"], dtype=np.float64),
             gain_flipped=np.asarray(d["gain_flipped"], dtype=np.float64),
         )
+
+
+#: The node arrays a saved tree must hold.
+TREE_KEYS = tuple(Tree.__dataclass_fields__)
 
 
 @dataclass(frozen=True)
@@ -150,10 +154,11 @@ class TreeEnsemble:
         payload = read_json(path)
         if payload.get("format") != "iloscast-tree-ensemble" or payload.get("version") != 1:
             raise DataError(f"{path}: not a version-1 tree ensemble file")
+        require_keys(payload, ("kind", "trees", "config", "n_columns", "base_score"), path)
         cfg_cls = ForestConfig if payload["kind"] == "forest" else BoosterConfig
         return cls(
             kind=payload["kind"],
-            trees=[Tree.from_dict(d) for d in payload["trees"]],
+            trees=[Tree.from_dict(require_keys(d, TREE_KEYS, path, "tree")) for d in payload["trees"]],
             config=cfg_cls(**payload["config"]),
             n_columns=int(payload["n_columns"]),
             base_score=float(payload["base_score"]),

@@ -9,19 +9,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from datetime import date
-from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SplitError
 from .ingest import PortSeries
 from .schema import FeatureSchema
 
 #: Filter reason codes, in the order the predicates are evaluated.
-REASON_NO_TRAFFIC = "no_traffic"
-REASON_LOS_TODAY = "los_today"
 REASON_EMPTY_PAST = "empty_past"
 REASON_EMPTY_FUTURE = "empty_future"
+REASON_NO_TRAFFIC = "no_traffic"
+REASON_LOS_TODAY = "los_today"
+#: Reason of each code that :func:`filter_reasons` returns; 0 keeps.
+REASONS = (None, REASON_EMPTY_PAST, REASON_EMPTY_FUTURE, REASON_NO_TRAFFIC, REASON_LOS_TODAY)
 
 TRAIN, VALIDATION, TEST = 0, 1, 2
 SPLIT_NAMES = ("train", "validation", "test")
@@ -90,99 +92,146 @@ class NormStats:
         )
 
 
+@dataclass(frozen=True)
+class WindowBatch:
+    """Every fully contained window of a list of series, as stacked arrays.
+
+    Windows are ordered by series, then by start day. ``x`` is
+    (W, past_days, F); ``future_uas``/``future_hccs`` are (W, future_days);
+    ``future_observed`` is whether any numeric entry of the future days was
+    observed; ``present_day`` holds date ordinals and ``series`` the index
+    of each window's series in the input list.
+    """
+
+    x: np.ndarray
+    future_uas: np.ndarray
+    future_hccs: np.ndarray
+    future_observed: np.ndarray
+    present_day: np.ndarray
+    series: np.ndarray
+
+
+def stack_windows(
+    series_list: list[PortSeries],
+    schema: FeatureSchema,
+    past_days: int = 7,
+    future_days: int = 7,
+) -> WindowBatch:
+    """Slide a (past + future)-day window over gap-free series, stride 1.
+
+    Only fully contained windows are emitted; a series shorter than the
+    window yields none. The present day is the last past row. All series
+    are windowed at once over their stacked rows.
+    """
+    span = past_days + future_days
+    k = schema.n_numeric
+    n_days = np.array([s.n_days for s in series_list], dtype=np.int64)
+    counts = np.maximum(n_days - span + 1, 0)
+    series = np.repeat(np.arange(len(series_list)), counts)
+    local_start = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    w = series.size
+    x = np.empty((w, past_days, schema.width), dtype=np.float64)
+    if w == 0:
+        empty = np.empty((0, future_days), dtype=np.float64)
+        return WindowBatch(x, empty, empty, np.empty(0, dtype=bool), local_start, series)
+
+    # (rows - span + 1, k, span) view of the stacked rows; each window is
+    # selected by its first row.
+    values = np.concatenate([s.values for s in series_list])
+    start = (np.cumsum(n_days) - n_days)[series] + local_start
+    windows = sliding_window_view(values, span, axis=0)[start]
+    x[:, :, :k] = windows[:, :, :past_days].transpose(0, 2, 1)
+    x[:, :, k:] = np.stack([s.onehot for s in series_list])[series][:, None, :]
+    future = windows[:, :, past_days:]
+    start_day = np.array([s.start_day.toordinal() for s in series_list], dtype=np.int64)
+    return WindowBatch(
+        x=x,
+        future_uas=future[:, schema.uas_index],
+        future_hccs=future[:, schema.hccs_index],
+        future_observed=~np.isnan(future).all(axis=(1, 2)),
+        present_day=start_day[series] + local_start + past_days - 1,
+        series=series,
+    )
+
+
+def window_labels(future_uas: np.ndarray, future_hccs: np.ndarray) -> np.ndarray:
+    """Label 1 iff any future day has UAS > 0 or HCCS > 0 (absent = no).
+
+    Takes (W, future_days) label sources and returns (W,) int8.
+    """
+    positive = (future_uas > 0) | (future_hccs > 0)
+    return positive.any(axis=1).astype(np.int8)
+
+
+def filter_reasons(
+    x: np.ndarray, future_observed: np.ndarray, schema: FeatureSchema
+) -> np.ndarray:
+    """Keep/drop code of each labeled window: 0 keeps, else an index of
+    :data:`REASONS`.
+
+    Drop conditions, reported in this order: all numeric entries of the
+    past days absent; all entries of the future days absent; no protocol
+    indicator present-and-positive on the present day; LOS already in
+    progress on the present day. The emptiness reasons come first since an
+    all-absent input trivially also fails the traffic check. Absent entries
+    compare as not positive.
+    """
+    present = x[:, -1]
+    empty_past = np.isnan(x[:, :, : schema.n_numeric]).all(axis=(1, 2))
+    carrying = (present[:, list(schema.indicator_indices)] > 0).any(axis=1)
+    los_today = (present[:, schema.uas_index] > 0) | (present[:, schema.hccs_index] > 0)
+    conditions = [empty_past, ~future_observed, ~carrying, los_today]
+    return np.select(conditions, [1, 2, 3, 4], 0).astype(np.int8)
+
+
 def slide_windows(
     series: PortSeries,
     schema: FeatureSchema,
     past_days: int = 7,
     future_days: int = 7,
 ) -> list[WindowSample]:
-    """Slide a (past + future)-day window over a gap-free series, stride 1.
-
-    Only fully contained windows are emitted; a series shorter than the
-    window yields nothing. The present day is the last past row.
-    """
-    span = past_days + future_days
-    n = series.n_days
-    out: list[WindowSample] = []
-    if n < span:
-        return out
-    uas_i, hccs_i = schema.uas_index, schema.hccs_index
-    onehot_tile = np.tile(series.onehot, (past_days, 1))
-    for start in range(n - span + 1):
-        past = series.values[start : start + past_days]
-        future = series.values[start + past_days : start + span]
-        x = np.concatenate([past, onehot_tile], axis=1)
-        out.append(
-            WindowSample(
-                network_id=series.network_id,
-                port_id=series.port_id,
-                present_day=series.day(start + past_days - 1),
-                x=x,
-                future_uas=future[:, uas_i].copy(),
-                future_hccs=future[:, hccs_i].copy(),
-                future_observed_any=bool(~np.all(np.isnan(future))),
-            )
+    """The windows of one series as samples: a view of :func:`stack_windows`."""
+    batch = stack_windows([series], schema, past_days, future_days)
+    return [
+        WindowSample(
+            network_id=series.network_id,
+            port_id=series.port_id,
+            present_day=date.fromordinal(day),
+            x=batch.x[i],
+            future_uas=batch.future_uas[i],
+            future_hccs=batch.future_hccs[i],
+            future_observed_any=bool(batch.future_observed[i]),
         )
-    return out
+        for i, day in enumerate(batch.present_day.tolist())
+    ]
 
 
 def label_window(sample: WindowSample) -> WindowSample:
-    """Label 1 iff any future day has UAS > 0 or HCCS > 0 (absent = no)."""
-    positive = bool(
-        np.any(np.nan_to_num(sample.future_uas) > 0)
-        or np.any(np.nan_to_num(sample.future_hccs) > 0)
-    )
-    return replace(sample, label=int(positive))
+    """The sample labeled by :func:`window_labels`."""
+    label = window_labels(sample.future_uas[None], sample.future_hccs[None])[0]
+    return replace(sample, label=int(label))
 
 
 def filter_defective(sample: WindowSample, schema: FeatureSchema) -> FilterDecision:
-    """Decide keep/drop for a labeled sample, with a reason code on drop.
-
-    Drop conditions: all numeric entries of the past days absent; all
-    entries of the future days absent; no protocol indicator
-    present-and-positive on the present day; LOS already in progress on the
-    present day. The emptiness reasons are reported first since an
-    all-absent input trivially also fails the traffic check.
-    """
-    if np.all(np.isnan(sample.x[:, : schema.n_numeric])):
-        return FilterDecision(False, REASON_EMPTY_PAST)
-
-    if not sample.future_observed_any:
-        return FilterDecision(False, REASON_EMPTY_FUTURE)
-
-    present = sample.x[-1]
-    carrying = any(
-        not np.isnan(present[c]) and present[c] > 0
-        for c in schema.indicator_indices
-    )
-    if not carrying:
-        return FilterDecision(False, REASON_NO_TRAFFIC)
-
-    uas_today = present[schema.uas_index]
-    hccs_today = present[schema.hccs_index]
-    if (not np.isnan(uas_today) and uas_today > 0) or (
-        not np.isnan(hccs_today) and hccs_today > 0
-    ):
-        return FilterDecision(False, REASON_LOS_TODAY)
-
-    return FilterDecision(True, None)
+    """Keep/drop decision for a labeled sample by :func:`filter_reasons`,
+    with the reason code on drop."""
+    code = int(filter_reasons(sample.x[None], np.array([sample.future_observed_any]), schema)[0])
+    return FilterDecision(code == 0, REASONS[code])
 
 
 def chronological_split(
-    samples: Sequence[WindowSample] | np.ndarray,
+    present_days: np.ndarray,
     train_frac: float = 0.7,
     val_frac: float = 0.1,
 ) -> SplitAssignment:
     """Assign train/validation/test tags by snapping 70/10/20 to day edges.
 
+    ``present_days`` holds each sample's present day as a date ordinal.
     All samples sharing a present day land in the same split. Boundaries
     are the day prefixes whose cumulative counts best approximate the
     target fractions, constrained so every split is non-empty.
     """
-    if len(samples) and isinstance(samples[0], WindowSample):
-        days = np.array([s.present_day.toordinal() for s in samples], dtype=np.int64)
-    else:
-        days = np.asarray(samples, dtype=np.int64)
+    days = np.asarray(present_days, dtype=np.int64)
     n = days.size
     if n < 10:
         raise SplitError(f"cannot split {n} samples; need at least 10")

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +155,47 @@ def test_cli_truncated_json_exits_1(pipeline_ws, tmp_path, capsys, stage, artifa
     assert "undecodable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "stage, artifact, content",
+    [
+        ("evaluate", "models/booster_net1/meta.json", "{}"),
+        ("evaluate", "models/booster_net1/meta.json", '{"name": "booster_net1", "kind": "booster"}'),
+        ("evaluate", "models/booster_net1/model.json", '{"format": "iloscast-tree-ensemble", "version": 1}'),
+        ("report", "eval/booster_net1/scores.json", '{"overall": 0.05}'),
+    ],
+)
+def test_cli_json_missing_keys_exits_1(pipeline_ws, tmp_path, capsys, stage, artifact, content):
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    (ws / artifact).write_text(content, encoding="utf-8")
+    assert cli_entry([stage] + args) == 1
+    assert "missing key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "stage, artifact, key",
+    [("build", "ingest/net1/series.ilos", "ports"), ("evaluate", "build/net1/windows.ilos", "norm")],
+)
+def test_cli_container_metadata_missing_key_exits_1(pipeline_ws, tmp_path, capsys, stage, artifact, key):
+    from iloscast.container import read_container, write_container
+
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    arrays, meta = read_container(ws / artifact)
+    del meta[key]
+    write_container(ws / artifact, arrays, meta)
+    assert cli_entry([stage] + args) == 1
+    assert f"metadata is missing key(s) '{key}'" in capsys.readouterr().err
+
+
+def test_cli_tree_missing_node_array_exits_1(pipeline_ws, tmp_path, capsys):
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    target = ws / "models" / "booster_net1" / "model.json"
+    payload = json.loads(target.read_text(encoding="utf-8"))
+    del payload["trees"][0]["threshold"]
+    target.write_text(json.dumps(payload), encoding="utf-8")
+    assert cli_entry(["evaluate"] + args) == 1
+    assert "tree is missing key(s) 'threshold'" in capsys.readouterr().err
+
+
 def test_cli_missing_model_meta_exits_3(pipeline_ws, tmp_path, capsys):
     ws, args = copied_workspace(pipeline_ws, tmp_path)
     (ws / "models" / "booster_net1" / "meta.json").unlink()
@@ -169,6 +212,21 @@ def test_runlog_has_hashed_lineage(pipeline_ws):
     assert build_entry["inputs"]  # content hashes recorded
     for digest in build_entry["inputs"].values():
         assert len(digest) == 64
+
+
+def test_evaluate_logs_input_hashes(pipeline_ws):
+    cfg, _ = pipeline_ws
+    root = Workspace(cfg.workspace).root
+    lines = (root / "runlog.jsonl").read_text().strip().splitlines()
+    (entry,) = [json.loads(line) for line in lines if json.loads(line)["stage"] == "evaluate"]
+    expected = {root / "synth" / "ground_truth.csv"}
+    for net in ("net1", "net2", "net3"):
+        expected.add(root / "build" / net / "windows.ilos")
+        expected.add(root / "models" / f"booster_{net}" / "meta.json")
+        expected.add(root / "models" / f"booster_{net}" / "model.json")
+    assert set(entry["inputs"]) == {str(p) for p in expected}
+    for path, digest in entry["inputs"].items():
+        assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def test_rerun_reproduces_report(pipeline_ws, tmp_path):

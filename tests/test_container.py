@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from iloscast.container import MAGIC, read_container, write_container
+from iloscast import container
+from iloscast.container import MAGIC, read_container, read_json, write_container, write_json
 from iloscast.errors import DataError
 
 
@@ -87,3 +88,72 @@ def test_rejects_corrupt_blocks(tmp_path, old, new, message):
 def test_rejects_object_dtype(tmp_path):
     with pytest.raises(DataError, match="dtype"):
         write_container(tmp_path / "x.ilos", {"a": np.array(["s"], dtype=object)}, {})
+
+
+class DiskFullAfterHalf:
+    """A file whose first write stores half its data, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+def _write_audit(path, n):
+    from iloscast.dataset import Audit, write_audit_csv
+
+    write_audit_csv(
+        path,
+        Audit(
+            network_id=np.array(["net1"] * n, dtype=object),
+            port_id=np.array(["p1"] * n, dtype=object),
+            present_day=np.arange(n, dtype=np.int64) + 738000,
+            label=np.zeros(n, dtype=np.int8),
+            reason=np.zeros(n, dtype=np.int8),
+        ),
+    )
+
+
+WRITERS = {
+    "container": lambda path, n: write_container(path, {"a": np.arange(n, dtype=np.float64)}, {"n": n}),
+    "json": lambda path, n: write_json(path, {"values": list(range(n))}),
+    "audit_csv": _write_audit,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_interrupted_write_keeps_previous_artifact(tmp_path, monkeypatch, kind):
+    path = tmp_path / "artifact"
+    WRITERS[kind](path, 10)
+    before = path.read_bytes()
+
+    real_open = open
+    monkeypatch.setattr(
+        container, "open", lambda *a, **k: DiskFullAfterHalf(real_open(*a, **k)), raising=False
+    )
+    with pytest.raises(OSError, match="No space"):
+        WRITERS[kind](path, 500)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+    WRITERS[kind](path, 500)
+    assert path.read_bytes() != before
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+def test_read_json_names_missing_keys(tmp_path):
+    path = tmp_path / "meta.json"
+    write_json(path, {"name": "m"})
+    assert read_json(path, required=("name",)) == {"name": "m"}
+    with pytest.raises(DataError, match="missing key\\(s\\) 'kind', 'scope'"):
+        read_json(path, required=("name", "kind", "scope"))

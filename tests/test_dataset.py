@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+from datetime import date, timedelta
+
 import numpy as np
 import pytest
 
 from iloscast.dataset import build_dataset, write_audit_csv, WindowDataset
 from iloscast.errors import DataError
+from iloscast.ingest import PortSeries
 from iloscast.missing import compute_time_gaps
-from iloscast.windows import TRAIN, VALIDATION, TEST
+from iloscast.schema import FeatureSchema
+from iloscast.windows import REASONS, TRAIN, VALIDATION, TEST
 
 from conftest import healthy_fill, make_series
 
@@ -144,3 +148,142 @@ def test_median_provenance_guard(schema):
 
     all_meds, _ = med_fn(shifted.normalized_x(np.arange(ds.n)), schema.n_numeric)
     assert not np.allclose(all_meds, train_meds_after)
+
+
+# ---------------------------------------------------------------------------
+# Whole-array build against the per-window reference loop
+
+
+def reference_build(series_list, schema, past_days=7, future_days=7):
+    """The per-window loop the array kernels replaced: (dataset arrays,
+    audit rows), or the exception it raised."""
+    from datetime import timedelta
+
+    from iloscast.windows import chronological_split, zscore_fit
+
+    audit, kept = [], []
+    for series in series_list:
+        span = past_days + future_days
+        for start in range(series.n_days - span + 1):
+            past = series.values[start : start + past_days]
+            future = series.values[start + past_days : start + span]
+            x = np.concatenate([past, np.tile(series.onehot, (past_days, 1))], axis=1)
+            label = int(
+                np.any(np.nan_to_num(future[:, schema.uas_index]) > 0)
+                or np.any(np.nan_to_num(future[:, schema.hccs_index]) > 0)
+            )
+            present = x[-1]
+            if np.all(np.isnan(x[:, : schema.n_numeric])):
+                reason = "empty_past"
+            elif np.all(np.isnan(future)):
+                reason = "empty_future"
+            elif not any(
+                not np.isnan(present[c]) and present[c] > 0 for c in schema.indicator_indices
+            ):
+                reason = "no_traffic"
+            elif any(
+                not np.isnan(present[c]) and present[c] > 0
+                for c in (schema.uas_index, schema.hccs_index)
+            ):
+                reason = "los_today"
+            else:
+                reason = None
+            day = series.start_day + timedelta(days=start + past_days - 1)
+            audit.append((series.network_id, series.port_id, day.toordinal(), label, reason))
+            if reason is None:
+                kept.append((x, label, series.network_id, series.port_id, day.toordinal()))
+    if not kept:
+        return DataError("no samples survived filtering"), audit
+    days = np.array([k[4] for k in kept], dtype=np.int64)
+    try:
+        assignment = chronological_split(days)
+    except Exception as exc:  # the same error is expected from build_dataset
+        return exc, audit
+    x = np.stack([k[0] for k in kept])
+    return {
+        "x": x,
+        "label": np.array([k[1] for k in kept], dtype=np.int8),
+        "network": [k[2] for k in kept],
+        "port": [k[3] for k in kept],
+        "present_day": days,
+        "split": assignment.tags,
+        "norm": zscore_fit(x[assignment.tags == TRAIN], schema.n_numeric),
+        "split_bounds": (assignment.train_end.isoformat(), assignment.val_end.isoformat()),
+    }, audit
+
+
+def random_series(rng, schema, n_days, port_id):
+    """Sparse, zero-heavy values with +-inf, whole absent weeks and LOS days."""
+    pool = np.array([np.nan, np.nan, np.nan, 0.0, -0.0, 1.0, 3.0, -2.0, np.inf, -np.inf])
+    values = rng.choice(pool, size=(n_days, schema.n_numeric))
+    traffic = [schema.numeric_index(n) for n in schema.protocol_indicators]
+    if traffic:
+        values[:, traffic] = np.where(rng.random((n_days, len(traffic))) < 0.8, 1.0, values[:, traffic])
+    uas = schema.uas_index
+    values[:, uas] = np.where(rng.random(n_days) < 0.8, np.nan, values[:, uas])
+    if rng.random() < 0.3:
+        gap = int(rng.integers(0, max(1, n_days - 7)))
+        values[gap : gap + 7] = np.nan  # an all-absent past or future week
+    onehot = (rng.random(schema.n_onehot) < 0.6).astype(np.float64)
+    start = date(2024, 1, 1) + timedelta(days=int(rng.integers(0, 5)))
+    return PortSeries("net1", port_id, start, values, onehot)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in zscore_fit
+@pytest.mark.parametrize("indicators", [("TRAFFIC",), ("TRAFFIC", "X1"), ()])
+def test_build_matches_reference_loop(schema, indicators):
+    schema = FeatureSchema(
+        numeric_features=schema.numeric_features,
+        onehot_features=schema.onehot_features,
+        protocol_indicators=indicators,
+    )
+    rng = np.random.default_rng(17)
+    reasons_seen = set()
+    built = 0
+    for trial in range(25):
+        lengths = [13, 14, 20] + [int(n) for n in rng.integers(10, 45, size=5)]
+        series = [random_series(rng, schema, n, f"p{i}") for i, n in enumerate(lengths)]
+        expected, expected_audit = reference_build(series, schema)
+        reasons_seen |= {row[4] for row in expected_audit}
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected), match=str(expected)):
+                build_dataset(series, schema)
+            continue
+        ds, audit = build_dataset(series, schema)
+        built += 1
+        np.testing.assert_array_equal(ds.x.view(np.uint64), expected["x"].view(np.uint64))
+        for key in ("label", "present_day", "split"):
+            np.testing.assert_array_equal(getattr(ds, key), expected[key])
+        assert ds.label.dtype == np.int8 and ds.split.dtype == np.int8
+        assert ds.network.tolist() == expected["network"]
+        assert ds.port.tolist() == expected["port"]
+        assert ds.split_bounds == expected["split_bounds"]
+        np.testing.assert_array_equal(ds.norm.mean.view(np.uint64), expected["norm"].mean.view(np.uint64))
+        np.testing.assert_array_equal(ds.norm.std.view(np.uint64), expected["norm"].std.view(np.uint64))
+        assert ds.norm.unobserved == expected["norm"].unobserved
+        rows = list(
+            zip(
+                audit.network_id.tolist(),
+                audit.port_id.tolist(),
+                audit.present_day.tolist(),
+                audit.label.tolist(),
+                [REASONS[c] for c in audit.reason.tolist()],
+            )
+        )
+        assert rows == expected_audit
+    assert built >= (20 if indicators else 0)
+    expected_reasons = {None, "empty_past", "empty_future", "no_traffic", "los_today"}
+    assert reasons_seen == (expected_reasons if indicators else {"empty_past", "empty_future", "no_traffic"})
+
+
+def test_audit_csv_matches_reference_rows(tmp_path, schema):
+    ds, audit = build_fixture(schema)
+    path = tmp_path / "audit.csv"
+    write_audit_csv(path, audit)
+    expected = ["network_id,port_id,present_day,label,kept,reason"]
+    for net, port, day, label, code in zip(
+        audit.network_id, audit.port_id, audit.present_day, audit.label, audit.reason
+    ):
+        reason = REASONS[code] or ""
+        expected.append(f"{net},{port},{date.fromordinal(int(day)).isoformat()},{label},{int(code == 0)},{reason}")
+    assert path.read_bytes() == ("\r\n".join(expected) + "\r\n").encode()

@@ -214,3 +214,228 @@ def test_day_continuity():
     assert series.n_days == 8
     deltas = [(series.day(i + 1) - series.day(i)).days for i in range(series.n_days - 1)]
     assert set(deltas) == {1}
+
+
+# ---------------------------------------------------------------------------
+# Columnar ingest against the per-record reference implementation
+
+
+def reference_parse(path, schema_hint=None):
+    """The per-line parser the columnar one replaced, kept as the oracle
+    for its messages."""
+    import csv
+
+    from iloscast.ingest import CSV_HEADER
+
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestError(f"{path}: empty file") from None
+        if header != CSV_HEADER:
+            raise IngestError(f"{path}: bad header {header!r}, expected {CSV_HEADER!r}")
+        out = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 6:
+                raise IngestError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
+            network_id, port_id, facility, day_str, pm_name, value_str = row
+            try:
+                day = date.fromisoformat(day_str)
+            except ValueError:
+                raise IngestError(f"{path}:{lineno}: malformed date {day_str!r}") from None
+            try:
+                value = float(value_str)
+            except ValueError:
+                raise IngestError(
+                    f"{path}:{lineno}: non-numeric value {value_str!r} for {pm_name}"
+                ) from None
+            if schema_hint is not None and facility not in schema_hint.onehot_features:
+                raise IngestError(f"{path}:{lineno}: unknown facility {facility!r}")
+            try:
+                out.append(PmRecord(network_id, port_id, facility, day, pm_name, value))
+            except SchemaError as exc:
+                raise IngestError(f"{path}:{lineno}: {exc}") from None
+        return out
+
+
+def reference_merge(records, schema):
+    """The per-record max-merge the columnar one replaced."""
+    ports = {}
+    for r in records:
+        col = schema.numeric_index(r.pm_name)
+        entry = ports.setdefault((r.network_id, r.port_id), {"days": {}, "facilities": set()})
+        entry["facilities"].add(r.facility_type)
+        day_vals = entry["days"].setdefault(r.day, {})
+        prev = day_vals.get(col)
+        if prev is None or r.pm_value > prev:
+            day_vals[col] = r.pm_value
+    out = []
+    for key in sorted(ports):
+        days = ports[key]["days"]
+        start = min(days)
+        values = np.full(((max(days) - start).days + 1, schema.n_numeric), np.nan)
+        for day, cols in days.items():
+            for col, v in cols.items():
+                values[(day - start).days, col] = v
+        onehot = np.zeros(schema.n_onehot)
+        for fac in ports[key]["facilities"]:
+            onehot[schema.onehot_features.index(fac)] = 1.0
+        out.append((key, start, values, onehot))
+    return out
+
+
+@given(
+    data=st.lists(
+        st.tuples(
+            st.sampled_from(["net1", "net2"]),
+            st.sampled_from(["p1", "p2", "p10"]),
+            st.sampled_from(["OTM", "ETH", "WDM"]),
+            st.integers(min_value=1, max_value=9),
+            st.sampled_from(["QAVG", "UAS", "HCCS"]),
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+            ),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_columnar_merge_matches_reference_bit_for_bit(data):
+    records = [
+        PmRecord(net, port, fac, date(2020, 1, day), pm, value)
+        for net, port, fac, day, pm, value in data
+    ]
+    schema = build_schema(records)
+    got = merge_to_port_level(records, schema)
+    expected = reference_merge(records, schema)
+    assert [(s.network_id, s.port_id) for s in got] == [key for key, *_ in expected]
+    for series, (_, start, values, onehot) in zip(got, expected):
+        assert series.start_day == start
+        # Compare bit patterns, so the sign of a zero counts.
+        np.testing.assert_array_equal(series.values.view(np.uint64), values.view(np.uint64))
+        np.testing.assert_array_equal(series.onehot, onehot)
+
+
+def test_merge_tie_keeps_first_seen_signed_zero():
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        records = [rec("QAVG", fac="OTM", value=first), rec("QAVG", fac="ETH", value=second)]
+        schema = build_schema(records)
+        (series,) = merge_to_port_level(records, schema)
+        assert np.signbit(series.values[0, schema.numeric_index("QAVG")]) == np.signbit(first)
+
+
+GOOD = "net1,p1,OTM,2020-01-01,QAVG,1\n"
+
+BAD_CSV_CASES = {
+    "field_count": GOOD + "net1,p1,OTM,2020-01-02,QAVG\n",
+    "malformed_date": GOOD + "net1,p1,OTM,2020-13-01,QAVG,1\n",
+    "non_numeric": GOOD + "net1,p1,OTM,2020-01-02,QAVG,abc\n",
+    "nan_value": GOOD + "net1,p1,OTM,2020-01-02,QAVG,nan\n",
+    "inf_value": GOOD + "net1,p1,OTM,2020-01-02,QAVG,-inf\n",
+    "empty_pm_name": GOOD + "net1,p1,OTM,2020-01-02,,1\n",
+    "date_before_value_in_one_line": "net1,p1,OTM,2020-02-30,QAVG,abc\n",
+    "value_before_pm_name_in_one_line": "net1,p1,OTM,2020-01-02,,abc\n",
+    "pm_name_before_finite_in_one_line": "net1,p1,OTM,2020-01-02,,inf\n",
+    "earlier_line_before_field_count": "net1,p1,OTM,2020-01-02,QAVG,inf\nnet1,p1\n",
+    "field_count_before_later_line": "net1,p1\nnet1,p1,OTM,bad,QAVG,1\n",
+    "blank_line_before_bad": GOOD + "\n\nnet1,p1,OTM,2020-01-03,QAVG,x\n",
+    "crlf_blank_line_before_bad": (GOOD + "\n" + "net1,p1,OTM,20x0-01-03,QAVG,1\n").replace("\n", "\r\n"),
+    "crlf_field_count": (GOOD + "net1,p1,OTM\n").replace("\n", "\r\n"),
+    "bad_header": "",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CSV_CASES))
+def test_bad_csv_messages_match_reference(tmp_path, case):
+    from iloscast.pipeline import ingest_csvs
+
+    body = BAD_CSV_CASES[case]
+    path = tmp_path / "pm.csv"
+    header = "network_id,port_id,facility_type,date\n" if case == "bad_header" else HEADER
+    path.write_bytes((header + body).encode("utf-8"))
+    with pytest.raises(IngestError) as expected:
+        reference_parse(path)
+    with pytest.raises(IngestError) as parsed:
+        list(parse_pm_csv(path))
+    with pytest.raises(IngestError) as ingested:
+        ingest_csvs([path])
+    assert str(parsed.value) == str(expected.value)
+    assert str(ingested.value) == str(expected.value)
+
+
+def test_unknown_facility_message_matches_reference(tmp_path):
+    hint = FeatureSchema(numeric_features=("HCCS", "UAS"), onehot_features=("OTM",))
+    # The facility check runs after the value check and before the pm_name one.
+    for body in ("net1,p1,WDM,2020-01-01,UAS,x\n", "net1,p1,WDM,2020-01-01,,1\n"):
+        path = write_csv(tmp_path, GOOD + body)
+        with pytest.raises(IngestError) as expected:
+            reference_parse(path, hint)
+        with pytest.raises(IngestError) as parsed:
+            list(parse_pm_csv(path, schema_hint=hint))
+        assert str(parsed.value) == str(expected.value)
+
+
+def test_empty_and_missing_files_match_reference(tmp_path):
+    from iloscast.pipeline import ingest_csvs
+
+    empty = tmp_path / "empty.csv"
+    empty.write_text("", encoding="utf-8")
+    for path in (empty, tmp_path / "nope.csv"):
+        with pytest.raises(IngestError) as expected:
+            reference_parse(path)
+        with pytest.raises(IngestError) as ingested:
+            ingest_csvs([path])
+        assert str(ingested.value) == str(expected.value)
+
+
+def test_ingest_csvs_matches_reference_records(tmp_path):
+    """Two files, blank lines and CRLF: same schema and series as merging
+    the reference parser's records."""
+    from iloscast.pipeline import ingest_csvs
+
+    rng = np.random.default_rng(5)
+    paths = []
+    all_records = []
+    for f in range(2):
+        lines = []
+        for _ in range(300):
+            net = f"net{rng.integers(1, 3)}"
+            lines.append(
+                f"{net},p{rng.integers(0, 4)},{rng.choice(['OTM', 'ETH'])},"
+                f"2020-01-{rng.integers(1, 20):02d},{rng.choice(['QAVG', 'UAS', 'TRAFFIC'])},"
+                f"{rng.choice(['0', '-0', '0.0', '-0.0', '1.5', str(rng.normal())])}"
+            )
+            if rng.random() < 0.05:
+                lines.append("")
+        path = tmp_path / f"pm{f}.csv"
+        path.write_bytes((HEADER + "\n".join(lines) + "\n").replace("\n", "\r\n" if f else "\n").encode())
+        paths.append(path)
+        all_records += reference_parse(path)
+
+    got = ingest_csvs(paths, protocol_indicators=("TRAFFIC",))
+    assert sorted(got) == ["net1", "net2"]
+    for net, (schema, series) in got.items():
+        records = [r for r in all_records if r.network_id == net]
+        assert schema == build_schema(records, ("TRAFFIC",))
+        expected = reference_merge(records, schema)
+        assert len(series) == len(expected)
+        for s, (_, start, values, onehot) in zip(series, expected):
+            assert s.start_day == start
+            np.testing.assert_array_equal(s.values.view(np.uint64), values.view(np.uint64))
+            np.testing.assert_array_equal(s.onehot, onehot)
+
+
+def test_undecodable_file_is_an_ingest_error(tmp_path):
+    path = tmp_path / "pm.csv"
+    path.write_bytes(HEADER.encode() + b"net1,p1,OTM,2020-01-01,QAVG,\xff\xfe\n")
+    with pytest.raises(IngestError, match="cannot read .*pm.csv"):
+        list(parse_pm_csv(path))

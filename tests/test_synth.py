@@ -134,7 +134,7 @@ def test_stats_bookkeeping_matches_audit(tmp_path):
     cfg = GenConfig(seed=11, **SMALL)
     _, _, datasets, audits = pipeline_datasets(tmp_path, cfg)
     for net, ds in datasets.items():
-        kept = sum(1 for a in audits[net] if a.kept)
+        kept = int(audits[net].kept.sum())
         assert dataset_stats(ds)["merged"]["samples"] == kept == ds.n
 
 
