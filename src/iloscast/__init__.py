@@ -1,8 +1,8 @@
 """Forecast imminent loss-of-signal on optical-network ports from daily
 performance-monitoring telemetry."""
 
-from .schema import FeatureSchema, PmRecord
-from .ingest import PmColumns, PortSeries, build_schema, merge_to_port_level, parse_pm_csv, read_pm_csv
+from .schema import FeatureSchema
+from .ingest import PmColumns, PortSeries, build_schema, merge_to_port_level, read_pm_csv
 from .windows import (
     NormStats,
     SplitAssignment,
@@ -24,7 +24,6 @@ from .missing import (
     flatten_for_trees,
     impute_median,
     impute_zero,
-    unflatten_from_trees,
 )
 from .dataset import WindowDataset, build_dataset
 from .metrics import PrCurve, Score, pr_auc_truncated, pr_curve, weighted_average
@@ -42,11 +41,8 @@ from .rits import (
     RitsData,
     TrainSchedule,
     brits_forward,
-    brits_impute,
-    brits_loss,
     brits_predict,
     init_brits,
-    rits_forward,
     train_brits,
 )
 from .transfer import (

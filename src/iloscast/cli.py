@@ -30,13 +30,13 @@ from .metrics import evaluate_scores, write_curve_csv
 from .pipeline import (
     BritsSettings,
     DEFAULT_GRID,
+    MODEL_KINDS,
     TrainedModel,
     build_network_datasets,
     evaluate_model,
     ingest_csvs,
     precursor_mask,
-    train_brits_model,
-    train_tree_model,
+    train_model,
 )
 from .rits import BritsModel, TrainSchedule
 from .schema import FeatureSchema
@@ -52,7 +52,6 @@ class RunConfig:
 
     seed: int
     workspace: str = "workspace"
-    threads: int = 1
     synth: dict = field(default_factory=dict)
     ingest: dict = field(default_factory=dict)
     build: dict = field(default_factory=dict)
@@ -164,7 +163,7 @@ def stage_synth(cfg: RunConfig, ws: Workspace) -> list[Path]:
     except TypeError as exc:
         raise ConfigError(f"bad synth options: {exc}") from exc
     out_dir = ws.dir("synth")
-    result = generate(gen_cfg, out_dir, threads=max(1, cfg.threads))
+    result = generate(gen_cfg, out_dir)
     write_json(out_dir / "summary.json", result.summary)
     outputs = list(result.csv_paths) + [result.truth_path]
     ws.log_stage("synth", [], outputs, time.time() - t0)
@@ -272,6 +271,21 @@ def _brits_settings(cfg: RunConfig) -> BritsSettings:
         raise ConfigError(f"bad train.brits options: {exc}") from exc
 
 
+def _train_options(cfg: RunConfig) -> tuple[list[str], dict]:
+    """The configured model kinds, each checked, and the keyword options
+    of :func:`train_model`."""
+    kinds = list(cfg.train.get("models", ["booster", "brits"]))
+    unknown = [kind for kind in kinds if kind not in MODEL_KINDS]
+    if unknown:
+        raise ConfigError(f"unknown model kind(s) {unknown}; expected any of {list(MODEL_KINDS)}")
+    return kinds, {
+        "grid": tuple(cfg.train.get("grid", DEFAULT_GRID)),
+        "imputation": cfg.train.get("forest_imputation", "zero"),
+        "brits_settings": _brits_settings(cfg),
+        "seed": cfg.seed,
+    }
+
+
 def _save_model(
     ws: Workspace, trained: TrainedModel, dataset_scope: str, parent_hash: str | None = None
 ) -> list[Path]:
@@ -311,25 +325,15 @@ def _save_model(
 def stage_train(cfg: RunConfig, ws: Workspace) -> list[Path]:
     """Train per-network models (no transfer)."""
     t0 = time.time()
+    kinds, options = _train_options(cfg)
     datasets = _load_datasets(ws)
-    models = cfg.train.get("models", ["booster", "brits"])
-    grid = tuple(cfg.train.get("grid", DEFAULT_GRID))
-    imputation = cfg.train.get("forest_imputation", "zero")
     networks = cfg.train.get("networks") or sorted(datasets)
     outputs = []
     for net in networks:
         if net not in datasets:
             raise MissingArtifactError(f"no built dataset for network {net!r}")
-        ds = datasets[net]
-        for kind in models:
-            if kind in ("booster", "forest"):
-                trained = train_tree_model(
-                    ds, kind, net, grid=grid, imputation=imputation, seed=cfg.seed
-                )
-            elif kind == "brits":
-                trained = train_brits_model(ds, net, _brits_settings(cfg), seed=cfg.seed)
-            else:
-                raise ConfigError(f"unknown model kind {kind!r}")
+        for kind in kinds:
+            trained = train_model(datasets[net], kind, net, **options)
             outputs += _save_model(ws, trained, dataset_scope=net)
     inputs = sorted((ws.root / "build").glob("*/windows.ilos"))
     ws.log_stage("train", inputs, outputs, time.time() - t0)
@@ -339,20 +343,11 @@ def stage_train(cfg: RunConfig, ws: Workspace) -> list[Path]:
 def stage_pretrain(cfg: RunConfig, ws: Workspace) -> list[Path]:
     """Build the mega-dataset and pre-train the selected models on it."""
     t0 = time.time()
+    kinds, options = _train_options(cfg)
     mega = _load_mega(ws)
-    models = cfg.train.get("models", ["booster", "brits"])
-    grid = tuple(cfg.train.get("grid", DEFAULT_GRID))
-    imputation = cfg.train.get("forest_imputation", "zero")
     outputs = []
-    for kind in models:
-        if kind in ("booster", "forest"):
-            trained = train_tree_model(
-                mega, kind, "mega", grid=grid, imputation=imputation, seed=cfg.seed
-            )
-        elif kind == "brits":
-            trained = train_brits_model(mega, "mega", _brits_settings(cfg), seed=cfg.seed)
-        else:
-            raise ConfigError(f"unknown model kind {kind!r}")
+    for kind in kinds:
+        trained = train_model(mega, kind, "mega", **options)
         outputs += _save_model(ws, trained, dataset_scope="mega")
     ws.log_stage(
         "pretrain",
@@ -560,15 +555,12 @@ def _make_command(stage_name: str):
     @click.option("--config", "config_path", type=click.Path(), required=True)
     @click.option("--workspace", type=click.Path(), default=None, help="Override workspace dir.")
     @click.option("--seed", type=int, default=None, help="Override the config seed.")
-    @click.option("--threads", type=int, default=None, help="Parallelism cap.")
-    def command(config_path: str, workspace: str | None, seed: int | None, threads: int | None):
+    def command(config_path: str, workspace: str | None, seed: int | None):
         cfg = RunConfig.load(config_path)
         if workspace is not None:
             cfg.workspace = workspace
         if seed is not None:
             cfg.seed = seed
-        if threads is not None:
-            cfg.threads = threads
         outputs = run_stage(stage_name, cfg)
         for p in outputs:
             click.echo(str(p))

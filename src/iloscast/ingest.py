@@ -14,12 +14,12 @@ from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import IngestError, SchemaError
-from .schema import FeatureSchema, PmRecord
+from .schema import FeatureSchema
 
 CSV_HEADER = ["network_id", "port_id", "facility_type", "date", "pm_name", "pm_value"]
 
@@ -75,24 +75,11 @@ class PmColumns:
         return replace(self, **{name: getattr(self, name)[rows] for name in _ROW_FIELDS})
 
     @classmethod
-    def from_records(cls, records: Iterable[PmRecord]) -> "PmColumns":
-        records = list(records)
-        tables = {}
-        for table, code, attr in _CODED_FIELDS:
-            tables[table], tables[code] = _factorize([getattr(r, attr) for r in records])
-        return cls(
-            **tables,
-            day=np.array([r.day.toordinal() for r in records], dtype=np.int64),
-            value=np.array([r.pm_value for r in records], dtype=np.float64),
-        )
-
-    @classmethod
     def concat(cls, parts: list["PmColumns"]) -> "PmColumns":
-        """The rows of every part in order, recoded into merged name tables."""
-        if not parts:
-            return cls.from_records([])
+        """The rows of every part in order, recoded into merged name tables;
+        ``parts`` holds at least one part."""
         fields = {}
-        for table, code, _ in _CODED_FIELDS:
+        for table, code in _CODED_FIELDS:
             merged: dict[str, int] = {}
             recoded = []
             for part in parts:
@@ -104,25 +91,13 @@ class PmColumns:
             fields[name] = np.concatenate([getattr(part, name) for part in parts])
         return cls(**fields)
 
-    def records(self) -> Iterator[PmRecord]:
-        rows = zip(*(getattr(self, name).tolist() for name in _ROW_FIELDS))
-        for network, port, facility, pm, day, value in rows:
-            yield PmRecord(
-                self.networks[network],
-                self.ports[port],
-                self.facilities[facility],
-                date.fromordinal(day),
-                self.pm_names[pm],
-                value,
-            )
 
-
-#: (name table, code array, PmRecord attribute) of each string column.
+#: (name table, code array) of each string column.
 _CODED_FIELDS = (
-    ("networks", "network", "network_id"),
-    ("ports", "port", "port_id"),
-    ("facilities", "facility", "facility_type"),
-    ("pm_names", "pm", "pm_name"),
+    ("networks", "network"),
+    ("ports", "port"),
+    ("facilities", "facility"),
+    ("pm_names", "pm"),
 )
 _ROW_FIELDS = ("network", "port", "facility", "pm", "day", "value")
 
@@ -248,37 +223,19 @@ def read_pm_csv(path: str | Path, schema_hint: FeatureSchema | None = None) -> P
     )
 
 
-def parse_pm_csv(
-    path: str | Path, schema_hint: FeatureSchema | None = None
-) -> Iterator[PmRecord]:
-    """Yield :class:`PmRecord` in file order.
-
-    A record view of :func:`read_pm_csv`, which parses and checks the file
-    and raises its :class:`IngestError` on the first ``next()``.
-    """
-    yield from read_pm_csv(path, schema_hint).records()
-
-
-def _columns(records: PmColumns | Iterable[PmRecord]) -> PmColumns:
-    return records if isinstance(records, PmColumns) else PmColumns.from_records(records)
-
-
 def _first_seen(codes: np.ndarray) -> list[int]:
     """The distinct codes in the order of their first row."""
     distinct, first_row = np.unique(codes, return_index=True)
     return distinct[np.argsort(first_row)].tolist()
 
 
-def build_schema(
-    records: PmColumns | Iterable[PmRecord], protocol_indicators: Iterable[str] = ()
-) -> FeatureSchema:
-    """Derive a schema from observed records.
+def build_schema(cols: PmColumns, protocol_indicators: Iterable[str] = ()) -> FeatureSchema:
+    """Derive a schema from observed rows.
 
     Numeric features are the sorted union of observed PM names with the
     label sources auto-included; one-hot columns are the sorted distinct
     facility types. Indicators must be part of the numeric union.
     """
-    cols = _columns(records)
     if not len(cols):
         raise SchemaError("cannot build a schema from an empty record stream")
     pm_names = {cols.pm_names[c] for c in np.unique(cols.pm).tolist()}
@@ -291,18 +248,15 @@ def build_schema(
     )
 
 
-def merge_to_port_level(
-    records: PmColumns | Iterable[PmRecord], schema: FeatureSchema
-) -> list[PortSeries]:
-    """Max-merge facility records into gap-free per-port daily series.
+def merge_to_port_level(cols: PmColumns, schema: FeatureSchema) -> list[PortSeries]:
+    """Max-merge facility rows into gap-free per-port daily series.
 
     Per (port, day, feature) the merged value is the maximum over all
     facility instances reporting it that day; among equal maxima (0.0 and
-    -0.0 compare equal) the first record wins. Entries nobody reported stay
+    -0.0 compare equal) the first row wins. Entries nobody reported stay
     absent (NaN). Merging is total: duplicates and conflicts never error.
     Output is sorted by (network_id, port_id).
     """
-    cols = _columns(records)
     if not len(cols):
         return []
     n_numeric = schema.n_numeric

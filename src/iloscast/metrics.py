@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -121,46 +120,6 @@ def evaluate_scores(
     curve = pr_curve(scores, labels)
     d = pr_auc_truncated(curve, recall_cap)
     return Score(value=d.value, subset=subset, recall_cap=recall_cap), curve
-
-
-def evaluate_subset(
-    predict_fn: Callable[[np.ndarray], np.ndarray],
-    dataset,
-    split: int,
-    network: str | None = None,
-    facility: str | None = None,
-    curve_csv: str | Path | None = None,
-    extra_mask: np.ndarray | None = None,
-) -> tuple[Score, PrCurve]:
-    """Score a model on a filtered test subset.
-
-    ``predict_fn`` maps dataset indices to probabilities. ``extra_mask``
-    (aligned with the dataset) restricts further, e.g. to precursor-only
-    samples. Raises :class:`DataError` when the subset is empty or has no
-    positives.
-    """
-    idx = dataset.indices(split=split, network=network, facility=facility)
-    if extra_mask is not None:
-        idx = idx[extra_mask[idx]]
-    if idx.size == 0:
-        raise DataError("evaluation subset is empty")
-    labels = dataset.label[idx]
-    if labels.sum() == 0:
-        raise DataError("evaluation subset has no positive samples")
-    scores = predict_fn(idx)
-    descriptor = ",".join(
-        part
-        for part in (
-            f"split={split}",
-            f"network={network}" if network else "",
-            f"facility={facility}" if facility else "",
-        )
-        if part
-    )
-    score, curve = evaluate_scores(scores, labels, subset=descriptor)
-    if curve_csv is not None:
-        write_curve_csv(curve_csv, curve)
-    return score, curve
 
 
 def write_curve_csv(path: str | Path, curve: PrCurve) -> None:

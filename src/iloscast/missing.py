@@ -90,11 +90,3 @@ def flatten_for_trees(x: np.ndarray) -> np.ndarray:
         return x.reshape(x.shape[0], -1)
     raise DataError(f"expected 2-D or 3-D window input, got shape {x.shape}")
 
-
-def unflatten_from_trees(row: np.ndarray, n_features: int) -> np.ndarray:
-    """Inverse of :func:`flatten_for_trees` for a single row or a batch."""
-    if row.ndim == 1:
-        return row.reshape(-1, n_features)
-    if row.ndim == 2:
-        return row.reshape(row.shape[0], -1, n_features)
-    raise DataError(f"expected 1-D or 2-D flattened input, got shape {row.shape}")

@@ -15,7 +15,7 @@ import numpy as np
 from .dataset import Audit, WindowDataset, build_dataset
 from .errors import DataError
 from .ingest import PmColumns, build_schema, merge_to_port_level, read_pm_csv
-from .metrics import evaluate_scores, pr_auc_truncated, pr_curve
+from .metrics import evaluate_scores, pr_auc_truncated, pr_curve, weighted_average
 from .rits import BritsModel, TrainSchedule, brits_predict, init_brits, train_brits
 from .schema import FeatureSchema
 from .synth import PROTOCOL_INDICATORS
@@ -31,6 +31,7 @@ from .trees import (
 from .windows import TEST, TRAIN, VALIDATION
 
 DEFAULT_GRID = (100, 200, 300, 400, 500)
+MODEL_KINDS = ("booster", "forest", "brits")
 
 
 def truncated_auc_metric(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -45,9 +46,10 @@ def ingest_csvs(
 
     Returns {network_id: (schema, port series list)} in network order.
     """
-    rows = PmColumns.concat([read_pm_csv(path) for path in paths])
-    if not len(rows):
+    parts = [read_pm_csv(path) for path in paths]
+    if not sum(map(len, parts)):
         raise DataError("no records found in the input files")
+    rows = PmColumns.concat(parts)
     out = {}
     for code, net in sorted(enumerate(rows.networks), key=lambda item: item[1]):
         net_rows = rows.take(rows.network == code)
@@ -188,6 +190,27 @@ def train_brits_model(
     )
 
 
+def train_model(
+    dataset: WindowDataset,
+    kind: str,
+    scope: str,
+    *,
+    grid: tuple[int, ...] = DEFAULT_GRID,
+    imputation: str = "zero",
+    brits_settings: BritsSettings | None = None,
+    seed: int = 0,
+) -> TrainedModel:
+    """Train one model of any of ``MODEL_KINDS`` on ``dataset``.
+
+    Tree families grid-search the tree count (``grid``; ``imputation`` is
+    the forest's input mode); the recurrent model trains with
+    ``brits_settings``.
+    """
+    if kind == "brits":
+        return train_brits_model(dataset, scope, brits_settings, seed=seed)
+    return train_tree_model(dataset, kind, scope, grid=grid, imputation=imputation, seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -228,9 +251,7 @@ def evaluate_model(
             sizes.append(int(keep.sum()))
             values.append(value)
     if values:
-        report["weighted_average"] = float(
-            sum(v * s for v, s in zip(values, sizes)) / sum(sizes)
-        )
+        report["weighted_average"] = weighted_average(values, sizes)
 
     score, _ = evaluate_scores(scores, labels, subset="overall")
     report["overall"] = score.value

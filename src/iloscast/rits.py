@@ -15,10 +15,10 @@ against central finite differences.
 Recurrent model cost: one step evaluates the four LSTM gates with a single
 ``tanh`` over the (B, 4H) pre-activation, since sigma(a) = 1/2 +
 tanh(a/2)/2, and keeps that one (B, 4H) gate array for backprop.
-Forward-only passes (``brits_forward`` and through it prediction and
-imputation, and ``evaluate_losses``) run the same time loop with step
-caching off and sum the estimation error inside it. The other sigmoids
-(combination weight, output probability) use the shared
+Forward-only passes (``brits_forward`` and through it prediction,
+``evaluate_losses`` and the finite-difference check) run the same time
+loop with step caching off and sum the estimation error inside it. The
+other sigmoids (combination weight, output probability) use the shared
 ``activation.sigmoid``, the exact branch-free form of the two-sided
 stable sigmoid; the tanh form would round differently, which the tree
 ensembles sharing that function must not do.
@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .activation import sigmoid
-from .container import read_container, write_container
+from .container import read_container, require_keys, write_container
 from .errors import DataError, NumericError
 from .missing import compute_time_gaps
 
@@ -135,6 +135,7 @@ class BritsModel:
         arrays, meta = read_container(path)
         if meta.get("format") != "iloscast-brits" or meta.get("version") != 1:
             raise DataError(f"{path}: not a version-1 model file")
+        require_keys(meta, ("n_features", "hidden_size", "loss_weights"), path, "metadata")
         fwd = {k.split(".", 1)[1]: v for k, v in arrays.items() if k.startswith("fwd.")}
         bwd = {k.split(".", 1)[1]: v for k, v in arrays.items() if k.startswith("bwd.")}
         return cls(
@@ -154,19 +155,6 @@ def init_brits(n_features: int, hidden_size: int = DEFAULT_HIDDEN, seed: int = 0
         n_features=n_features,
         hidden_size=hidden_size,
     )
-
-
-@dataclass
-class RitsOutput:
-    """Outputs of one direction, in that direction's time order."""
-
-    x_prime: np.ndarray  # combined per-step estimates, (B, T, F)
-    x_comp: np.ndarray  # complements m*x + (1-m)*x_prime, (B, T, F)
-    hidden: np.ndarray  # hidden states, (B, T, H)
-    logit: np.ndarray  # (B,)
-    probability: np.ndarray  # (B,)
-    estimation_loss: float
-    classification_loss: float | None = None
 
 
 def _check_batch(x: np.ndarray, mask: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -295,22 +283,6 @@ def _rits_forward(
         "est_per_sample": abs_err / est_norm,
         "est_norm": est_norm,
     }
-
-
-def rits_forward(
-    params: dict[str, np.ndarray], x: np.ndarray, mask: np.ndarray, delta: np.ndarray
-) -> RitsOutput:
-    """Run one direction; accepts (T, F) or (B, T, F) input."""
-    x, mask, delta = _check_batch(x, mask, delta)
-    cache = _rits_forward(params, x, mask, delta)
-    return RitsOutput(
-        x_prime=cache["x_prime"],
-        x_comp=cache["x_comp"],
-        hidden=cache["hidden"],
-        logit=cache["logit"],
-        probability=cache["prob"],
-        estimation_loss=float(cache["est_per_sample"].mean()),
-    )
 
 
 def _rits_backward(
@@ -488,31 +460,6 @@ def brits_forward(
         estimation_bwd=float(bwd["est_per_sample"].mean()),
         consistency=float(np.mean(np.abs(diff))),
     )
-
-
-def brits_loss(outputs: BritsOutput, label: np.ndarray, weights: dict[str, float] | None = None) -> dict[str, float]:
-    """Loss components and phase-2 total for a labeled batch.
-
-    Classification is per-direction binary cross-entropy on clamped
-    logits. ``outputs`` carries probabilities only, so the logits are
-    recovered from them here.
-    """
-    y = np.asarray(label, dtype=np.float64).reshape(-1)
-
-    def bce_from_prob(p: np.ndarray) -> float:
-        logit = np.log(p / (1.0 - p))
-        logit = np.clip(logit, -LOGIT_CLAMP, LOGIT_CLAMP)
-        return float(_bce(logit, y).mean())
-
-    comps = {
-        "estimation_fwd": outputs.estimation_fwd,
-        "estimation_bwd": outputs.estimation_bwd,
-        "consistency": outputs.consistency,
-        "classification_fwd": bce_from_prob(outputs.prob_fwd),
-        "classification_bwd": bce_from_prob(outputs.prob_bwd),
-    }
-    comps["total"] = total_loss(comps, weights or DEFAULT_LOSS_WEIGHTS)
-    return comps
 
 
 def brits_loss_and_grads(
@@ -725,17 +672,6 @@ def brits_predict(model: BritsModel, data: RitsData, batch_size: int = 1024) -> 
     return out
 
 
-def brits_impute(model: BritsModel, data: RitsData, batch_size: int = 1024) -> np.ndarray:
-    """Dense matrices: observed entries pass through, absent ones are filled
-    with the mean of the two directions' combined estimates."""
-    out = np.empty_like(data.x)
-    for lo in range(0, data.n, batch_size):
-        hi = min(lo + batch_size, data.n)
-        res = brits_forward(model, data.x[lo:hi], data.mask[lo:hi], data.delta[lo:hi])
-        out[lo:hi] = res.imputed
-    return out
-
-
 def finite_difference_block_errors(
     model: BritsModel,
     x: np.ndarray,
@@ -752,8 +688,17 @@ def finite_difference_block_errors(
     block, which keeps float64 roundoff on near-zero entries from
     swamping the comparison. The constrained diagonal of the
     feature-regression weight is excluded (it does not affect the loss).
+    Perturbed losses come from the forward-only pair, whose total equals
+    the training step's bit for bit.
     """
     _, grads = brits_loss_and_grads(model, x, mask, delta, label, phase=phase)
+    x, mask, delta = _check_batch(x, mask, delta)
+    y = np.asarray(label, dtype=np.float64).reshape(-1)
+
+    def loss() -> float:
+        comps = _loss_components(*_forward_pair(model, x, mask, delta), y)
+        return total_loss(comps, model.loss_weights, phase)
+
     errors: dict[str, float] = {}
     for dname in ("fwd", "bwd"):
         params = getattr(model, dname)
@@ -767,9 +712,9 @@ def finite_difference_block_errors(
                     continue
                 orig = flat[i]
                 flat[i] = orig + eps
-                lp = brits_loss_and_grads(model, x, mask, delta, label, phase=phase)[0]["total"]
+                lp = loss()
                 flat[i] = orig - eps
-                lm = brits_loss_and_grads(model, x, mask, delta, label, phase=phase)[0]["total"]
+                lm = loss()
                 flat[i] = orig
                 fd[i] = (lp - lm) / (2.0 * eps)
             g = grads[dname][name].ravel()

@@ -1,10 +1,8 @@
-"""Feature schema and the raw telemetry record type."""
+"""Feature schema and the label-source PM names."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from datetime import date
 
 from .errors import SchemaError
 
@@ -13,26 +11,6 @@ from .errors import SchemaError
 #: threshold; a future day with either > 0 marks a window positive.
 UAS = "UAS"
 HCCS = "HCCS"
-
-
-@dataclass(frozen=True, slots=True)
-class PmRecord:
-    """One (network, port, facility, day, pm-name, value) observation."""
-
-    network_id: str
-    port_id: str
-    facility_type: str
-    day: date
-    pm_name: str
-    pm_value: float
-
-    def __post_init__(self) -> None:
-        if not self.pm_name:
-            raise SchemaError("pm_name must be non-empty")
-        if not math.isfinite(self.pm_value):
-            raise SchemaError(
-                f"pm_value for {self.pm_name} on {self.day} is not finite"
-            )
 
 
 @dataclass(frozen=True)

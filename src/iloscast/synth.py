@@ -6,14 +6,12 @@ instability up, transient error-seconds spike) before an outage day, and a
 further share of outages appears with no precursor at all, which is what
 bounds achievable recall. Whole port-days are dropped at random to reach a
 target missing rate. Every stream of randomness derives from
-(seed, network, port), so parallel and serial generation agree byte for
-byte.
+(seed, network, port), so one config always writes the same bytes.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -275,12 +273,11 @@ def _format_value(v: float) -> str:
     return f"{v:.6g}"
 
 
-def generate(cfg: GenConfig, out_dir: str | Path, threads: int = 1) -> GenResult:
+def generate(cfg: GenConfig, out_dir: str | Path) -> GenResult:
     """Write one ingest CSV per network plus the ground-truth event log.
 
-    Output is byte-identical across runs with the same config regardless of
-    ``threads``: per-port randomness derives from (seed, network, port) and
-    results are collected in submission order.
+    Output is byte-identical across runs with the same config: per-port
+    randomness derives from (seed, network, port).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -290,13 +287,7 @@ def generate(cfg: GenConfig, out_dir: str | Path, threads: int = 1) -> GenResult
     for net_idx in range(cfg.n_networks):
         vocab = network_vocabulary(cfg, net_idx)
         port_ids = range(cfg.ports_per_network[net_idx])
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                net_drafts = list(
-                    pool.map(lambda p: _synthesize_port(cfg, net_idx, p, vocab), port_ids)
-                )
-        else:
-            net_drafts = [_synthesize_port(cfg, net_idx, p, vocab) for p in port_ids]
+        net_drafts = [_synthesize_port(cfg, net_idx, p, vocab) for p in port_ids]
         drafts.append(net_drafts)
         events.extend(d.event for d in net_drafts if d.event is not None)
 

@@ -1,5 +1,5 @@
-"""Cross-network knowledge sharing: feature-union mega-dataset, pre-training,
-and the two fine-tuning strategies for the recurrent model.
+"""Cross-network knowledge sharing: feature-union mega-dataset and the two
+fine-tuning strategies for the recurrent model.
 
 Tree models only ever pre-train; the recurrent model can afterwards be
 fine-tuned per network, either touching the classifier head alone (the
@@ -176,27 +176,3 @@ def finetune_entirety(
     """Fine-tune every parameter block on one network's samples at 5e-4."""
     return _finetune(pretrained, mega, network, schedule, None)
 
-
-def pretrain(
-    kind: str,
-    mega: WindowDataset,
-    grid: tuple[int, ...] | None = None,
-    imputation: str = "zero",
-    brits_settings=None,
-    seed: int = 0,
-):
-    """Pre-train one model family on the mega-dataset.
-
-    Tree families grid-search the tree count on the mega validation split;
-    the recurrent model trains at learning rate 1e-3. Returns the trained
-    model wrapper. Tree models get no fine-tuning stage afterwards.
-    """
-    from .pipeline import DEFAULT_GRID, train_brits_model, train_tree_model
-
-    if kind in ("booster", "forest"):
-        return train_tree_model(
-            mega, kind, "mega", grid=grid or DEFAULT_GRID, imputation=imputation, seed=seed
-        )
-    if kind == "brits":
-        return train_brits_model(mega, "mega", brits_settings, seed=seed)
-    raise DataError(f"unknown model kind {kind!r}")

@@ -156,10 +156,16 @@ class TreeEnsemble:
             raise DataError(f"{path}: not a version-1 tree ensemble file")
         require_keys(payload, ("kind", "trees", "config", "n_columns", "base_score"), path)
         cfg_cls = ForestConfig if payload["kind"] == "forest" else BoosterConfig
+        config = payload["config"]
+        if not isinstance(config, dict):
+            raise DataError(f"{path}: config is not a JSON object")
+        unknown = sorted(set(config) - set(cfg_cls.__dataclass_fields__))
+        if unknown:
+            raise DataError(f"{path}: config has unknown key(s) {unknown} for {cfg_cls.__name__}")
         return cls(
             kind=payload["kind"],
             trees=[Tree.from_dict(require_keys(d, TREE_KEYS, path, "tree")) for d in payload["trees"]],
-            config=cfg_cls(**payload["config"]),
+            config=cfg_cls(**config),
             n_columns=int(payload["n_columns"]),
             base_score=float(payload["base_score"]),
             train_loss=list(payload.get("train_loss", [])),

@@ -196,6 +196,50 @@ def test_cli_tree_missing_node_array_exits_1(pipeline_ws, tmp_path, capsys):
     assert "tree is missing key(s) 'threshold'" in capsys.readouterr().err
 
 
+def test_cli_tree_config_unknown_key_exits_1(pipeline_ws, tmp_path, capsys):
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    target = ws / "models" / "booster_net1" / "model.json"
+    payload = json.loads(target.read_text(encoding="utf-8"))
+    payload["config"]["bogus"] = 1
+    target.write_text(json.dumps(payload), encoding="utf-8")
+    assert cli_entry(["evaluate"] + args) == 1
+    err = capsys.readouterr().err
+    assert "config has unknown key(s) ['bogus']" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["n_features", "hidden_size", "loss_weights"])
+def test_cli_brits_metadata_missing_key_exits_1(pipeline_ws, tmp_path, capsys, key):
+    from iloscast.container import read_container, write_container
+    from iloscast.rits import init_brits
+
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    model_dir = ws / "models" / "brits_net1"
+    model_dir.mkdir()
+    meta = {"name": "brits_net1", "kind": "brits", "scope": "net1"}
+    (model_dir / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    init_brits(4, hidden_size=2).save(model_dir / "model.ilos")
+    arrays, meta = read_container(model_dir / "model.ilos")
+    del meta[key]
+    write_container(model_dir / "model.ilos", arrays, meta)
+    assert cli_entry(["evaluate"] + args) == 1
+    err = capsys.readouterr().err
+    assert f"metadata is missing key(s) '{key}'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("stage", ["train", "pretrain"])
+def test_cli_unknown_model_kind_exits_2_before_training(pipeline_ws, tmp_path, capsys, stage):
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    shutil.rmtree(ws / "models")
+    cfg = RunConfig.load(args[1])
+    cfg.train["models"] = ["booster", "svm"]
+    cfg.dump(args[1])
+    assert cli_entry([stage] + args) == 2
+    assert "unknown model kind(s) ['svm']" in capsys.readouterr().err
+    assert not (ws / "models").exists()
+
+
 def test_cli_missing_model_meta_exits_3(pipeline_ws, tmp_path, capsys):
     ws, args = copied_workspace(pipeline_ws, tmp_path)
     (ws / "models" / "booster_net1" / "meta.json").unlink()

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 from datetime import date, timedelta
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -8,10 +10,62 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iloscast.errors import IngestError, SchemaError
-from iloscast.ingest import build_schema, merge_to_port_level, parse_pm_csv
-from iloscast.schema import FeatureSchema, PmRecord
+from iloscast.ingest import PmColumns, build_schema, merge_to_port_level, read_pm_csv
+from iloscast.schema import FeatureSchema
 
 HEADER = "network_id,port_id,facility_type,date,pm_name,pm_value\n"
+
+
+class Rec(NamedTuple):
+    """One PM row: what the reference parser returns and the tests build."""
+
+    network_id: str
+    port_id: str
+    facility_type: str
+    day: date
+    pm_name: str
+    pm_value: float
+
+
+#: (name table, code array, Rec field) of each string column of PmColumns.
+CODED = (
+    ("networks", "network", "network_id"),
+    ("ports", "port", "port_id"),
+    ("facilities", "facility", "facility_type"),
+    ("pm_names", "pm", "pm_name"),
+)
+
+
+def to_columns(records) -> PmColumns:
+    """The records as PmColumns, name tables in first-seen order."""
+    records = list(records)
+    fields = {}
+    for table, code, attr in CODED:
+        index = {}
+        codes = [index.setdefault(getattr(r, attr), len(index)) for r in records]
+        fields[table] = tuple(index)
+        fields[code] = np.array(codes, dtype=np.int64)
+    return PmColumns(
+        **fields,
+        day=np.array([r.day.toordinal() for r in records], dtype=np.int64),
+        value=np.array([r.pm_value for r in records], dtype=np.float64),
+    )
+
+
+def to_records(cols: PmColumns) -> list[Rec]:
+    """The rows of ``cols`` in order, as records."""
+    rows = zip(*(getattr(cols, name).tolist() for name in ("network", "port", "facility", "pm", "day", "value")))
+    return [
+        Rec(
+            cols.networks[network],
+            cols.ports[port],
+            cols.facilities[facility],
+            date.fromordinal(day),
+            cols.pm_names[pm],
+            value,
+        )
+        for network, port, facility, pm, day, value in rows
+    ]
 
 
 def write_csv(tmp_path, body: str):
@@ -22,8 +76,8 @@ def write_csv(tmp_path, body: str):
 
 def test_parse_single_line(tmp_path):
     path = write_csv(tmp_path, "net1,p7,OTM,2020-03-01,UAS,3612\n")
-    (rec,) = list(parse_pm_csv(path))
-    assert rec == PmRecord("net1", "p7", "OTM", date(2020, 3, 1), "UAS", 3612.0)
+    (rec,) = to_records(read_pm_csv(path))
+    assert rec == Rec("net1", "p7", "OTM", date(2020, 3, 1), "UAS", 3612.0)
 
 
 def test_parse_preserves_order_and_count(tmp_path):
@@ -33,7 +87,7 @@ def test_parse_preserves_order_and_count(tmp_path):
         "net1,p1,OTM,2020-01-02,QAVG,12.4\n"
         "net1,p2,ETH,2020-01-01,UAS,0\n",
     )
-    records = list(parse_pm_csv(path))
+    records = to_records(read_pm_csv(path))
     assert len(records) == 3
     assert [r.port_id for r in records] == ["p1", "p1", "p2"]
 
@@ -41,7 +95,7 @@ def test_parse_preserves_order_and_count(tmp_path):
 def test_parse_bad_value_names_line(tmp_path):
     path = write_csv(tmp_path, "net1,p1,OTM,2020-01-01,QAVG,abc\n")
     with pytest.raises(IngestError, match=r":2: non-numeric value 'abc'"):
-        list(parse_pm_csv(path))
+        read_pm_csv(path)
 
 
 def test_parse_bad_date_names_line(tmp_path):
@@ -49,13 +103,13 @@ def test_parse_bad_date_names_line(tmp_path):
         tmp_path, "net1,p1,OTM,2020-01-01,QAVG,1\nnet1,p1,OTM,2020-13-01,QAVG,1\n"
     )
     with pytest.raises(IngestError, match=r":3: malformed date"):
-        list(parse_pm_csv(path))
+        read_pm_csv(path)
 
 
 def test_parse_rejects_nonfinite_value(tmp_path):
     path = write_csv(tmp_path, "net1,p1,OTM,2020-01-01,QAVG,nan\n")
     with pytest.raises(IngestError, match=r":2:"):
-        list(parse_pm_csv(path))
+        read_pm_csv(path)
 
 
 def test_parse_unknown_facility_with_hint(tmp_path):
@@ -64,26 +118,26 @@ def test_parse_unknown_facility_with_hint(tmp_path):
     )
     path = write_csv(tmp_path, "net1,p1,WDM,2020-01-01,UAS,1\n")
     with pytest.raises(IngestError, match="unknown facility 'WDM'"):
-        list(parse_pm_csv(path, schema_hint=hint))
+        read_pm_csv(path, schema_hint=hint)
 
 
 def test_parse_unreadable_file(tmp_path):
     with pytest.raises(IngestError, match="cannot read"):
-        list(parse_pm_csv(tmp_path / "nope.csv"))
+        read_pm_csv(tmp_path / "nope.csv")
 
 
 def rec(pm: str, fac: str = "OTM", day: int = 1, value: float = 1.0, port: str = "p1"):
-    return PmRecord("net1", port, fac, date(2020, 1, day), pm, value)
+    return Rec("net1", port, fac, date(2020, 1, day), pm, value)
 
 
 def test_build_schema_union_and_autoinclude():
-    schema = build_schema([rec("QAVG"), rec("UAS", fac="ETH")])
+    schema = build_schema(to_columns([rec("QAVG"), rec("UAS", fac="ETH")]))
     assert schema.numeric_features == ("HCCS", "QAVG", "UAS")
     assert schema.onehot_features == ("ETH", "OTM")
 
 
 def test_build_schema_deduplicates():
-    schema = build_schema([rec("QAVG"), rec("QAVG"), rec("QAVG", day=2)])
+    schema = build_schema(to_columns([rec("QAVG"), rec("QAVG"), rec("QAVG", day=2)]))
     assert schema.numeric_features.count("QAVG") == 1
 
 
@@ -91,19 +145,19 @@ def test_build_schema_union_size_bound():
     set_a = [f"A{i}" for i in range(76)]
     set_b = set_a[:42] + [f"B{i}" for i in range(49)]  # overlap 42, size 91
     records = [rec(n) for n in set_a] + [rec(n) for n in set_b]
-    schema = build_schema(records)
+    schema = build_schema(to_columns(records))
     # 76 + 91 - 42 plus the auto-included label sources
     assert len(schema.numeric_features) == 125 + 2
 
 
 def test_build_schema_empty_stream():
     with pytest.raises(SchemaError, match="empty"):
-        build_schema([])
+        build_schema(to_columns([]))
 
 
 def test_build_schema_unknown_indicator():
     with pytest.raises(SchemaError, match="indicator"):
-        build_schema([rec("QAVG")], protocol_indicators=("TRAFFIC",))
+        build_schema(to_columns([rec("QAVG")]), protocol_indicators=("TRAFFIC",))
 
 
 def test_schema_rejects_duplicate_names():
@@ -111,39 +165,44 @@ def test_schema_rejects_duplicate_names():
         FeatureSchema(numeric_features=("HCCS", "UAS", "OTM"), onehot_features=("OTM",))
 
 
+def merge(records, schema=None):
+    """Schema (derived from ``records`` unless given) and merged series."""
+    cols = to_columns(records)
+    schema = schema or build_schema(cols)
+    return schema, merge_to_port_level(cols, schema)
+
+
 def test_merge_keeps_maximum():
     records = [rec("UAS", fac="OTM", value=3.0), rec("UAS", fac="ETH", value=10.0)]
-    schema = build_schema(records)
-    (series,) = merge_to_port_level(records, schema)
+    schema, (series,) = merge(records)
     assert series.values[0, schema.uas_index] == 10.0
 
 
 def test_merge_fills_missing_days():
-    schema = build_schema([rec("QAVG")])
+    schema = build_schema(to_columns([rec("QAVG")]))
     records = [rec("QAVG", day=1, value=5.0), rec("QAVG", day=3, value=6.0)]
-    (series,) = merge_to_port_level(records, schema)
+    _, (series,) = merge(records, schema)
     assert series.n_days == 3
     assert np.isnan(series.values[1, schema.numeric_index("QAVG")])
 
 
 def test_merge_single_reporter_is_kept():
     records = [rec("QAVG", fac="OTM", value=12.0), rec("UAS", fac="ETH", value=1.0)]
-    schema = build_schema(records)
-    (series,) = merge_to_port_level(records, schema)
+    schema, (series,) = merge(records)
     assert series.values[0, schema.numeric_index("QAVG")] == 12.0
 
 
 def test_merge_onehot_is_port_level_or():
-    schema = build_schema([rec("QAVG"), rec("UAS", fac="ETH", day=2)])
+    schema = build_schema(to_columns([rec("QAVG"), rec("UAS", fac="ETH", day=2)]))
     records = [rec("QAVG", fac="OTM", day=1), rec("UAS", fac="ETH", day=2)]
-    (series,) = merge_to_port_level(records, schema)
+    _, (series,) = merge(records, schema)
     np.testing.assert_array_equal(series.onehot, [1.0, 1.0])
 
 
 def test_merge_unknown_pm_rejected():
     schema = FeatureSchema(numeric_features=("HCCS", "UAS"), onehot_features=("OTM",))
     with pytest.raises(SchemaError, match="unknown numeric feature"):
-        merge_to_port_level([rec("QAVG")], schema)
+        merge([rec("QAVG")], schema)
 
 
 def _series_to_records(series, schema):
@@ -155,7 +214,7 @@ def _series_to_records(series, schema):
             if not np.isnan(v):
                 for fac_j, fac in enumerate(schema.onehot_features):
                     if series.onehot[fac_j] == 1.0:
-                        out.append(PmRecord(series.network_id, series.port_id, fac, day, name, float(v)))
+                        out.append(Rec(series.network_id, series.port_id, fac, day, name, float(v)))
                         break
     return out
 
@@ -175,8 +234,7 @@ def _series_to_records(series, schema):
 @settings(max_examples=60, deadline=None)
 def test_merge_max_dominance_bruteforce(data):
     records = [rec(pm, fac=fac, day=day, value=val) for pm, fac, day, val in data]
-    schema = build_schema(records)
-    (series,) = merge_to_port_level(records, schema)
+    schema, (series,) = merge(records)
 
     # Brute force: per (day, pm), merged value equals max of contributions.
     for row in range(series.n_days):
@@ -200,17 +258,16 @@ def test_merge_max_dominance_bruteforce(data):
 @settings(max_examples=40, deadline=None)
 def test_merge_idempotence(days):
     records = [rec("QAVG", day=d, value=v) for d, v in days]
-    schema = build_schema(records)
-    (series,) = merge_to_port_level(records, schema)
-    (again,) = merge_to_port_level(_series_to_records(series, schema), schema)
+    schema, (series,) = merge(records)
+    _, (again,) = merge(_series_to_records(series, schema), schema)
     np.testing.assert_array_equal(series.values, again.values)
     assert series.start_day == again.start_day
 
 
 def test_day_continuity():
-    schema = build_schema([rec("QAVG")])
+    schema = build_schema(to_columns([rec("QAVG")]))
     records = [rec("QAVG", day=d, value=float(d)) for d in (2, 5, 9)]
-    (series,) = merge_to_port_level(records, schema)
+    _, (series,) = merge(records, schema)
     assert series.n_days == 8
     deltas = [(series.day(i + 1) - series.day(i)).days for i in range(series.n_days - 1)]
     assert set(deltas) == {1}
@@ -258,10 +315,11 @@ def reference_parse(path, schema_hint=None):
                 ) from None
             if schema_hint is not None and facility not in schema_hint.onehot_features:
                 raise IngestError(f"{path}:{lineno}: unknown facility {facility!r}")
-            try:
-                out.append(PmRecord(network_id, port_id, facility, day, pm_name, value))
-            except SchemaError as exc:
-                raise IngestError(f"{path}:{lineno}: {exc}") from None
+            if not pm_name:
+                raise IngestError(f"{path}:{lineno}: pm_name must be non-empty")
+            if not math.isfinite(value):
+                raise IngestError(f"{path}:{lineno}: pm_value for {pm_name} on {day} is not finite")
+            out.append(Rec(network_id, port_id, facility, day, pm_name, value))
         return out
 
 
@@ -311,11 +369,10 @@ def reference_merge(records, schema):
 @settings(max_examples=150, deadline=None)
 def test_columnar_merge_matches_reference_bit_for_bit(data):
     records = [
-        PmRecord(net, port, fac, date(2020, 1, day), pm, value)
+        Rec(net, port, fac, date(2020, 1, day), pm, value)
         for net, port, fac, day, pm, value in data
     ]
-    schema = build_schema(records)
-    got = merge_to_port_level(records, schema)
+    schema, got = merge(records)
     expected = reference_merge(records, schema)
     assert [(s.network_id, s.port_id) for s in got] == [key for key, *_ in expected]
     for series, (_, start, values, onehot) in zip(got, expected):
@@ -328,8 +385,7 @@ def test_columnar_merge_matches_reference_bit_for_bit(data):
 def test_merge_tie_keeps_first_seen_signed_zero():
     for first, second in ((0.0, -0.0), (-0.0, 0.0)):
         records = [rec("QAVG", fac="OTM", value=first), rec("QAVG", fac="ETH", value=second)]
-        schema = build_schema(records)
-        (series,) = merge_to_port_level(records, schema)
+        schema, (series,) = merge(records)
         assert np.signbit(series.values[0, schema.numeric_index("QAVG")]) == np.signbit(first)
 
 
@@ -365,7 +421,7 @@ def test_bad_csv_messages_match_reference(tmp_path, case):
     with pytest.raises(IngestError) as expected:
         reference_parse(path)
     with pytest.raises(IngestError) as parsed:
-        list(parse_pm_csv(path))
+        read_pm_csv(path)
     with pytest.raises(IngestError) as ingested:
         ingest_csvs([path])
     assert str(parsed.value) == str(expected.value)
@@ -380,7 +436,7 @@ def test_unknown_facility_message_matches_reference(tmp_path):
         with pytest.raises(IngestError) as expected:
             reference_parse(path, hint)
         with pytest.raises(IngestError) as parsed:
-            list(parse_pm_csv(path, schema_hint=hint))
+            read_pm_csv(path, schema_hint=hint)
         assert str(parsed.value) == str(expected.value)
 
 
@@ -425,7 +481,7 @@ def test_ingest_csvs_matches_reference_records(tmp_path):
     assert sorted(got) == ["net1", "net2"]
     for net, (schema, series) in got.items():
         records = [r for r in all_records if r.network_id == net]
-        assert schema == build_schema(records, ("TRAFFIC",))
+        assert schema == build_schema(to_columns(records), ("TRAFFIC",))
         expected = reference_merge(records, schema)
         assert len(series) == len(expected)
         for s, (_, start, values, onehot) in zip(series, expected):
@@ -438,4 +494,4 @@ def test_undecodable_file_is_an_ingest_error(tmp_path):
     path = tmp_path / "pm.csv"
     path.write_bytes(HEADER.encode() + b"net1,p1,OTM,2020-01-01,QAVG,\xff\xfe\n")
     with pytest.raises(IngestError, match="cannot read .*pm.csv"):
-        list(parse_pm_csv(path))
+        read_pm_csv(path)

@@ -13,7 +13,6 @@ from iloscast.missing import (
     impute_median,
     impute_zero,
     train_medians,
-    unflatten_from_trees,
 )
 
 
@@ -132,12 +131,6 @@ def test_flatten_day_major_index():
     for t in range(7):
         for d in range(3):
             assert row[3 * t + d] == x[t, d]
-
-
-def test_flatten_round_trip():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(7, 5))
-    np.testing.assert_array_equal(unflatten_from_trees(flatten_for_trees(x), 5), x)
 
 
 def test_flatten_preserves_absent_markers():

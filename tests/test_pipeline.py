@@ -10,6 +10,7 @@ from iloscast.pipeline import (
     BritsSettings,
     evaluate_model,
     precursor_mask,
+    train_model,
     train_tree_model,
 )
 from iloscast.synth import GenConfig, generate
@@ -53,6 +54,10 @@ def test_booster_report_structure(small_world):
     values = [report["per_network"][n] for n in sorted(report["per_network"])]
     expect = sum(v * s for v, s in zip(values, sizes)) / sum(sizes)
     assert report["weighted_average"] == pytest.approx(expect)
+    # complementary facility filters partition the full test set
+    otm = mega.indices(split=2, facility="OTM")
+    eth_only = np.setdiff1d(mega.indices(split=2), otm)
+    assert otm.size + eth_only.size == mega.indices(split=2).size
 
 
 def per_subset_report(trained, dataset, facilities, extra_masks, seen):
@@ -181,51 +186,19 @@ def test_precursor_mask_semantics(small_world):
             assert not mask[i]
 
 
-def test_evaluate_subset_operation(small_world, tmp_path):
+def test_train_model_dispatch(small_world):
     from iloscast.errors import DataError
-    from iloscast.metrics import evaluate_subset
-    from iloscast.windows import TEST
-
-    _, datasets, mega = small_world
-    trained = train_tree_model(mega, "booster", "mega", grid=(10,), seed=3)
-    fn = trained.predictor(mega)
-
-    curve_csv = tmp_path / "curve.csv"
-    score, curve = evaluate_subset(fn, mega, TEST, facility="OTM", curve_csv=curve_csv)
-    assert 0.0 <= score.value <= 0.1
-    assert curve_csv.exists()
-    assert "facility=OTM" in score.subset
-
-    with pytest.raises(DataError, match="empty"):
-        evaluate_subset(fn, mega, TEST, network="no-such-net")
-
-    # complementary facility filters partition the full test set
-    otm = mega.indices(split=TEST, facility="OTM")
-    eth_only = np.setdiff1d(mega.indices(split=TEST), otm)
-    assert otm.size + eth_only.size == mega.indices(split=TEST).size
-
-
-def test_pretrain_dispatch(small_world):
-    from iloscast.errors import DataError
-    from iloscast.transfer import pretrain
 
     _, _, mega = small_world
-    trained = pretrain("booster", mega, grid=(10,), seed=4)
+    trained = train_model(mega, "booster", "mega", grid=(10,), seed=4)
     assert trained.kind == "booster"
-    trained = pretrain(
-        "brits",
+    trained = train_model(
         mega,
+        "brits",
+        "mega",
         brits_settings=BritsSettings(hidden_size=8, batch_size=64, max_epochs_phase1=1, max_epochs_phase2=1),
         seed=4,
     )
     assert trained.kind == "brits"
-    with pytest.raises(DataError, match="unknown model kind"):
-        pretrain("svm", mega)
-
-
-def test_threads_do_not_change_generator_bytes(tmp_path):
-    cfg = GenConfig(seed=5, ports_per_network=(8, 6, 4), days=60)
-    r1 = generate(cfg, tmp_path / "serial", threads=1)
-    r2 = generate(cfg, tmp_path / "parallel", threads=4)
-    for p1, p2 in zip(r1.csv_paths, r2.csv_paths):
-        assert p1.read_bytes() == p2.read_bytes()
+    with pytest.raises(DataError, match="unknown tree model kind"):
+        train_model(mega, "svm", "mega")

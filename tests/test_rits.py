@@ -10,20 +10,20 @@ from iloscast.rits import (
     AdamState,
     BritsModel,
     CLASSIFIER_BLOCKS,
+    LOGIT_CLAMP,
     RitsData,
     TrainSchedule,
     brits_forward,
-    brits_impute,
-    brits_loss,
     brits_loss_and_grads,
     brits_predict,
     evaluate_losses,
     finite_difference_block_errors,
     init_brits,
-    rits_forward,
+    total_loss,
     train_brits,
     _check_batch,
     _forward_pair,
+    _loss_components,
     _rits_forward,
 )
 
@@ -55,9 +55,9 @@ def test_all_absent_input_is_finite():
     mask = np.zeros((1, 7, F))
     x = np.zeros((1, 7, F))
     delta = compute_time_gaps(mask)
-    out = rits_forward(model.fwd, x, mask, delta)
-    assert np.isfinite(out.probability).all()
-    assert out.estimation_loss == 0.0  # no observed entries to penalize
+    out = _rits_forward(model.fwd, *_check_batch(x, mask, delta))
+    assert np.isfinite(out["prob"]).all()
+    assert out["est_per_sample"].mean() == 0.0  # no observed entries to penalize
 
 
 def test_zero_delta_means_no_decay():
@@ -77,8 +77,8 @@ def test_fully_observed_complement_equals_input():
     x = rng.normal(size=(2, 7, F))
     mask = np.ones_like(x)
     delta = compute_time_gaps(mask)
-    out = rits_forward(model.fwd, x, mask, delta)
-    np.testing.assert_array_equal(out.x_comp, x)
+    out = _rits_forward(model.fwd, *_check_batch(x, mask, delta))
+    np.testing.assert_array_equal(out["x_comp"], x)
 
 
 def test_rits_rejects_nonfinite_input():
@@ -86,7 +86,7 @@ def test_rits_rejects_nonfinite_input():
     x, mask, delta, _ = make_batch()
     x[0, 0, 0] = np.nan
     with pytest.raises(DataError, match="finite"):
-        rits_forward(model.fwd, x, mask, delta)
+        _rits_forward(model.fwd, *_check_batch(x, mask, delta))
 
 
 def test_brits_probability_is_mean_of_directions():
@@ -122,9 +122,8 @@ def test_fully_observed_consistency_nonnegative():
 def test_loss_components_and_bounds():
     model = jittered_model()
     x, mask, delta, y = make_batch()
-    out = brits_forward(model, x, mask, delta)
-    comps = brits_loss(out, y)
-    assert comps["total"] >= 0.0
+    comps = _loss_components(*_forward_pair(model, *_check_batch(x, mask, delta)), y)
+    assert total_loss(comps, model.loss_weights) >= 0.0
     for key in ("estimation_fwd", "estimation_bwd", "consistency"):
         assert comps[key] >= 0.0
 
@@ -132,40 +131,23 @@ def test_loss_components_and_bounds():
 def test_loss_perfect_classifier_vanishing_bce():
     model = jittered_model()
     x, mask, delta, _ = make_batch(batch=2)
-    out = brits_forward(model, x, mask, delta)
-    # force both directional probabilities to ~1 and label 1
-    out_perfect = type(out)(
-        probability=np.ones(2) - 1e-9,
-        prob_fwd=np.ones(2) - 1e-9,
-        prob_bwd=np.ones(2) - 1e-9,
-        imputed=out.imputed,
-        x_prime_fwd=out.x_prime_fwd,
-        x_prime_bwd=out.x_prime_bwd,
-        estimation_fwd=0.0,
-        estimation_bwd=0.0,
-        consistency=0.0,
-    )
-    comps = brits_loss(out_perfect, np.ones(2))
+    fwd, bwd, diff = _forward_pair(model, *_check_batch(x, mask, delta))
+    # force both directions to the clamped logit of a sure positive, label 1
+    for out in (fwd, bwd):
+        out["logit"] = np.full(2, LOGIT_CLAMP)
+        out["est_per_sample"] = np.zeros(2)
+    comps = _loss_components(fwd, bwd, np.zeros_like(diff), np.ones(2))
     assert comps["classification_fwd"] < 1e-6
-    assert np.isfinite(comps["total"])
+    assert np.isfinite(total_loss(comps, model.loss_weights))
 
 
 def test_loss_identical_directional_imputations_zero_consistency():
     model = jittered_model()
     x, mask, delta, y = make_batch()
-    out = brits_forward(model, x, mask, delta)
-    forced = type(out)(
-        probability=out.probability,
-        prob_fwd=out.prob_fwd,
-        prob_bwd=out.prob_bwd,
-        imputed=out.imputed,
-        x_prime_fwd=out.x_prime_fwd,
-        x_prime_bwd=out.x_prime_fwd,
-        estimation_fwd=out.estimation_fwd,
-        estimation_bwd=out.estimation_bwd,
-        consistency=float(np.mean(np.abs(out.x_prime_fwd - out.x_prime_fwd))),
-        )
-    assert brits_loss(forced, y)["consistency"] == 0.0
+    fwd, bwd, _ = _forward_pair(model, *_check_batch(x, mask, delta))
+    bwd["x_comp"] = fwd["x_comp"][:, ::-1]
+    diff = fwd["x_comp"] - bwd["x_comp"][:, ::-1]
+    assert _loss_components(fwd, bwd, diff, y)["consistency"] == 0.0
 
 
 def test_gradient_check_all_blocks_both_phases():
@@ -293,7 +275,7 @@ def test_predict_deterministic_and_bounded():
 def test_impute_passes_observed_through():
     model = jittered_model()
     data = make_data(27, 10)
-    dense = brits_impute(model, data)
+    dense = brits_forward(model, data.x, data.mask, data.delta).imputed
     np.testing.assert_array_equal(dense[data.mask == 1], data.x[data.mask == 1])
     assert np.isfinite(dense).all()
 
