@@ -25,7 +25,7 @@ import yaml
 from .dataset import WindowDataset, write_audit_csv
 from .errors import ConfigError, IloscastError, MissingArtifactError, NumericError
 from .ingest import series_from_arrays, series_to_arrays
-from .container import read_container, read_json, require_keys, write_container, write_json
+from .container import read_container, read_json, require_keys, write_container, write_csv, write_json
 from .metrics import evaluate_scores, write_curve_csv
 from .pipeline import (
     BritsSettings,
@@ -38,7 +38,7 @@ from .pipeline import (
     precursor_mask,
     train_model,
 )
-from .rits import BritsModel, TrainSchedule
+from .rits import BritsModel
 from .schema import FeatureSchema
 from .synth import GenConfig, PROTOCOL_INDICATORS, generate, load_ground_truth, dataset_stats
 from .transfer import build_mega_dataset, finetune_classifier_only, finetune_entirety
@@ -314,10 +314,11 @@ def _save_model(
     if trained.history:
         hist_path = model_dir / "history.csv"
         keys = list(trained.history[0])
-        with open(hist_path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(keys) + "\n")
-            for row in trained.history:
-                fh.write(",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k]) for k in keys) + "\n")
+        rows = (
+            [repr(row[k]) if isinstance(row[k], float) else str(row[k]) for k in keys]
+            for row in trained.history
+        )
+        write_csv(hist_path, keys, rows, lineterminator="\n")
         outputs.append(hist_path)
     return outputs
 
@@ -328,10 +329,11 @@ def stage_train(cfg: RunConfig, ws: Workspace) -> list[Path]:
     kinds, options = _train_options(cfg)
     datasets = _load_datasets(ws)
     networks = cfg.train.get("networks") or sorted(datasets)
+    missing = [net for net in networks if net not in datasets]
+    if missing:
+        raise MissingArtifactError(f"no built dataset for network(s) {missing}")
     outputs = []
     for net in networks:
-        if net not in datasets:
-            raise MissingArtifactError(f"no built dataset for network {net!r}")
         for kind in kinds:
             trained = train_model(datasets[net], kind, net, **options)
             outputs += _save_model(ws, trained, dataset_scope=net)
@@ -365,14 +367,7 @@ def stage_finetune(cfg: RunConfig, ws: Workspace) -> list[Path]:
     pretrained = BritsModel.load(model_path)
     strategies = cfg.transfer.get("strategies", ["classifier_only", "entirety"])
     networks = cfg.transfer.get("networks") or list(mega.networks)
-    settings = _brits_settings(cfg)
-    schedule = TrainSchedule(
-        batch_size=settings.batch_size,
-        max_epochs_phase2=settings.max_epochs_phase2,
-        patience=settings.patience,
-        min_delta=settings.min_delta,
-        seed=cfg.seed,
-    )
+    schedule = _brits_settings(cfg).schedule(cfg.seed)
     outputs = []
     for net in networks:
         for strategy in strategies:
@@ -472,11 +467,11 @@ def stage_evaluate(cfg: RunConfig, ws: Workspace) -> list[Path]:
         write_curve_csv(curve_path, curve)
         outputs.append(curve_path)
         pred_path = eval_dir / "predictions.csv"
-        with open(pred_path, "w", encoding="utf-8") as fh:
-            fh.write("sample_id,score\n")
-            for i, s in zip(idx, scores):
-                sample_id = f"{ds.network[i]}:{ds.port[i]}:{int(ds.present_day[i])}"
-                fh.write(f"{sample_id},{float(s)!r}\n")
+        rows = (
+            [f"{ds.network[i]}:{ds.port[i]}:{int(ds.present_day[i])}", repr(float(s))]
+            for i, s in zip(idx, scores)
+        )
+        write_csv(pred_path, ["sample_id", "score"], rows, lineterminator="\n")
         outputs.append(pred_path)
     if truth is not None:
         inputs.append(truth_path)

@@ -16,18 +16,19 @@ temporary file beside the target and moves it into place only once it is
 complete, so an interrupted write leaves the previous artifact intact.
 ``read_json`` reads the JSON artifacts that sit beside containers (model
 metadata, tree ensembles, scores) with the same error mapping, and
-``write_json`` writes them.
+``write_json`` writes them; ``write_csv`` writes every CSV artifact.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import secrets
 import struct
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -63,6 +64,19 @@ def write_json(path: str | Path, obj) -> None:
     """Write a JSON artifact (sorted keys, indent 2) atomically."""
     with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(obj, sort_keys=True, indent=2))
+
+
+def write_csv(
+    path: str | Path,
+    header: Sequence[str],
+    rows: Iterable[Sequence],
+    lineterminator: str = "\r\n",
+) -> None:
+    """Write a header row and ``rows`` as UTF-8 CSV atomically."""
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_container(

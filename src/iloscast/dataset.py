@@ -7,14 +7,13 @@ that a mega-merge can refit statistics without rebuilding windows.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 
-from .container import atomic_write, read_container, require_keys, write_container
+from .container import read_container, require_keys, write_container, write_csv
 from .errors import DataError
 from .ingest import PortSeries
 from .missing import compute_mask, compute_time_gaps, flatten_for_trees, impute_median, impute_zero, train_medians
@@ -262,7 +261,4 @@ def write_audit_csv(path: str | Path, audit: Audit) -> None:
         audit.kept.astype(int).tolist(),
         reason.tolist(),
     )
-    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["network_id", "port_id", "present_day", "label", "kept", "reason"])
-        writer.writerows(rows)
+    write_csv(path, ["network_id", "port_id", "present_day", "label", "kept", "reason"], rows)

@@ -8,12 +8,12 @@ and D independent of input order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .container import write_csv
 from .errors import DataError
 
 RECALL_CAP = 0.1
@@ -123,10 +123,6 @@ def evaluate_scores(
 
 
 def write_curve_csv(path: str | Path, curve: PrCurve) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "precision", "recall"])
-        for t, p, r in zip(curve.thresholds, curve.precisions, curve.recalls):
-            writer.writerow([repr(float(t)), repr(float(p)), repr(float(r))])
+    columns = zip(curve.thresholds, curve.precisions, curve.recalls)
+    rows = ([repr(float(v)) for v in row] for row in columns)
+    write_csv(path, ["threshold", "precision", "recall"], rows)

@@ -7,7 +7,7 @@ end-to-end runs reproducible and testable without a workspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +85,12 @@ class BritsSettings:
     patience: int = 5
     min_delta: float = 1e-4
 
+    def schedule(self, seed: int) -> TrainSchedule:
+        """The training schedule of these settings (all but ``hidden_size``)."""
+        options = asdict(self)
+        del options["hidden_size"]
+        return TrainSchedule(seed=seed, **options)
+
 
 @dataclass
 class TrainedModel:
@@ -127,32 +133,27 @@ def train_tree_model(
     grid: tuple[int, ...] = DEFAULT_GRID,
     imputation: str = "zero",
     seed: int = 0,
-    max_depth: int | None = None,
 ) -> TrainedModel:
-    """Grid-search a forest or booster over tree count on the validation split."""
+    """Grid-search a forest or booster over tree count on the validation split.
+
+    The booster takes rows with absent cells as they are; the forest takes
+    them filled by ``imputation``.
+    """
+    if kind == "booster":
+        config, mode = BoosterConfig(seed=seed), "none"
+    elif kind == "forest":
+        config, mode = ForestConfig(seed=seed), imputation
+    else:
+        raise DataError(f"unknown tree model kind {kind!r}")
     _check_validation_positives(dataset, scope)
     tr = dataset.indices(split=TRAIN)
     va = dataset.indices(split=VALIDATION)
-    if kind == "booster":
-        rows_tr = dataset.tree_rows(tr, "none")
-        rows_va = dataset.tree_rows(va, "none")
-        config = BoosterConfig(seed=seed, **({"max_depth": max_depth} if max_depth else {}))
-        mode = "none"
-    elif kind == "forest":
-        rows_tr = dataset.tree_rows(tr, imputation)
-        rows_va = dataset.tree_rows(va, imputation)
-        config = ForestConfig(seed=seed, **({"max_depth": max_depth} if max_depth else {}))
-        mode = imputation
-    else:
-        raise DataError(f"unknown tree model kind {kind!r}")
-
     result: GridResult = grid_search_trees(
-        (rows_tr, dataset.label[tr].astype(np.float64)),
-        (rows_va, dataset.label[va].astype(np.float64)),
+        (dataset.tree_rows(tr, mode), dataset.label[tr].astype(np.float64)),
+        (dataset.tree_rows(va, mode), dataset.label[va].astype(np.float64)),
         grid,
         truncated_auc_metric,
-        kind=kind,
-        config=config,
+        config,
     )
     return TrainedModel(
         name=f"{kind}_{scope}" + (f"_{imputation}" if kind == "forest" else ""),
@@ -175,16 +176,7 @@ def train_brits_model(
     tr = rits_data(dataset, dataset.indices(split=TRAIN))
     va = rits_data(dataset, dataset.indices(split=VALIDATION))
     model = init_brits(dataset.schema.width, hidden_size=settings.hidden_size, seed=seed)
-    schedule = TrainSchedule(
-        batch_size=settings.batch_size,
-        learning_rate=settings.learning_rate,
-        max_epochs_phase1=settings.max_epochs_phase1,
-        max_epochs_phase2=settings.max_epochs_phase2,
-        patience=settings.patience,
-        min_delta=settings.min_delta,
-        seed=seed,
-    )
-    trained, history = train_brits(model, tr, va, schedule)
+    trained, history = train_brits(model, tr, va, settings.schedule(seed))
     return TrainedModel(
         name=f"brits_{scope}", kind="brits", scope=scope, model=trained, history=history
     )

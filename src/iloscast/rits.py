@@ -39,25 +39,32 @@ from .missing import compute_time_gaps
 DEFAULT_HIDDEN = 256
 LOGIT_CLAMP = 15.0
 
+
+def rits_param_shapes(n_features: int, hidden_size: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each parameter block of one direction, in a fixed order."""
+    f, h = n_features, hidden_size
+    return {
+        "decay_h_W": (h, f),
+        "decay_h_b": (h,),
+        "decay_x_W": (f, f),
+        "decay_x_b": (f,),
+        "hist_W": (f, h),
+        "hist_b": (f,),
+        "feat_W": (f, f),
+        "feat_b": (f,),
+        "comb_W": (f, 2 * f),
+        "comb_b": (f,),
+        "lstm_W": (4 * h, 2 * f),
+        "lstm_U": (4 * h, h),
+        "lstm_b": (4 * h,),
+        "cls_W": (h,),
+        "cls_b": (1,),
+    }
+
+
 #: Parameter blocks of one direction; the classifier blocks are the ones
 #: fine-tuning may single out.
-PARAM_BLOCKS = (
-    "decay_h_W",
-    "decay_h_b",
-    "decay_x_W",
-    "decay_x_b",
-    "hist_W",
-    "hist_b",
-    "feat_W",
-    "feat_b",
-    "comb_W",
-    "comb_b",
-    "lstm_W",
-    "lstm_U",
-    "lstm_b",
-    "cls_W",
-    "cls_b",
-)
+PARAM_BLOCKS = tuple(rits_param_shapes(1, 1))
 CLASSIFIER_BLOCKS = ("cls_W", "cls_b")
 
 DEFAULT_LOSS_WEIGHTS = {"estimation": 1.0, "consistency": 1.0, "classification": 1.0}
@@ -66,32 +73,17 @@ DEFAULT_LOSS_WEIGHTS = {"estimation": 1.0, "consistency": 1.0, "classification":
 def init_rits_params(
     n_features: int, hidden_size: int, rng: np.random.Generator
 ) -> dict[str, np.ndarray]:
-    """Uniform +-1/sqrt(H) weights, zero biases, forget-gate bias 1."""
-    f, h = n_features, hidden_size
-    k = 1.0 / np.sqrt(h)
+    """Uniform +-1/sqrt(H) weights, zero biases, forget-gate bias 1.
 
-    def u(*shape: int) -> np.ndarray:
-        return rng.uniform(-k, k, size=shape)
-
+    The weights are drawn in ``PARAM_BLOCKS`` order.
+    """
+    k = 1.0 / np.sqrt(hidden_size)
     params = {
-        "decay_h_W": u(h, f),
-        "decay_h_b": np.zeros(h),
-        "decay_x_W": u(f, f),
-        "decay_x_b": np.zeros(f),
-        "hist_W": u(f, h),
-        "hist_b": np.zeros(f),
-        "feat_W": u(f, f),
-        "feat_b": np.zeros(f),
-        "comb_W": u(f, 2 * f),
-        "comb_b": np.zeros(f),
-        "lstm_W": u(4 * h, 2 * f),
-        "lstm_U": u(4 * h, h),
-        "lstm_b": np.zeros(4 * h),
-        "cls_W": u(h),
-        "cls_b": np.zeros(1),
+        name: np.zeros(shape) if name.endswith("_b") else rng.uniform(-k, k, size=shape)
+        for name, shape in rits_param_shapes(n_features, hidden_size).items()
     }
     np.fill_diagonal(params["feat_W"], 0.0)
-    params["lstm_b"][h : 2 * h] = 1.0
+    params["lstm_b"][hidden_size : 2 * hidden_size] = 1.0
     return params
 
 
@@ -136,14 +128,29 @@ class BritsModel:
         if meta.get("format") != "iloscast-brits" or meta.get("version") != 1:
             raise DataError(f"{path}: not a version-1 model file")
         require_keys(meta, ("n_features", "hidden_size", "loss_weights"), path, "metadata")
-        fwd = {k.split(".", 1)[1]: v for k, v in arrays.items() if k.startswith("fwd.")}
-        bwd = {k.split(".", 1)[1]: v for k, v in arrays.items() if k.startswith("bwd.")}
+        try:
+            n_features, hidden_size = int(meta["n_features"]), int(meta["hidden_size"])
+            loss_weights = dict(meta["loss_weights"])
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed model metadata: {exc}") from None
+        shapes = rits_param_shapes(n_features, hidden_size)
+        params = {}
+        for tag in ("fwd", "bwd"):
+            params[tag] = {k.split(".", 1)[1]: v for k, v in arrays.items() if k.startswith(f"{tag}.")}
+            for name in PARAM_BLOCKS:
+                block = params[tag].get(name)
+                if block is None or block.shape != shapes[name]:
+                    got = "missing" if block is None else f"shape {block.shape}"
+                    raise DataError(
+                        f"{path}: block {tag}.{name} is {got}, expected shape {shapes[name]} "
+                        f"for n_features={n_features}, hidden_size={hidden_size}"
+                    )
         return cls(
-            fwd=fwd,
-            bwd=bwd,
-            n_features=int(meta["n_features"]),
-            hidden_size=int(meta["hidden_size"]),
-            loss_weights=dict(meta["loss_weights"]),
+            fwd=params["fwd"],
+            bwd=params["bwd"],
+            n_features=n_features,
+            hidden_size=hidden_size,
+            loss_weights=loss_weights,
         )
 
 
@@ -519,7 +526,6 @@ class TrainSchedule:
     min_delta: float = 1e-4
     seed: int = 0
     trainable: tuple[str, ...] | None = None  # None = all blocks
-    shuffle: bool = True
 
 
 class AdamState:
@@ -613,7 +619,7 @@ def train_brits(
         best = np.inf
         stale = 0
         for epoch in range(max_epochs):
-            order = rng.permutation(train.n) if schedule.shuffle else np.arange(train.n)
+            order = rng.permutation(train.n)
             sums = {"total": 0.0, "estimation": 0.0, "consistency": 0.0, "classification": 0.0}
             for lo in range(0, train.n, schedule.batch_size):
                 idx = order[lo : lo + schedule.batch_size]

@@ -15,9 +15,11 @@ import csv
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
+from .container import write_csv
 from .errors import ConfigError, DataError
 
 START_DATE = date(2024, 1, 1)
@@ -273,6 +275,32 @@ def _format_value(v: float) -> str:
     return f"{v:.6g}"
 
 
+PM_HEADER = ("network_id", "port_id", "facility_type", "date", "pm_name", "pm_value")
+TRUTH_HEADER = ("network_id", "port_id", "outage_date", "has_precursor")
+
+
+def _pm_rows(
+    cfg: GenConfig, net_drafts: list[_PortDraft], vocab: tuple[str, ...]
+) -> Iterator[list]:
+    """One network's PM CSV rows, port by port and day by day."""
+    for draft in net_drafts:
+        # Per-facility offsets keep dual-facility ports exercising
+        # the max-merge; counters are emitted once.
+        offsets = {fac: (0.0 if i == 0 else -0.3) for i, fac in enumerate(draft.facilities)}
+        for day in range(cfg.days):
+            day_str = (START_DATE + timedelta(days=day)).isoformat()
+            for fac_i, fac in enumerate(draft.facilities):
+                for pm in vocab:
+                    v = draft.values[pm][day]
+                    if np.isnan(v):
+                        continue
+                    if pm in COUNTER_PMS and fac_i > 0:
+                        continue
+                    if pm in ("QAVG", "OPR", "OPT"):
+                        v = v + offsets[fac]
+                    yield [draft.network_id, draft.port_id, fac, day_str, pm, _format_value(v)]
+
+
 def generate(cfg: GenConfig, out_dir: str | Path) -> GenResult:
     """Write one ingest CSV per network plus the ground-truth event log.
 
@@ -296,42 +324,20 @@ def generate(cfg: GenConfig, out_dir: str | Path) -> GenResult:
     csv_paths: list[Path] = []
     n_outages = 0
     for net_idx, net_drafts in enumerate(drafts):
-        vocab = network_vocabulary(cfg, net_idx)
         path = out_dir / f"net{net_idx + 1}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["network_id", "port_id", "facility_type", "date", "pm_name", "pm_value"])
-            for draft in net_drafts:
-                # Per-facility offsets keep dual-facility ports exercising
-                # the max-merge; counters are emitted once.
-                offsets = {
-                    fac: (0.0 if i == 0 else -0.3) for i, fac in enumerate(draft.facilities)
-                }
-                for day in range(cfg.days):
-                    day_str = (START_DATE + timedelta(days=day)).isoformat()
-                    for fac_i, fac in enumerate(draft.facilities):
-                        for pm in vocab:
-                            v = draft.values[pm][day]
-                            if np.isnan(v):
-                                continue
-                            if pm in COUNTER_PMS and fac_i > 0:
-                                continue
-                            if pm in ("QAVG", "OPR", "OPT"):
-                                v = v + offsets[fac]
-                            writer.writerow(
-                                [draft.network_id, draft.port_id, fac, day_str, pm, _format_value(v)]
-                            )
+        write_csv(path, PM_HEADER, _pm_rows(cfg, net_drafts, network_vocabulary(cfg, net_idx)))
         csv_paths.append(path)
         n_outages += sum(1 for d in net_drafts if d.event is not None)
 
     truth_path = out_dir / "ground_truth.csv"
-    with open(truth_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["network_id", "port_id", "outage_date", "has_precursor"])
-        for ev in sorted(events, key=lambda e: (e.network_id, e.port_id)):
-            writer.writerow(
-                [ev.network_id, ev.port_id, ev.outage_date().isoformat(), int(ev.has_precursor)]
-            )
+    write_csv(
+        truth_path,
+        TRUTH_HEADER,
+        (
+            [ev.network_id, ev.port_id, ev.outage_date().isoformat(), int(ev.has_precursor)]
+            for ev in sorted(events, key=lambda e: (e.network_id, e.port_id))
+        ),
+    )
 
     summary = {
         "networks": cfg.n_networks,
@@ -345,19 +351,33 @@ def generate(cfg: GenConfig, out_dir: str | Path) -> GenResult:
 
 
 def load_ground_truth(path: str | Path) -> list[OutageEvent]:
-    events = []
+    """Read ``ground_truth.csv``; :class:`DataError` names the path, and
+    the line of a bad header, date or precursor flag."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            day = (date.fromisoformat(row["outage_date"]) - START_DATE).days
-            events.append(
-                OutageEvent(
-                    network_id=row["network_id"],
-                    port_id=row["port_id"],
-                    outage_day=day,
-                    has_precursor=bool(int(row["has_precursor"])),
-                )
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    reader = csv.DictReader(lines)
+    if tuple(reader.fieldnames or ()) != TRUTH_HEADER:
+        raise DataError(f"{path}:1: header {reader.fieldnames} is not {list(TRUTH_HEADER)}")
+    events = []
+    for row in reader:
+        where = f"{path}:{reader.line_num}"
+        try:
+            outage = date.fromisoformat(row["outage_date"])
+        except (TypeError, ValueError):
+            raise DataError(f"{where}: bad outage_date {row['outage_date']!r}") from None
+        if row["has_precursor"] not in ("0", "1"):
+            raise DataError(f"{where}: has_precursor {row['has_precursor']!r} is not 0 or 1")
+        events.append(
+            OutageEvent(
+                network_id=row["network_id"],
+                port_id=row["port_id"],
+                outage_day=(outage - START_DATE).days,
+                has_precursor=row["has_precursor"] == "1",
             )
+        )
     return events
 
 

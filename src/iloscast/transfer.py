@@ -8,6 +8,8 @@ imputer stays bit-identical) or every parameter block.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .dataset import WindowDataset
@@ -137,18 +139,11 @@ def _finetune(
     trainable: tuple[str, ...] | None,
 ) -> tuple[BritsModel, list[dict]]:
     train, val = _network_slices(mega, network)
-    if schedule is None:
-        schedule = TrainSchedule()
-    sched = TrainSchedule(
-        batch_size=schedule.batch_size,
+    sched = replace(
+        schedule or TrainSchedule(),
         learning_rate=FINETUNE_LR,
         max_epochs_phase1=0,  # fine-tuning continues on the full objective
-        max_epochs_phase2=schedule.max_epochs_phase2,
-        patience=schedule.patience,
-        min_delta=schedule.min_delta,
-        seed=schedule.seed,
         trainable=trainable,
-        shuffle=schedule.shuffle,
     )
     return train_brits(pretrained, train, val, sched)
 

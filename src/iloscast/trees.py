@@ -1,6 +1,7 @@
 """From-scratch tree models on flattened window rows.
 
-Two families share the node layout and traversal:
+Two families share the node layout, the traversal, one breadth-first
+grower (``_grow_tree``) and one prefix-scoring loop (``staged_proba``):
 
 * a bagged random forest (Gini impurity, per-split feature subsets) that
   requires dense, pre-imputed input, and
@@ -27,14 +28,14 @@ splits to the bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .activation import sigmoid
-from .container import read_json, require_keys
+from .container import atomic_write, read_json, require_keys
 from .errors import ConfigError, DataError
 
 _LEAF = -1
@@ -145,16 +146,19 @@ class TreeEnsemble:
             "train_loss": self.train_loss,
             "trees": [t.to_dict() for t in self.trees],
         }
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        with atomic_write(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(payload, sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "TreeEnsemble":
+        """Read a saved ensemble; :class:`DataError` for any file that could
+        not have been saved, including trees whose traversal would not end."""
         payload = read_json(path)
         if payload.get("format") != "iloscast-tree-ensemble" or payload.get("version") != 1:
             raise DataError(f"{path}: not a version-1 tree ensemble file")
         require_keys(payload, ("kind", "trees", "config", "n_columns", "base_score"), path)
+        if payload["kind"] not in ("booster", "forest"):
+            raise DataError(f"{path}: unknown ensemble kind {payload['kind']!r}")
         cfg_cls = ForestConfig if payload["kind"] == "forest" else BoosterConfig
         config = payload["config"]
         if not isinstance(config, dict):
@@ -162,14 +166,41 @@ class TreeEnsemble:
         unknown = sorted(set(config) - set(cfg_cls.__dataclass_fields__))
         if unknown:
             raise DataError(f"{path}: config has unknown key(s) {unknown} for {cfg_cls.__name__}")
-        return cls(
-            kind=payload["kind"],
-            trees=[Tree.from_dict(require_keys(d, TREE_KEYS, path, "tree")) for d in payload["trees"]],
-            config=cfg_cls(**config),
-            n_columns=int(payload["n_columns"]),
-            base_score=float(payload["base_score"]),
-            train_loss=list(payload.get("train_loss", [])),
-        )
+        try:
+            model = cls(
+                kind=payload["kind"],
+                trees=[Tree.from_dict(require_keys(d, TREE_KEYS, path, "tree")) for d in payload["trees"]],
+                config=cfg_cls(**config),
+                n_columns=int(payload["n_columns"]),
+                base_score=float(payload["base_score"]),
+                train_loss=list(payload.get("train_loss", [])),
+            )
+        except (TypeError, ValueError, OverflowError, ConfigError) as exc:
+            raise DataError(f"{path}: malformed tree ensemble: {exc}") from None
+        for i, tree in enumerate(model.trees):
+            problem = _tree_defect(tree, model.n_columns)
+            if problem:
+                raise DataError(f"{path}: tree {i} {problem}")
+        return model
+
+
+def _tree_defect(tree: Tree, n_columns: int) -> str | None:
+    """Why ``tree`` cannot be traversed over ``n_columns`` columns, or None.
+
+    Every node array has one entry per node, features lie in
+    [-1, n_columns), and each split node's children have larger ids than
+    the node, so every traversal ends at a leaf.
+    """
+    n = tree.n_nodes
+    if n == 0 or any(getattr(tree, key).shape != (n,) for key in TREE_KEYS):
+        return "has node arrays of unequal or zero length"
+    if ((tree.feature < _LEAF) | (tree.feature >= n_columns)).any():
+        return f"has a feature outside [-1, {n_columns})"
+    split = np.flatnonzero(tree.feature >= 0)
+    for child in (tree.left[split], tree.right[split]):
+        if ((child <= split) | (child >= n)).any():
+            return "has a child id that is not above its node and below the node count"
+    return None
 
 
 def _logloss(y: np.ndarray, margin: np.ndarray) -> float:
@@ -196,24 +227,37 @@ def tree_values(tree: Tree, rows: np.ndarray) -> np.ndarray:
     return tree.value[route_leaf_ids(tree, rows)]
 
 
-def predict_proba(model: TreeEnsemble, rows: np.ndarray) -> np.ndarray:
-    """Positive-class probability per row."""
+def staged_proba(
+    model: TreeEnsemble, rows: np.ndarray, counts: Sequence[int]
+) -> list[np.ndarray]:
+    """Positive-class probability per row of each ``k``-tree prefix of
+    ``model``, for ``k`` in the ascending ``counts``.
+
+    One pass over the trees: the sum starts at ``model.base_score`` (0.0
+    for a forest) and gains each tree's values; at each count the booster
+    maps it through the sigmoid and the forest divides it by the count.
+    """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != model.n_columns:
         raise DataError(
             f"expected rows with {model.n_columns} columns, got shape {rows.shape}"
         )
-    if model.kind == "booster":
-        margin = np.full(rows.shape[0], model.base_score, dtype=np.float64)
-        for tree in model.trees:
-            margin += tree_values(tree, rows)
-        return sigmoid(margin)
-    if not model.trees:
+    total = np.full(rows.shape[0], model.base_score, dtype=np.float64)
+    staged = []
+    done = 0
+    for k in counts:
+        for tree in model.trees[done:k]:
+            total += tree_values(tree, rows)
+        done = k
+        staged.append(sigmoid(total) if model.kind == "booster" else total / k)
+    return staged
+
+
+def predict_proba(model: TreeEnsemble, rows: np.ndarray) -> np.ndarray:
+    """Positive-class probability per row."""
+    if model.kind == "forest" and not model.trees:
         raise DataError("forest has no trees")
-    acc = np.zeros(rows.shape[0], dtype=np.float64)
-    for tree in model.trees:
-        acc += tree_values(tree, rows)
-    return acc / len(model.trees)
+    return staged_proba(model, rows, [len(model.trees)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -412,82 +456,59 @@ def _best_split_booster(
     return kernel(cols, idx, g, h, reg_lambda, min_child_hessian)
 
 
-def _grow_booster_tree(
-    cols: _SortedColumns, g: np.ndarray, h: np.ndarray, cfg: BoosterConfig
+def _grow_tree(
+    columns: np.ndarray,
+    root: np.ndarray,
+    max_depth: int,
+    min_rows: int,
+    find_split: Callable[[np.ndarray], tuple[float, float, int, float, bool] | None],
+    leaf_value: Callable[[np.ndarray], float],
 ) -> Tree:
-    feature: list[int] = []
-    threshold: list[float] = []
-    default_left: list[bool] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-    gain: list[float] = []
-    gain_flipped: list[float] = []
+    """Grow one tree breadth-first over ``columns`` (d, n) from the row ids
+    ``root``.
 
-    def new_node() -> int:
-        feature.append(_LEAF)
-        threshold.append(0.0)
-        default_left.append(True)
-        left.append(_LEAF)
-        right.append(_LEAF)
-        value.append(0.0)
-        gain.append(0.0)
-        gain_flipped.append(0.0)
-        return len(feature) - 1
-
-    root = new_node()
-    frontier: list[tuple[int, np.ndarray, int]] = [
-        (root, np.arange(cols.columns.shape[1], dtype=np.int64), 0)
-    ]
+    A node shallower than ``max_depth`` with at least ``min_rows`` rows
+    ``idx`` asks ``find_split(idx)`` for (gain, flipped_gain, feature,
+    threshold, default_left); a node it gets None for, or does not ask,
+    becomes a leaf of ``leaf_value(idx)``. Absent cells follow
+    ``default_left``.
+    """
+    nodes: list[list | None] = [None]  # one row per node, in TREE_KEYS order
+    frontier: list[tuple[int, np.ndarray, int]] = [(0, root, 0)]
     while frontier:
         node, idx, depth = frontier.pop(0)
         split = None
-        if depth < cfg.max_depth and idx.size >= 2:
-            split = _best_split_booster(
-                cols, idx, g, h, cfg.reg_lambda, cfg.min_child_hessian
-            )
+        if depth < max_depth and idx.size >= min_rows:
+            split = find_split(idx)
         if split is None:
-            G = g[idx].sum()
-            H = h[idx].sum()
-            value[node] = -G / (H + cfg.reg_lambda) * cfg.learning_rate
+            nodes[node] = [_LEAF, 0.0, True, _LEAF, _LEAF, leaf_value(idx), 0.0, 0.0]
             continue
-        best_gain, flipped, f, thr, go_left_default = split
-        vals = cols.columns[f, idx]
+        gain, flipped, f, thr, go_left_default = split
+        vals = columns[f, idx]
         go_left = np.where(np.isnan(vals), go_left_default, vals < thr)
-        feature[node] = f
-        threshold[node] = thr
-        default_left[node] = go_left_default
-        gain[node] = best_gain
-        gain_flipped[node] = flipped
-        lid = new_node()
-        rid = new_node()
-        left[node] = lid
-        right[node] = rid
+        lid = len(nodes)
+        nodes[node] = [f, thr, go_left_default, lid, lid + 1, 0.0, gain, flipped]
+        nodes += [None, None]
         frontier.append((lid, idx[go_left], depth + 1))
-        frontier.append((rid, idx[~go_left], depth + 1))
-
-    return Tree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        default_left=np.asarray(default_left, dtype=bool),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        value=np.asarray(value, dtype=np.float64),
-        gain=np.asarray(gain, dtype=np.float64),
-        gain_flipped=np.asarray(gain_flipped, dtype=np.float64),
-    )
+        frontier.append((lid + 1, idx[~go_left], depth + 1))
+    return Tree.from_dict(dict(zip(TREE_KEYS, zip(*nodes))))
 
 
-def train_gbdt(
-    rows: np.ndarray, labels: np.ndarray, config: BoosterConfig
-) -> TreeEnsemble:
-    """Second-order boosting on logistic loss over rows that may contain NaN."""
+def _rows_and_labels(rows: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = np.asarray(rows, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if rows.ndim != 2 or y.shape != (rows.shape[0],):
         raise DataError("rows must be (n, d) with one label per row")
     if not np.isin(y, (0.0, 1.0)).all():
         raise DataError("labels must be 0/1")
+    return rows, y
+
+
+def train_gbdt(
+    rows: np.ndarray, labels: np.ndarray, config: BoosterConfig
+) -> TreeEnsemble:
+    """Second-order boosting on logistic loss over rows that may contain NaN."""
+    rows, y = _rows_and_labels(rows, labels)
 
     p0 = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
     base = float(np.log(p0 / (1.0 - p0)))
@@ -499,7 +520,16 @@ def train_gbdt(
         p = sigmoid(margin)
         g = p - y
         h = p * (1.0 - p)
-        tree = _grow_booster_tree(cols, g, h, config)
+        tree = _grow_tree(
+            cols.columns,
+            np.arange(rows.shape[0], dtype=np.int64),
+            config.max_depth,
+            2,
+            lambda idx: _best_split_booster(
+                cols, idx, g, h, config.reg_lambda, config.min_child_hessian
+            ),
+            lambda idx: -g[idx].sum() / (h[idx].sum() + config.reg_lambda) * config.learning_rate,
+        )
         trees.append(tree)
         margin += tree_values(tree, rows)
         loss_history.append(_logloss(y, margin))
@@ -518,9 +548,15 @@ def train_gbdt(
 
 
 def _best_split_gini(
-    rows: np.ndarray, idx: np.ndarray, y: np.ndarray, features: np.ndarray
-) -> tuple[float, int, float] | None:
-    """Best (impurity_decrease, feature, threshold) over the sampled features."""
+    rows: np.ndarray, idx: np.ndarray, y: np.ndarray, mtry: int, rng: np.random.Generator
+) -> tuple[float, float, int, float, bool] | None:
+    """Best Gini split over ``mtry`` features drawn from ``rng``, or None.
+
+    Returned as the grower's (gain, flipped_gain, feature, threshold,
+    default_left) with both gains 0.0 and default_left True: forest input
+    is dense, and a forest stores no split gains.
+    """
+    features = np.sort(rng.choice(rows.shape[1], size=mtry, replace=False))
     y_node = y[idx]
     n = idx.size
     pos = float(y_node.sum())
@@ -530,7 +566,7 @@ def _best_split_gini(
         return None
 
     best_dec = 1e-12
-    best: tuple[float, int, float] | None = None
+    best = None
     for f in features:
         v = rows[idx, f]
         order = np.argsort(v, kind="stable")
@@ -552,70 +588,8 @@ def _best_split_gini(
         dec = parent - float(weighted[k])
         if dec > best_dec:
             best_dec = dec
-            best = (dec, int(f), float(0.5 * (vs[cut[k]] + vs[cut[k] + 1])))
+            best = (0.0, 0.0, int(f), float(0.5 * (vs[cut[k]] + vs[cut[k] + 1])), True)
     return best
-
-
-def _grow_forest_tree(
-    rows: np.ndarray,
-    y: np.ndarray,
-    cfg: ForestConfig,
-    mtry: int,
-    rng: np.random.Generator,
-) -> Tree:
-    n = rows.shape[0]
-    if cfg.bootstrap:
-        sample = rng.integers(0, n, size=n)
-    else:
-        sample = np.arange(n)
-
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-
-    def new_node() -> int:
-        feature.append(_LEAF)
-        threshold.append(0.0)
-        left.append(_LEAF)
-        right.append(_LEAF)
-        value.append(0.0)
-        return len(feature) - 1
-
-    root = new_node()
-    frontier: list[tuple[int, np.ndarray, int]] = [(root, sample, 0)]
-    while frontier:
-        node, idx, depth = frontier.pop(0)
-        split = None
-        if depth < cfg.max_depth and idx.size >= cfg.min_samples_split:
-            feats = np.sort(rng.choice(rows.shape[1], size=mtry, replace=False))
-            split = _best_split_gini(rows, idx, y, feats)
-        if split is None:
-            value[node] = float(y[idx].mean())
-            continue
-        _, f, thr = split
-        go_left = rows[idx, f] < thr
-        feature[node] = f
-        threshold[node] = thr
-        lid = new_node()
-        rid = new_node()
-        left[node] = lid
-        right[node] = rid
-        frontier.append((lid, idx[go_left], depth + 1))
-        frontier.append((rid, idx[~go_left], depth + 1))
-
-    k = len(feature)
-    return Tree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        default_left=np.ones(k, dtype=bool),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        value=np.asarray(value, dtype=np.float64),
-        gain=np.zeros(k, dtype=np.float64),
-        gain_flipped=np.zeros(k, dtype=np.float64),
-    )
 
 
 def train_random_forest(
@@ -626,22 +600,27 @@ def train_random_forest(
     Per-tree randomness derives from (seed, tree index), so a k-tree prefix
     of a larger forest equals the k-tree forest trained directly.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
+    rows, y = _rows_and_labels(rows, labels)
     if np.isnan(rows).any():
         raise DataError("forest input must be dense; impute absent values first")
-    if rows.ndim != 2 or y.shape != (rows.shape[0],):
-        raise DataError("rows must be (n, d) with one label per row")
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise DataError("labels must be 0/1")
 
-    mtry = config.features_per_split or int(np.ceil(np.sqrt(rows.shape[1])))
-    mtry = min(mtry, rows.shape[1])
+    n, d = rows.shape
+    mtry = min(config.features_per_split or int(np.ceil(np.sqrt(d))), d)
     trees = []
     for t in range(config.n_trees):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, t)))
-        trees.append(_grow_forest_tree(rows, y, config, mtry, rng))
-    return TreeEnsemble(kind="forest", trees=trees, config=config, n_columns=rows.shape[1])
+        root = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        trees.append(
+            _grow_tree(
+                rows.T,
+                root,
+                config.max_depth,
+                config.min_samples_split,
+                lambda idx: _best_split_gini(rows, idx, y, mtry, rng),
+                lambda idx: float(y[idx].mean()),
+            )
+        )
+    return TreeEnsemble(kind="forest", trees=trees, config=config, n_columns=d)
 
 
 # ---------------------------------------------------------------------------
@@ -660,59 +639,31 @@ def grid_search_trees(
     validation: tuple[np.ndarray, np.ndarray],
     grid: Sequence[int],
     metric: Callable[[np.ndarray, np.ndarray], float],
-    kind: str = "booster",
-    config: BoosterConfig | ForestConfig | None = None,
+    config: BoosterConfig | ForestConfig = BoosterConfig(),
 ) -> GridResult:
     """Pick the tree count maximizing the validation metric.
 
-    Trains once at the largest grid point and scores prefixes, which is
-    mathematically identical to separate trainings for both families here
-    (boosting is sequential; forest tree seeds depend only on tree index).
-    Ties break toward the smaller count.
+    The family follows the config's type. Trains once at the largest grid
+    point and scores prefixes, which is mathematically identical to
+    separate trainings for both families here (boosting is sequential;
+    forest tree seeds depend only on tree index). Ties break toward the
+    smaller count.
     """
     if not grid:
         raise ConfigError("tree-count grid is empty")
     grid = sorted(set(int(k) for k in grid))
     if grid[0] < 1:
         raise ConfigError("tree counts must be >= 1")
-    rows_tr, y_tr = train
+    fit = train_gbdt if isinstance(config, BoosterConfig) else train_random_forest
+    full = fit(*train, replace(config, n_trees=grid[-1]))
     rows_va, y_va = validation
-
-    if kind == "booster":
-        cfg = config or BoosterConfig()
-        full = train_gbdt(rows_tr, y_tr, cfg.__class__(**{**cfg.__dict__, "n_trees": grid[-1]}))
-        margin = np.full(rows_va.shape[0], full.base_score, dtype=np.float64)
-        scores = []
-        checkpoints = set(grid)
-        for k, tree in enumerate(full.trees, start=1):
-            margin += tree_values(tree, rows_va)
-            if k in checkpoints:
-                scores.append((k, float(metric(sigmoid(margin), y_va))))
-    elif kind == "forest":
-        cfg = config or ForestConfig()
-        full = train_random_forest(
-            rows_tr, y_tr, cfg.__class__(**{**cfg.__dict__, "n_trees": grid[-1]})
-        )
-        acc = np.zeros(rows_va.shape[0], dtype=np.float64)
-        scores = []
-        checkpoints = set(grid)
-        for k, tree in enumerate(full.trees, start=1):
-            acc += tree_values(tree, rows_va)
-            if k in checkpoints:
-                scores.append((k, float(metric(acc / k, y_va))))
-    else:
-        raise ConfigError(f"unknown model kind {kind!r}")
-
-    best_count, best_score = scores[0]
-    for k, s in scores[1:]:
-        if s > best_score:
-            best_count, best_score = k, s
-    best_model = TreeEnsemble(
-        kind=full.kind,
+    staged = staged_proba(full, rows_va, grid)
+    scores = [(k, float(metric(proba, y_va))) for k, proba in zip(grid, staged)]
+    best_count = max(scores, key=lambda item: item[1])[0]
+    best_model = replace(
+        full,
         trees=full.trees[:best_count],
-        config=full.config.__class__(**{**full.config.__dict__, "n_trees": best_count}),
-        n_columns=full.n_columns,
-        base_score=full.base_score,
+        config=replace(full.config, n_trees=best_count),
         train_loss=full.train_loss[:best_count],
     )
     return GridResult(best_model=best_model, best_count=best_count, scores=scores)

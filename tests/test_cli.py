@@ -3,9 +3,12 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import signal
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from iloscast.cli import RunConfig, Workspace, cli_entry, run_stage
@@ -225,6 +228,124 @@ def test_cli_brits_metadata_missing_key_exits_1(pipeline_ws, tmp_path, capsys, k
     assert cli_entry(["evaluate"] + args) == 1
     err = capsys.readouterr().err
     assert f"metadata is missing key(s) '{key}'" in err
+    assert "Traceback" not in err
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def first_split(tree: dict) -> int:
+    return next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+
+
+def set_tree_array(key, value):
+    """An edit that sets ``key`` of tree 0's first split node to ``value(tree)``."""
+
+    def edit(payload):
+        tree = payload["trees"][0]
+        tree[key][first_split(tree)] = value(tree)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p.update(kind="svm"), "unknown ensemble kind 'svm'"),
+        (lambda p: p["config"].update(max_depth="x"), "malformed tree ensemble"),
+        (lambda p: p["config"].update(max_depth=0), "malformed tree ensemble"),
+        (lambda p: p["trees"][0]["value"].append(0.0), "unequal"),
+        (set_tree_array("feature", lambda tree: 10**6), "feature outside"),
+        (set_tree_array("right", lambda tree: len(tree["feature"])), "child id"),
+        (set_tree_array("left", first_split), "child id"),  # a self-loop
+    ],
+    ids=["kind", "config-type", "config-range", "ragged", "feature", "child-range", "self-loop"],
+)
+def test_cli_corrupt_tree_model_exits_1(pipeline_ws, tmp_path, capsys, edit, message):
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    target = ws / "models" / "booster_net1" / "model.json"
+    payload = json.loads(target.read_text(encoding="utf-8"))
+    edit(payload)
+    target.write_text(json.dumps(payload), encoding="utf-8")
+    with deadline(60):
+        assert cli_entry(["evaluate"] + args) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "block, replacement",
+    [("fwd.cls_W", None), ("bwd.lstm_U", np.zeros((8, 3)))],
+    ids=["missing", "wrong-shape"],
+)
+def test_cli_brits_bad_parameter_block_exits_1(pipeline_ws, tmp_path, capsys, block, replacement):
+    from iloscast.container import read_container, write_container
+    from iloscast.rits import init_brits
+
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    model_dir = ws / "models" / "brits_net1"
+    model_dir.mkdir()
+    meta = {"name": "brits_net1", "kind": "brits", "scope": "net1"}
+    (model_dir / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    init_brits(4, hidden_size=2).save(model_dir / "model.ilos")
+    arrays, meta = read_container(model_dir / "model.ilos")
+    if replacement is None:
+        del arrays[block]
+    else:
+        arrays[block] = replacement
+    write_container(model_dir / "model.ilos", arrays, meta)
+    assert cli_entry(["evaluate"] + args) == 1
+    err = capsys.readouterr().err
+    assert f"block {block} is" in err
+    assert "Traceback" not in err
+
+
+def test_cli_unknown_train_network_exits_3_before_training(pipeline_ws, tmp_path, capsys):
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    shutil.rmtree(ws / "models")
+    cfg = RunConfig.load(args[1])
+    cfg.train["networks"] = ["net1", "net9"]
+    cfg.dump(args[1])
+    assert cli_entry(["train"] + args) == 3
+    err = capsys.readouterr().err
+    assert "['net9']" in err
+    assert "Traceback" not in err
+    assert not (ws / "models").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        (b"outage_date", b"outage_day", "ground_truth.csv:1:"),
+        (b",2024-", b",2024-13-", "ground_truth.csv:2: bad outage_date"),
+        (b",0\r\n", b",yes\r\n", "has_precursor 'yes' is not 0 or 1"),
+        (b",2024-", b",\xff2024-", "ground_truth.csv: not UTF-8"),
+    ],
+    ids=["header", "date", "flag", "bytes"],
+)
+def test_cli_bad_ground_truth_exits_1(pipeline_ws, tmp_path, capsys, old, new, where):
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    target = ws / "synth" / "ground_truth.csv"
+    blob = target.read_bytes()
+    assert old in blob
+    target.write_bytes(blob.replace(old, new, 1))
+    assert cli_entry(["evaluate"] + args) == 1
+    err = capsys.readouterr().err
+    assert where in err
     assert "Traceback" not in err
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iloscast import container
-from iloscast.container import MAGIC, read_container, read_json, write_container, write_json
+from iloscast.container import MAGIC, read_container, read_json, write_container, write_csv, write_json
 from iloscast.errors import DataError
 
 
@@ -123,10 +123,27 @@ def _write_audit(path, n):
     )
 
 
+def _write_tree_model(path, n):
+    from iloscast.trees import BoosterConfig, TreeEnsemble
+
+    TreeEnsemble("booster", [], BoosterConfig(), n_columns=1, train_loss=[0.5] * n).save(path)
+
+
+def _write_curve(path, n):
+    from iloscast.metrics import PrCurve, write_curve_csv
+
+    values = np.linspace(0.0, 1.0, n)
+    write_curve_csv(path, PrCurve(values[::-1], values, values, n_pos=n, n_total=n))
+
+
 WRITERS = {
     "container": lambda path, n: write_container(path, {"a": np.arange(n, dtype=np.float64)}, {"n": n}),
     "json": lambda path, n: write_json(path, {"values": list(range(n))}),
     "audit_csv": _write_audit,
+    "tree_model": _write_tree_model,
+    "curve_csv": _write_curve,
+    # history.csv, predictions.csv, the synth CSVs and ground_truth.csv
+    "csv": lambda path, n: write_csv(path, ["i", "square"], ([i, i * i] for i in range(n)), "\n"),
 }
 
 

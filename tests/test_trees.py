@@ -13,6 +13,7 @@ from iloscast.trees import (
     TreeEnsemble,
     grid_search_trees,
     predict_proba,
+    staged_proba,
     train_gbdt,
     train_random_forest,
     tree_values,
@@ -428,7 +429,7 @@ def test_grid_dominant_count_wins():
     labels = (rows[:, 0] + rng.normal(size=300) > 0).astype(float)
     tr = (rows[:200], labels[:200])
     va = (rows[200:], labels[200:])
-    result = grid_search_trees(tr, va, [2, 25], d_metric_stub, kind="booster", config=BoosterConfig())
+    result = grid_search_trees(tr, va, [2, 25], d_metric_stub, config=BoosterConfig())
     scores = dict(result.scores)
     assert scores[25] > scores[2]
     assert result.best_count == 25
@@ -440,7 +441,7 @@ def test_grid_tie_breaks_to_smaller_count():
     labels = np.r_[np.ones(10), np.zeros(10)]
     # constant rows: every tree is a bare leaf, all prefix scores equal
     result = grid_search_trees(
-        (rows, labels), (rows, labels), [3, 7], lambda s, y: 0.5, kind="booster", config=BoosterConfig()
+        (rows, labels), (rows, labels), [3, 7], lambda s, y: 0.5, config=BoosterConfig()
     )
     assert result.best_count == 3
 
@@ -451,7 +452,7 @@ def test_grid_prefix_equals_direct_training_forest():
     labels = (rows[:, 1] > 0).astype(float)
     tr = (rows[:100], labels[:100])
     va = (rows[100:], labels[100:])
-    result = grid_search_trees(tr, va, [3, 6], d_metric_stub, kind="forest", config=ForestConfig(seed=5))
+    result = grid_search_trees(tr, va, [3, 6], d_metric_stub, config=ForestConfig(seed=5))
     direct = train_random_forest(tr[0], tr[1], ForestConfig(n_trees=3, seed=5))
     np.testing.assert_array_equal(
         predict_proba(direct, va[0]),
@@ -460,6 +461,29 @@ def test_grid_prefix_equals_direct_training_forest():
             va[0],
         ),
     )
+
+
+def test_staged_proba_matches_predict_proba_prefixes():
+    rng = np.random.default_rng(25)
+    rows = rng.normal(size=(120, 4))
+    labels = (rows[:, 0] + rng.normal(size=120) > 0).astype(float)
+    sparse = np.where(rng.random(rows.shape) < 0.2, np.nan, rows)
+    for model, x in (
+        (train_gbdt(sparse, labels, BoosterConfig(n_trees=6)), sparse),
+        (train_random_forest(rows, labels, ForestConfig(n_trees=6, seed=3)), rows),
+    ):
+        counts = range(1, len(model.trees) + 1)
+        staged = staged_proba(model, x, counts)
+        assert len(staged) == len(counts)
+        for k, proba in zip(counts, staged):
+            prefix = TreeEnsemble(
+                kind=model.kind,
+                trees=model.trees[:k],
+                config=model.config,
+                n_columns=model.n_columns,
+                base_score=model.base_score,
+            )
+            assert proba.tobytes() == predict_proba(prefix, x).tobytes()
 
 
 def test_grid_empty_errors():
