@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from .dataset import WindowDataset, write_audit_csv
-from .errors import ConfigError, IloscastError, MissingArtifactError, NumericError
+from .errors import ConfigError, DataError, IloscastError, MissingArtifactError, NumericError
 from .ingest import series_from_arrays, series_to_arrays
 from .container import read_container, read_json, require_keys, write_container, write_csv, write_json
 from .metrics import evaluate_scores, write_curve_csv
@@ -391,6 +391,29 @@ def stage_finetune(cfg: RunConfig, ws: Workspace) -> list[Path]:
     return outputs
 
 
+def _is_grid_score(item) -> bool:
+    """Whether ``item`` is a saved ``[tree count, metric]`` pair."""
+    return (
+        isinstance(item, list)
+        and len(item) == 2
+        and type(item[0]) is int
+        and type(item[1]) in (int, float)
+    )
+
+
+def _read_model_meta(path: Path) -> dict:
+    """A model's ``meta.json``; :class:`DataError` unless each value has the
+    type ``_save_model`` writes."""
+    meta = read_json(path, required=("name", "kind", "scope"))
+    for key in ("name", "kind", "scope", "dataset", "imputation"):
+        if key in meta and not isinstance(meta[key], str):
+            raise DataError(f"{path}: {key!r} is not a string")
+    scores = meta.get("grid_scores", [])
+    if not isinstance(scores, list) or not all(map(_is_grid_score, scores)):
+        raise DataError(f"{path}: 'grid_scores' is not a list of [int, number] pairs")
+    return meta
+
+
 def _load_models(
     ws: Workspace, names: list[str] | None
 ) -> list[tuple[TrainedModel, str, list[Path]]]:
@@ -407,7 +430,7 @@ def _load_models(
     out = []
     for model_dir in dirs:
         meta_path = model_dir / "meta.json"
-        meta = read_json(meta_path, required=("name", "kind", "scope"))
+        meta = _read_model_meta(meta_path)
         if meta["kind"] == "brits":
             model_path = model_dir / "model.ilos"
             model = BritsModel.load(model_path)
@@ -485,6 +508,8 @@ def stage_report(cfg: RunConfig, ws: Workspace) -> list[Path]:
     per_model = {}
     for scores_path in sorted(eval_dir.glob("*/scores.json")):
         report = read_json(scores_path, required=("model",))
+        if not isinstance(report["model"], str):
+            raise DataError(f"{scores_path}: 'model' is not a string")
         per_model[report["model"]] = report
     if not per_model:
         raise MissingArtifactError(f"no evaluation outputs under {eval_dir}")

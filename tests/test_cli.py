@@ -175,6 +175,33 @@ def test_cli_json_missing_keys_exits_1(pipeline_ws, tmp_path, capsys, stage, art
 
 
 @pytest.mark.parametrize(
+    "stage, artifact, key, value",
+    [
+        ("evaluate", "models/booster_net1/meta.json", "grid_scores", 5),
+        ("evaluate", "models/booster_net1/meta.json", "grid_scores", [[1, 0.5, 2]]),
+        ("evaluate", "models/booster_net1/meta.json", "grid_scores", [["1", 0.5]]),
+        ("evaluate", "models/booster_net1/meta.json", "grid_scores", [[1, "0.5"]]),
+        ("evaluate", "models/booster_net1/meta.json", "dataset", ["x"]),
+        ("evaluate", "models/booster_net1/meta.json", "name", 1),
+        ("evaluate", "models/booster_net1/meta.json", "kind", None),
+        ("evaluate", "models/booster_net1/meta.json", "scope", {"net": 1}),
+        ("evaluate", "models/booster_net1/meta.json", "imputation", 0),
+        ("report", "eval/booster_net1/scores.json", "model", ["x"]),
+    ],
+)
+def test_cli_wrong_typed_json_value_exits_1(pipeline_ws, tmp_path, capsys, stage, artifact, key, value):
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    target = ws / artifact
+    payload = json.loads(target.read_text(encoding="utf-8"))
+    payload[key] = value
+    target.write_text(json.dumps(payload), encoding="utf-8")
+    assert cli_entry([stage] + args) == 1
+    err = capsys.readouterr().err
+    assert repr(key) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "stage, artifact, key",
     [("build", "ingest/net1/series.ilos", "ports"), ("evaluate", "build/net1/windows.ilos", "norm")],
 )

@@ -19,6 +19,7 @@ from iloscast.trees import (
     tree_values,
     route_leaf_ids,
     _SortedColumns,
+    _logloss,
     _split_node_sorted,
     _split_presorted,
 )
@@ -267,6 +268,59 @@ def test_both_split_kernels_agree_bit_for_bit():
         bare = _SortedColumns.of(rows[:, 2:4])
         assert _split_presorted(bare, idx, g, h, 1.0, 0.5) is None
         assert _split_node_sorted(bare, idx, g, h, 1.0, 0.5) is None
+
+
+def test_split_kernels_skip_redundant_columns_bit_for_bit():
+    """Columns the kernels may skip or sum in groups: a copy of the root's
+    winning column at a higher index, a column that is constant inside the
+    root's left child, and three columns with one shared absence pattern.
+    Both kernels must still equal the search over every column."""
+    rng = np.random.default_rng(33)
+    n = 1200
+    rows, labels = mixed_rows(rng, n)
+    cfg = BoosterConfig(n_trees=2, max_depth=4, min_child_hessian=0.5)
+    p = np.full(n, labels.mean())
+    root = per_column_split(rows, np.arange(n), p - labels, p * (1.0 - p), cfg.reg_lambda, cfg.min_child_hessian)
+    _, _, win, thr, _ = root
+    absent = rng.random(n) < 0.3
+    same_counts = rng.normal(size=(n, 3))
+    same_counts[absent] = np.nan
+    copy = rows.shape[1]
+    rows = np.column_stack(
+        [rows, rows[:, win], np.where(rows[:, win] < thr, 2.0, rng.normal(size=n)), same_counts]
+    )
+    cols = _SortedColumns.of(rows)
+    assert win in cols.searched and copy not in cols.searched
+    assert 2 not in cols.searched and 3 not in cols.searched  # never observed, constant
+    model = train_gbdt(rows, labels, cfg)
+    assert model.trees[0].feature[0] == win
+    nodes = [(idx, g, h) for _, _, idx, g, h in replay_split_nodes(model, rows, labels)]
+    g, h = nodes[0][1], nodes[0][2]
+    left = np.flatnonzero(rows[:, win] < thr)
+    for size in (40, left.size // 2, left.size):
+        nodes.append((np.sort(rng.choice(left, size=size, replace=False)), g, h))
+    found = 0
+    for idx, g, h in nodes:
+        args = (idx, g, h, cfg.reg_lambda, cfg.min_child_hessian)
+        expected = per_column_split(rows, *args)
+        found += expected is not None
+        assert _split_presorted(cols, *args) == expected
+        assert _split_node_sorted(cols, *args) == expected
+    assert found >= len(nodes) - 1
+
+
+def test_booster_train_loss_matches_tree_values_replay():
+    """The margin updated from each row's leaf during growth equals the
+    margin from routing the rows through each finished tree."""
+    rng = np.random.default_rng(34)
+    rows, labels = mixed_rows(rng, 900)
+    model = train_gbdt(rows, labels, BoosterConfig(n_trees=6, max_depth=4))
+    margin = np.full(rows.shape[0], model.base_score)
+    replayed = []
+    for tree in model.trees:
+        margin += tree_values(tree, rows)
+        replayed.append(_logloss(labels, margin))
+    assert model.train_loss == replayed
 
 
 def test_booster_all_labels_identical():
