@@ -2,10 +2,10 @@
 evaluate, report.
 
 Every stage reads its inputs from and writes its artifacts into a
-workspace directory, appending a run-log line with content hashes of its
-inputs so any report can be traced back to the exact bytes that produced
-it. Exit codes: 0 success, 2 config error, 3 missing artifact, 4 numeric
-failure.
+workspace directory, appending a run-log line with the content hash of
+every file it read and the path of every file it wrote, so any report can
+be traced back to the exact bytes that produced it. Exit codes: 0 success,
+2 config error, 3 missing artifact, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .pipeline import (
     DEFAULT_GRID,
     MODEL_KINDS,
     TrainedModel,
+    _check_validation_positives,
     build_network_datasets,
     evaluate_model,
     ingest_csvs,
@@ -100,15 +101,31 @@ def _sha256(path: Path) -> str:
 
 
 class Workspace:
-    """Artifact layout plus the append-only run log."""
+    """Artifact layout plus the append-only run log.
+
+    A stage passes every file it opens through :meth:`read` and takes
+    every artifact path from :meth:`write`, so its run-log line lists
+    exactly the files it read and wrote.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self.inputs: list[Path] = []
+        self.outputs: list[Path] = []
 
-    def dir(self, *parts: str) -> Path:
-        p = self.root.joinpath(*parts)
-        p.mkdir(parents=True, exist_ok=True)
-        return p
+    def read(self, path: Path) -> Path:
+        """Record ``path`` as an input of the running stage; return it."""
+        if path not in self.inputs:
+            self.inputs.append(path)
+        return path
+
+    def write(self, *parts: str) -> Path:
+        """The artifact path ``root/parts``, with its directory made, recorded
+        as an output of the running stage."""
+        path = self.root.joinpath(*parts)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(path)
+        return path
 
     def require(self, relative: str, stage: str) -> Path:
         p = self.root / relative
@@ -118,12 +135,12 @@ class Workspace:
             )
         return p
 
-    def log_stage(self, stage: str, inputs: list[Path], outputs: list[Path], seconds: float) -> None:
+    def log_stage(self, stage: str, seconds: float) -> None:
         entry = {
             "stage": stage,
             "duration_s": round(seconds, 3),
-            "inputs": {str(p): _sha256(p) for p in inputs if p.is_file()},
-            "outputs": [str(p) for p in outputs],
+            "inputs": {str(p): _sha256(p) for p in self.inputs},
+            "outputs": [str(p) for p in self.outputs],
         }
         self.root.mkdir(parents=True, exist_ok=True)
         with open(self.root / "runlog.jsonl", "a", encoding="utf-8") as fh:
@@ -134,8 +151,7 @@ class Workspace:
 # Stage implementations over a workspace
 
 
-def stage_synth(cfg: RunConfig, ws: Workspace) -> list[Path]:
-    t0 = time.time()
+def stage_synth(cfg: RunConfig, ws: Workspace) -> None:
     opts = dict(cfg.synth)
     ports = opts.pop("ports_per_network", None)
     gen_kwargs = {}
@@ -162,16 +178,12 @@ def stage_synth(cfg: RunConfig, ws: Workspace) -> list[Path]:
         gen_cfg = GenConfig(seed=cfg.seed, **gen_kwargs)
     except TypeError as exc:
         raise ConfigError(f"bad synth options: {exc}") from exc
-    out_dir = ws.dir("synth")
-    result = generate(gen_cfg, out_dir)
-    write_json(out_dir / "summary.json", result.summary)
-    outputs = list(result.csv_paths) + [result.truth_path]
-    ws.log_stage("synth", [], outputs, time.time() - t0)
-    return outputs
+    result = generate(gen_cfg, ws.root / "synth")
+    ws.outputs += [*result.csv_paths, result.truth_path]  # named by the generator
+    write_json(ws.write("synth", "summary.json"), result.summary)
 
 
-def stage_ingest(cfg: RunConfig, ws: Workspace) -> list[Path]:
-    t0 = time.time()
+def stage_ingest(cfg: RunConfig, ws: Workspace) -> None:
     inputs = [Path(p) for p in cfg.ingest.get("inputs", [])]
     if not inputs:
         synth_dir = ws.require("synth", "synth")
@@ -179,14 +191,11 @@ def stage_ingest(cfg: RunConfig, ws: Workspace) -> list[Path]:
         if not inputs:
             raise MissingArtifactError(f"no input CSVs configured and none under {synth_dir}")
     indicators = tuple(cfg.ingest.get("protocol_indicators", PROTOCOL_INDICATORS))
-    ingested = ingest_csvs(inputs, indicators)
-    outputs = []
+    ingested = ingest_csvs([ws.read(p) for p in inputs], indicators)
     for net, (schema, series) in ingested.items():
-        net_dir = ws.dir("ingest", net)
         arrays, meta = series_to_arrays(series)
         meta["schema"] = schema.to_dict()
-        container = net_dir / "series.ilos"
-        write_container(container, arrays, meta)
+        write_container(ws.write("ingest", net, "series.ilos"), arrays, meta)
         start = min(s.start_day for s in series)
         end = max(s.day(s.n_days - 1) for s in series)
         manifest = {
@@ -195,18 +204,14 @@ def stage_ingest(cfg: RunConfig, ws: Workspace) -> list[Path]:
             "ports": sorted(s.port_id for s in series),
             "date_span": [start.isoformat(), end.isoformat()],
         }
-        manifest_path = net_dir / "manifest.json"
-        write_json(manifest_path, manifest)
-        outputs += [container, manifest_path]
-    ws.log_stage("ingest", inputs, outputs, time.time() - t0)
-    return outputs
+        write_json(ws.write("ingest", net, "manifest.json"), manifest)
 
 
 def _load_ingested(ws: Workspace) -> dict[str, tuple[FeatureSchema, list]]:
     ingest_dir = ws.require("ingest", "ingest")
     out = {}
     for net_dir in sorted(p for p in ingest_dir.iterdir() if p.is_dir()):
-        path = net_dir / "series.ilos"
+        path = ws.read(net_dir / "series.ilos")
         arrays, meta = read_container(path)
         require_keys(meta, ("schema", "ports"), path, "metadata")
         schema = FeatureSchema.from_dict(meta["schema"])
@@ -216,42 +221,36 @@ def _load_ingested(ws: Workspace) -> dict[str, tuple[FeatureSchema, list]]:
     return out
 
 
-def stage_build(cfg: RunConfig, ws: Workspace) -> list[Path]:
-    t0 = time.time()
+def stage_build(cfg: RunConfig, ws: Workspace) -> None:
     ingested = _load_ingested(ws)
     past = int(cfg.build.get("past_days", 7))
     future = int(cfg.build.get("future_days", 7))
     datasets, audits = build_network_datasets(ingested, past, future)
-    outputs = []
     for net, ds in datasets.items():
-        net_dir = ws.dir("build", net)
-        ds.save(net_dir / "windows.ilos")
-        write_audit_csv(net_dir / "audit.csv", audits[net])
-        stats_path = net_dir / "stats.json"
-        write_json(stats_path, dataset_stats(ds))
-        outputs += [net_dir / "windows.ilos", net_dir / "audit.csv", stats_path]
-    inputs = sorted((ws.root / "ingest").glob("*/series.ilos"))
-    ws.log_stage("build", inputs, outputs, time.time() - t0)
-    return outputs
+        ds.save(ws.write("build", net, "windows.ilos"))
+        write_audit_csv(ws.write("build", net, "audit.csv"), audits[net])
+        write_json(ws.write("build", net, "stats.json"), dataset_stats(ds))
 
 
 def _load_datasets(ws: Workspace) -> dict[str, WindowDataset]:
     build_dir = ws.require("build", "build")
     out = {}
     for net_dir in sorted(p for p in build_dir.iterdir() if p.is_dir() and p.name != "mega"):
-        out[net_dir.name] = WindowDataset.load(net_dir / "windows.ilos")
+        out[net_dir.name] = WindowDataset.load(ws.read(net_dir / "windows.ilos"))
     if not out:
         raise MissingArtifactError(f"no built datasets under {build_dir}")
     return out
 
 
 def _load_mega(ws: Workspace) -> WindowDataset:
+    """The mega-dataset, built from the per-network datasets and saved the
+    first time a stage needs it."""
     path = ws.root / "build" / "mega" / "windows.ilos"
     if path.exists():
-        return WindowDataset.load(path)
+        return WindowDataset.load(ws.read(path))
     datasets = _load_datasets(ws)
     mega = build_mega_dataset(list(datasets.values()))
-    mega.save(path)
+    mega.save(ws.write("build", "mega", "windows.ilos"))
     manifest = {
         "sources": sorted(datasets),
         "union_schema": mega.schema.to_dict(),
@@ -259,7 +258,7 @@ def _load_mega(ws: Workspace) -> WindowDataset:
             net: int(mega.indices(network=net).size) for net in mega.networks
         },
     }
-    write_json(path.parent / "manifest.json", manifest)
+    write_json(ws.write("build", "mega", "manifest.json"), manifest)
     return mega
 
 
@@ -286,18 +285,15 @@ def _train_options(cfg: RunConfig) -> tuple[list[str], dict]:
     }
 
 
+def _model_file(kind: str) -> str:
+    """The parameter file name of a model of ``kind``."""
+    return "model.ilos" if kind == "brits" else "model.json"
+
+
 def _save_model(
     ws: Workspace, trained: TrainedModel, dataset_scope: str, parent_hash: str | None = None
-) -> list[Path]:
-    model_dir = ws.dir("models", trained.name)
-    outputs = []
-    if trained.kind == "brits":
-        path = model_dir / "model.ilos"
-        trained.model.save(path)
-    else:
-        path = model_dir / "model.json"
-        trained.model.save(path)
-    outputs.append(path)
+) -> None:
+    trained.model.save(ws.write("models", trained.name, _model_file(trained.kind)))
     meta = {
         "name": trained.name,
         "kind": trained.kind,
@@ -308,75 +304,61 @@ def _save_model(
     }
     if parent_hash is not None:
         meta["pretrained_parent_sha256"] = parent_hash
-    meta_path = model_dir / "meta.json"
-    write_json(meta_path, meta)
-    outputs.append(meta_path)
+    write_json(ws.write("models", trained.name, "meta.json"), meta)
     if trained.history:
-        hist_path = model_dir / "history.csv"
         keys = list(trained.history[0])
         rows = (
             [repr(row[k]) if isinstance(row[k], float) else str(row[k]) for k in keys]
             for row in trained.history
         )
-        write_csv(hist_path, keys, rows, lineterminator="\n")
-        outputs.append(hist_path)
-    return outputs
+        write_csv(ws.write("models", trained.name, "history.csv"), keys, rows, lineterminator="\n")
 
 
-def stage_train(cfg: RunConfig, ws: Workspace) -> list[Path]:
+def stage_train(cfg: RunConfig, ws: Workspace) -> None:
     """Train per-network models (no transfer)."""
-    t0 = time.time()
     kinds, options = _train_options(cfg)
     datasets = _load_datasets(ws)
     networks = cfg.train.get("networks") or sorted(datasets)
     missing = [net for net in networks if net not in datasets]
     if missing:
         raise MissingArtifactError(f"no built dataset for network(s) {missing}")
-    outputs = []
+    for net in networks:
+        _check_validation_positives(datasets[net], net)
     for net in networks:
         for kind in kinds:
-            trained = train_model(datasets[net], kind, net, **options)
-            outputs += _save_model(ws, trained, dataset_scope=net)
-    inputs = sorted((ws.root / "build").glob("*/windows.ilos"))
-    ws.log_stage("train", inputs, outputs, time.time() - t0)
-    return outputs
+            _save_model(ws, train_model(datasets[net], kind, net, **options), dataset_scope=net)
 
 
-def stage_pretrain(cfg: RunConfig, ws: Workspace) -> list[Path]:
+def stage_pretrain(cfg: RunConfig, ws: Workspace) -> None:
     """Build the mega-dataset and pre-train the selected models on it."""
-    t0 = time.time()
     kinds, options = _train_options(cfg)
     mega = _load_mega(ws)
-    outputs = []
     for kind in kinds:
-        trained = train_model(mega, kind, "mega", **options)
-        outputs += _save_model(ws, trained, dataset_scope="mega")
-    ws.log_stage(
-        "pretrain",
-        sorted((ws.root / "build").glob("*/windows.ilos")),
-        outputs,
-        time.time() - t0,
-    )
-    return outputs
+        _save_model(ws, train_model(mega, kind, "mega", **options), dataset_scope="mega")
 
 
-def stage_finetune(cfg: RunConfig, ws: Workspace) -> list[Path]:
-    t0 = time.time()
-    mega = _load_mega(ws)
-    model_path = ws.require("models/brits_mega/model.ilos", "pretrain")
-    pretrained = BritsModel.load(model_path)
-    strategies = cfg.transfer.get("strategies", ["classifier_only", "entirety"])
-    networks = cfg.transfer.get("networks") or list(mega.networks)
+FINETUNERS = {"classifier_only": finetune_classifier_only, "entirety": finetune_entirety}
+
+
+def stage_finetune(cfg: RunConfig, ws: Workspace) -> None:
+    strategies = cfg.transfer.get("strategies", list(FINETUNERS))
+    unknown = [s for s in strategies if s not in FINETUNERS]
+    if unknown:
+        raise ConfigError(
+            f"unknown fine-tune strategies {unknown}; expected any of {list(FINETUNERS)}"
+        )
     schedule = _brits_settings(cfg).schedule(cfg.seed)
-    outputs = []
+    model_path = ws.read(ws.require("models/brits_mega/model.ilos", "pretrain"))
+    mega = _load_mega(ws)
+    networks = cfg.transfer.get("networks") or list(mega.networks)
+    missing = [net for net in networks if net not in mega.networks]
+    if missing:
+        raise MissingArtifactError(f"the mega dataset has no network(s) {missing}")
+    pretrained = BritsModel.load(model_path)
+    parent_hash = _sha256(model_path)
     for net in networks:
         for strategy in strategies:
-            if strategy == "classifier_only":
-                model, history = finetune_classifier_only(pretrained, mega, net, schedule)
-            elif strategy == "entirety":
-                model, history = finetune_entirety(pretrained, mega, net, schedule)
-            else:
-                raise ConfigError(f"unknown fine-tune strategy {strategy!r}")
+            model, history = FINETUNERS[strategy](pretrained, mega, net, schedule)
             trained = TrainedModel(
                 name=f"brits_mega_ft-{strategy}_{net}",
                 kind="brits",
@@ -384,11 +366,7 @@ def stage_finetune(cfg: RunConfig, ws: Workspace) -> list[Path]:
                 model=model,
                 history=history,
             )
-            outputs += _save_model(
-                ws, trained, dataset_scope="mega", parent_hash=_sha256(model_path)
-            )
-    ws.log_stage("finetune", [model_path], outputs, time.time() - t0)
-    return outputs
+            _save_model(ws, trained, dataset_scope="mega", parent_hash=parent_hash)
 
 
 def _is_grid_score(item) -> bool:
@@ -414,11 +392,8 @@ def _read_model_meta(path: Path) -> dict:
     return meta
 
 
-def _load_models(
-    ws: Workspace, names: list[str] | None
-) -> list[tuple[TrainedModel, str, list[Path]]]:
-    """Each trained model, the dataset scope it was trained on, and the
-    files it was read from."""
+def _load_models(ws: Workspace, names: list[str] | None) -> list[tuple[TrainedModel, str]]:
+    """Each trained model and the dataset scope it was trained on."""
     models_dir = ws.require("models", "train")
     dirs = sorted(p for p in models_dir.iterdir() if p.is_dir())
     if names:
@@ -429,44 +404,33 @@ def _load_models(
             raise MissingArtifactError(f"no trained model artifacts for {sorted(missing)}")
     out = []
     for model_dir in dirs:
-        meta_path = model_dir / "meta.json"
-        meta = _read_model_meta(meta_path)
-        if meta["kind"] == "brits":
-            model_path = model_dir / "model.ilos"
-            model = BritsModel.load(model_path)
-        else:
-            model_path = model_dir / "model.json"
-            model = TreeEnsemble.load(model_path)
+        meta = _read_model_meta(ws.read(model_dir / "meta.json"))
+        loader = BritsModel.load if meta["kind"] == "brits" else TreeEnsemble.load
         trained = TrainedModel(
             name=meta["name"],
             kind=meta["kind"],
             scope=meta["scope"],
-            model=model,
+            model=loader(ws.read(model_dir / _model_file(meta["kind"]))),
             imputation=meta.get("imputation", "none"),
             grid_scores=[tuple(x) for x in meta.get("grid_scores", [])],
         )
-        out.append((trained, meta.get("dataset", trained.scope), [meta_path, model_path]))
+        out.append((trained, meta.get("dataset", trained.scope)))
     if not out:
         raise MissingArtifactError(f"no trained models under {models_dir}")
     return out
 
 
-def stage_evaluate(cfg: RunConfig, ws: Workspace) -> list[Path]:
-    t0 = time.time()
+def stage_evaluate(cfg: RunConfig, ws: Workspace) -> None:
     datasets = _load_datasets(ws)
-    inputs = [ws.root / "build" / net / "windows.ilos" for net in datasets]
     mega: WindowDataset | None = None
     models = _load_models(ws, cfg.evaluate.get("models"))
     facilities = tuple(cfg.evaluate.get("facilities", ()))
     truth_path = ws.root / "synth" / "ground_truth.csv"
-    truth = load_ground_truth(truth_path) if truth_path.exists() else None
-    outputs = []
-    for trained, scope, model_files in models:
-        inputs += model_files
+    truth = load_ground_truth(ws.read(truth_path)) if truth_path.exists() else None
+    for trained, scope in models:
         if scope == "mega":
             if mega is None:
                 mega = _load_mega(ws)
-                inputs.append(ws.root / "build" / "mega" / "windows.ilos")
             ds = mega
         elif scope in datasets:
             ds = datasets[scope]
@@ -480,50 +444,34 @@ def stage_evaluate(cfg: RunConfig, ws: Workspace) -> list[Path]:
         report = evaluate_model(
             trained, ds, facilities=facilities, extra_masks=extra, scores=scores
         )
-        eval_dir = ws.dir("eval", trained.name)
-        scores_path = eval_dir / "scores.json"
-        write_json(scores_path, report)
-        outputs.append(scores_path)
+        write_json(ws.write("eval", trained.name, "scores.json"), report)
         # Per-model overall PR curve and raw scores for plotting and audit.
         _, curve = evaluate_scores(scores, ds.label[idx])
-        curve_path = eval_dir / "pr_curve.csv"
-        write_curve_csv(curve_path, curve)
-        outputs.append(curve_path)
-        pred_path = eval_dir / "predictions.csv"
+        write_curve_csv(ws.write("eval", trained.name, "pr_curve.csv"), curve)
         rows = (
             [f"{ds.network[i]}:{ds.port[i]}:{int(ds.present_day[i])}", repr(float(s))]
             for i, s in zip(idx, scores)
         )
+        pred_path = ws.write("eval", trained.name, "predictions.csv")
         write_csv(pred_path, ["sample_id", "score"], rows, lineterminator="\n")
-        outputs.append(pred_path)
-    if truth is not None:
-        inputs.append(truth_path)
-    ws.log_stage("evaluate", inputs, outputs, time.time() - t0)
-    return outputs
 
 
-def stage_report(cfg: RunConfig, ws: Workspace) -> list[Path]:
-    t0 = time.time()
+def stage_report(cfg: RunConfig, ws: Workspace) -> None:
     eval_dir = ws.require("eval", "evaluate")
     per_model = {}
     for scores_path in sorted(eval_dir.glob("*/scores.json")):
-        report = read_json(scores_path, required=("model",))
+        report = read_json(ws.read(scores_path), required=("model",))
         if not isinstance(report["model"], str):
             raise DataError(f"{scores_path}: 'model' is not a string")
         per_model[report["model"]] = report
     if not per_model:
         raise MissingArtifactError(f"no evaluation outputs under {eval_dir}")
-    report_dir = ws.dir("report")
-    report_path = report_dir / "report.json"
-    write_json(report_path, {"models": per_model})
-    outputs = [report_path]
+    write_json(ws.write("report", "report.json"), {"models": per_model})
     if cfg.report.get("plots", False):
-        outputs += _render_plots(ws, eval_dir, report_dir)
-    ws.log_stage("report", sorted(eval_dir.glob("*/scores.json")), outputs, time.time() - t0)
-    return outputs
+        _render_plots(ws, eval_dir)
 
 
-def _render_plots(ws: Workspace, eval_dir: Path, report_dir: Path) -> list[Path]:
+def _render_plots(ws: Workspace, eval_dir: Path) -> None:
     try:
         import matplotlib
 
@@ -535,16 +483,14 @@ def _render_plots(ws: Workspace, eval_dir: Path, report_dir: Path) -> list[Path]
         ) from exc
     fig, ax = plt.subplots(figsize=(7, 5))
     for curve_path in sorted(eval_dir.glob("*/pr_curve.csv")):
-        rows = np.genfromtxt(curve_path, delimiter=",", names=True)
+        rows = np.genfromtxt(ws.read(curve_path), delimiter=",", names=True)
         ax.plot(rows["recall"], rows["precision"], label=curve_path.parent.name)
     ax.set_xscale("log")
     ax.set_xlabel("recall (log scale)")
     ax.set_ylabel("precision")
     ax.legend(fontsize=7)
-    out = report_dir / "pr_curves.svg"
-    fig.savefig(out, format="svg")
+    fig.savefig(ws.write("report", "pr_curves.svg"), format="svg")
     plt.close(fig)
-    return [out]
 
 
 STAGES = {
@@ -560,10 +506,16 @@ STAGES = {
 
 
 def run_stage(stage: str, cfg: RunConfig) -> list[Path]:
+    """Run one stage over the config's workspace, append its run-log line
+    (duration, sha256 of every file it read, every file it wrote) and
+    return the files it wrote."""
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}; expected one of {sorted(STAGES)}")
     ws = Workspace(cfg.workspace)
-    return STAGES[stage](cfg, ws)
+    t0 = time.perf_counter()
+    STAGES[stage](cfg, ws)
+    ws.log_stage(stage, time.perf_counter() - t0)
+    return ws.outputs
 
 
 # ---------------------------------------------------------------------------

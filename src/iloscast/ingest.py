@@ -139,15 +139,14 @@ def _ordinal(text: str) -> int:
         return -1
 
 
-def read_pm_csv(path: str | Path, schema_hint: FeatureSchema | None = None) -> PmColumns:
+def read_pm_csv(path: str | Path) -> PmColumns:
     """Parse a long-format PM CSV into columns in one pass.
 
     A bad line raises :class:`IngestError` naming the file and the 1-based
     line number; the first bad line in file order is reported. Within a
     line the checks run in this order: field count, date, numeric value,
-    facility (only with ``schema_hint``: facilities outside its one-hot
-    list are rejected), empty ``pm_name``, finite value. Blank lines are
-    skipped but counted. Each distinct date string is parsed once.
+    empty ``pm_name``, finite value. Blank lines are skipped but counted.
+    Each distinct date string is parsed once.
     """
     path = Path(path)
     rows = _read_rows(path)
@@ -179,17 +178,12 @@ def read_pm_csv(path: str | Path, schema_hint: FeatureSchema | None = None) -> P
     facility_table, facility_code = _factorize(facility)
     pm_table, pm_code = _factorize(pm_name)
 
-    unknown_facility = np.array(
-        [schema_hint is not None and f not in schema_hint.onehot_features for f in facility_table],
-        dtype=bool,
-    )[facility_code]
     empty_pm = np.array([not name for name in pm_table], dtype=bool)[pm_code]
 
     # (failing rows, message) per check, in the order a line is checked.
     checks = [
         (day < 0, lambda i: f"malformed date {day_text[i]!r}"),
         (not_numeric, lambda i: f"non-numeric value {value_text[i]!r} for {pm_name[i]}"),
-        (unknown_facility, lambda i: f"unknown facility {facility[i]!r}"),
         (empty_pm, lambda i: "pm_name must be non-empty"),
         (
             ~np.isfinite(value),

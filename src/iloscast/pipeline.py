@@ -271,20 +271,32 @@ def precursor_mask(dataset: WindowDataset, events: list) -> np.ndarray:
     """
     from .synth import START_DATE  # local import to keep module edges clean
 
-    start_ord = START_DATE.toordinal()
-    by_port: dict[tuple[str, str], list[int]] = {}
-    for ev in events:
-        if ev.has_precursor:
-            by_port.setdefault((ev.network_id, ev.port_id), []).append(
-                start_ord + ev.outage_day
-            )
-
-    mask = np.zeros(dataset.n, dtype=bool)
-    for i in range(dataset.n):
-        if dataset.label[i] == 0:
-            mask[i] = True
-            continue
-        outages = by_port.get((dataset.network[i], dataset.port[i]), ())
-        day = dataset.present_day[i]
-        mask[i] = any(0 < o - day <= 14 for o in outages)
+    mask = dataset.label == 0
+    pos = np.flatnonzero(~mask)
+    pre = [ev for ev in events if ev.has_precursor]
+    if not pos.size or not pre:
+        return mask
+    # Code each (network, port) pair of the positives; an event on a pair
+    # without positives cannot mark any sample and is dropped.
+    nets, net_code = np.unique(dataset.network[pos], return_inverse=True)
+    ports, port_code = np.unique(dataset.port[pos], return_inverse=True)
+    ev_net = np.array([ev.network_id for ev in pre], dtype=object)
+    ev_port = np.array([ev.port_id for ev in pre], dtype=object)
+    ev_day = START_DATE.toordinal() + np.array([ev.outage_day for ev in pre], dtype=np.int64)
+    ev_net_code = np.searchsorted(nets, ev_net).clip(max=nets.size - 1)
+    ev_port_code = np.searchsorted(ports, ev_port).clip(max=ports.size - 1)
+    known = (nets[ev_net_code] == ev_net) & (ports[ev_port_code] == ev_port)
+    # One sorted key per outage: pair code, then day. ``span`` exceeds every
+    # day offset plus 14, so a key range never crosses into another pair.
+    day = dataset.present_day[pos].astype(np.int64)
+    base = min(day.min(), ev_day.min())
+    span = max(day.max(), ev_day.max()) - base + 15
+    outages = np.sort(
+        (ev_net_code * ports.size + ev_port_code)[known] * span + ev_day[known] - base
+    )
+    key = (net_code * ports.size + port_code) * span + day - base
+    # Any outage o of the same pair with day < o <= day + 14.
+    after = np.searchsorted(outages, key, side="right")
+    within = np.searchsorted(outages, key + 14, side="right")
+    mask[pos] = within > after
     return mask

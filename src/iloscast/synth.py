@@ -31,8 +31,6 @@ CORE_PMS = ("QAVG", "QSTDEV", "UAS", "HCCS", "CV", "OPR", "OPT", "INFRAMES", "TR
 COUNTER_PMS = ("UAS", "HCCS", "CV")
 PROTOCOL_INDICATORS = ("TRAFFIC",)
 
-FACILITIES = ("OTM", "ETH")
-
 
 @dataclass(frozen=True)
 class GenConfig:

@@ -26,7 +26,6 @@ REASON_LOS_TODAY = "los_today"
 REASONS = (None, REASON_EMPTY_PAST, REASON_EMPTY_FUTURE, REASON_NO_TRAFFIC, REASON_LOS_TODAY)
 
 TRAIN, VALIDATION, TEST = 0, 1, 2
-SPLIT_NAMES = ("train", "validation", "test")
 
 
 @dataclass(frozen=True, eq=False)

@@ -354,6 +354,45 @@ def test_cli_unknown_train_network_exits_3_before_training(pipeline_ws, tmp_path
     assert not (ws / "models").exists()
 
 
+def test_cli_train_checks_validation_positives_before_training(tmp_path, capsys):
+    cfg = tiny_config(tmp_path)
+    cfg.synth = {"ports_per_network": [40, 24, 16], "days": 120}
+    for stage in ("synth", "ingest", "build"):
+        run_stage(stage, cfg)
+    config = tmp_path / "run.yaml"
+    cfg.dump(config)
+    assert cli_entry(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "validation split of 'net3' has no positive samples" in err
+    assert "Traceback" not in err
+    assert not (Path(cfg.workspace) / "models").exists()
+
+
+@pytest.mark.parametrize(
+    "transfer, code, message",
+    [
+        ({"strategies": ["classifier_only", "bogus"]}, 2, "'bogus'"),
+        ({"networks": ["net1", "net9"]}, 3, "['net9']"),
+    ],
+    ids=["strategy", "network"],
+)
+def test_cli_bad_finetune_config_exits_before_training(
+    pipeline_ws, tmp_path, capsys, transfer, code, message
+):
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    cfg = RunConfig.load(args[1])
+    cfg.train["models"] = ["brits"]
+    cfg.train["brits"] = {"hidden_size": 4, "max_epochs_phase1": 1, "max_epochs_phase2": 1}
+    cfg.transfer = transfer
+    cfg.dump(args[1])
+    assert cli_entry(["pretrain"] + args) == 0
+    assert cli_entry(["finetune"] + args) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not list((ws / "models").glob("*_ft-*"))
+
+
 @pytest.mark.parametrize(
     "old, new, where",
     [

@@ -112,15 +112,6 @@ def test_parse_rejects_nonfinite_value(tmp_path):
         read_pm_csv(path)
 
 
-def test_parse_unknown_facility_with_hint(tmp_path):
-    hint = FeatureSchema(
-        numeric_features=("HCCS", "UAS"), onehot_features=("OTM",)
-    )
-    path = write_csv(tmp_path, "net1,p1,WDM,2020-01-01,UAS,1\n")
-    with pytest.raises(IngestError, match="unknown facility 'WDM'"):
-        read_pm_csv(path, schema_hint=hint)
-
-
 def test_parse_unreadable_file(tmp_path):
     with pytest.raises(IngestError, match="cannot read"):
         read_pm_csv(tmp_path / "nope.csv")
@@ -277,7 +268,7 @@ def test_day_continuity():
 # Columnar ingest against the per-record reference implementation
 
 
-def reference_parse(path, schema_hint=None):
+def reference_parse(path):
     """The per-line parser the columnar one replaced, kept as the oracle
     for its messages."""
     import csv
@@ -313,8 +304,6 @@ def reference_parse(path, schema_hint=None):
                 raise IngestError(
                     f"{path}:{lineno}: non-numeric value {value_str!r} for {pm_name}"
                 ) from None
-            if schema_hint is not None and facility not in schema_hint.onehot_features:
-                raise IngestError(f"{path}:{lineno}: unknown facility {facility!r}")
             if not pm_name:
                 raise IngestError(f"{path}:{lineno}: pm_name must be non-empty")
             if not math.isfinite(value):
@@ -426,18 +415,6 @@ def test_bad_csv_messages_match_reference(tmp_path, case):
         ingest_csvs([path])
     assert str(parsed.value) == str(expected.value)
     assert str(ingested.value) == str(expected.value)
-
-
-def test_unknown_facility_message_matches_reference(tmp_path):
-    hint = FeatureSchema(numeric_features=("HCCS", "UAS"), onehot_features=("OTM",))
-    # The facility check runs after the value check and before the pm_name one.
-    for body in ("net1,p1,WDM,2020-01-01,UAS,x\n", "net1,p1,WDM,2020-01-01,,1\n"):
-        path = write_csv(tmp_path, GOOD + body)
-        with pytest.raises(IngestError) as expected:
-            reference_parse(path, hint)
-        with pytest.raises(IngestError) as parsed:
-            read_pm_csv(path, schema_hint=hint)
-        assert str(parsed.value) == str(expected.value)
 
 
 def test_empty_and_missing_files_match_reference(tmp_path):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +145,15 @@ def test_evaluate_model_scores_test_split_once(small_world, monkeypatch):
         assert inputs[subset][1].tobytes() == labels.tobytes(), subset
 
 
+def workspace_files(root):
+    """Each file under ``root`` but the run log, with its modification time."""
+    return {
+        p: p.stat().st_mtime_ns
+        for p in root.rglob("*")
+        if p.is_file() and p.name != "runlog.jsonl"
+    }
+
+
 def test_brits_stage_and_finetune_workspace(tmp_path):
     cfg = RunConfig(
         seed=20240801,
@@ -159,17 +170,52 @@ def test_brits_stage_and_finetune_workspace(tmp_path):
         },
         transfer={"networks": ["net3"], "strategies": ["classifier_only"]},
     )
-    for stage in ("synth", "ingest", "build", "pretrain", "finetune", "evaluate", "report"):
-        run_stage(stage, cfg)
-    ws = Workspace(cfg.workspace)
-    assert (ws.root / "models" / "brits_mega" / "model.ilos").exists()
-    assert (ws.root / "models" / "brits_mega_ft-classifier_only_net3" / "model.ilos").exists()
-    report = json.loads((ws.root / "report" / "report.json").read_text())
+    root = Workspace(cfg.workspace).root
+    nets = ("net1", "net2", "net3")
+    built = {root / "build" / net / "windows.ilos" for net in nets}
+    mega = root / "build" / "mega" / "windows.ilos"
+    pretrained = root / "models" / "brits_mega"
+    tuned = root / "models" / "brits_mega_ft-classifier_only_net3"
+    # The files each stage reads, in this run's order of stages.
+    reads = {
+        "synth": set(),
+        "ingest": {root / "synth" / f"{net}.csv" for net in nets},
+        "build": {root / "ingest" / net / "series.ilos" for net in nets},
+        "pretrain": built,
+        "finetune": {mega, pretrained / "model.ilos"},
+        "evaluate": built
+        | {mega, root / "synth" / "ground_truth.csv"}
+        | {d / name for d in (pretrained, tuned) for name in ("meta.json", "model.ilos")},
+        "report": {root / "eval" / d.name / "scores.json" for d in (pretrained, tuned)},
+    }
+    written = {}
+    for stage in reads:
+        before = workspace_files(root) if root.exists() else {}
+        returned = run_stage(stage, cfg)
+        after = workspace_files(root)
+        written[stage] = {p for p, mtime in after.items() if before.get(p) != mtime}
+        assert set(returned) == written[stage], stage
+
+    lines = (root / "runlog.jsonl").read_text(encoding="utf-8").splitlines()
+    entries = [json.loads(line) for line in lines]
+    assert [e["stage"] for e in entries] == list(reads)
+    for entry in entries:
+        stage = entry["stage"]
+        assert set(entry["inputs"]) == {str(p) for p in reads[stage]}, stage
+        for path, digest in entry["inputs"].items():
+            assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest(), path
+        assert sorted(entry["outputs"]) == sorted(map(str, written[stage])), stage
+    assert root / "synth" / "summary.json" in written["synth"]
+    assert {mega, mega.parent / "manifest.json"} <= written["pretrain"]
+
+    assert (pretrained / "model.ilos").exists()
+    assert (tuned / "model.ilos").exists()
+    report = json.loads((root / "report" / "report.json").read_text())
     assert "brits_mega" in report["models"]
     ft = report["models"]["brits_mega_ft-classifier_only_net3"]
     assert 0.0 <= ft["overall"] <= 0.1
     # history is persisted for audit
-    assert (ws.root / "models" / "brits_mega" / "history.csv").exists()
+    assert (pretrained / "history.csv").exists()
 
 
 def test_precursor_mask_semantics(small_world):
@@ -184,6 +230,66 @@ def test_precursor_mask_semantics(small_world):
     for i in np.flatnonzero(mega.label == 1):
         if (mega.network[i], mega.port[i]) not in precursor_ports:
             assert not mask[i]
+
+
+def reference_precursor_mask(dataset, events):
+    """The per-sample loop ``precursor_mask`` replaced, kept as its oracle."""
+    from iloscast.synth import START_DATE
+
+    start_ord = START_DATE.toordinal()
+    by_port = {}
+    for ev in events:
+        if ev.has_precursor:
+            by_port.setdefault((ev.network_id, ev.port_id), []).append(start_ord + ev.outage_day)
+    mask = np.zeros(dataset.n, dtype=bool)
+    for i in range(dataset.n):
+        if dataset.label[i] == 0:
+            mask[i] = True
+            continue
+        outages = by_port.get((dataset.network[i], dataset.port[i]), ())
+        day = dataset.present_day[i]
+        mask[i] = any(0 < o - day <= 14 for o in outages)
+    return mask
+
+
+def test_precursor_mask_matches_reference_at_bench_seed(tmp_path):
+    from iloscast.benchmark import BENCH_SEED
+
+    result = generate(GenConfig(seed=BENCH_SEED), tmp_path)
+    datasets, _ = build_network_datasets(ingest_csvs([str(p) for p in result.csv_paths]))
+    mega = build_mega_dataset(list(datasets.values()))
+    mask = precursor_mask(mega, result.events)
+    assert mask.tobytes() == reference_precursor_mask(mega, result.events).tobytes()
+    assert 0 < (mask & (mega.label == 1)).sum() < (mega.label == 1).sum()
+
+
+def test_precursor_mask_matches_reference_on_random_events(small_world):
+    """Several outages per port, outages exactly 0, 1, 14 and 15 days after
+    a positive's present day, events on unknown ports and networks, and
+    outages without a precursor."""
+    from iloscast.synth import START_DATE, OutageEvent
+
+    _, _, mega = small_world
+    rng = np.random.default_rng(7)
+    start = START_DATE.toordinal()
+    positives = np.flatnonzero(mega.label == 1)
+    for trial in range(20):
+        events = []
+        for i in rng.choice(positives, size=rng.integers(1, 40)):
+            for offset in rng.choice([-3, -1, 0, 1, 2, 13, 14, 15, 30], size=rng.integers(1, 4)):
+                events.append(
+                    OutageEvent(
+                        str(mega.network[i]),
+                        str(mega.port[i]),
+                        int(mega.present_day[i]) + int(offset) - start,
+                        bool(rng.random() < 0.8),
+                    )
+                )
+        events.append(OutageEvent("net9", str(mega.port[positives[0]]), 0, True))
+        events.append(OutageEvent(str(mega.network[positives[0]]), "no-such-port", 0, True))
+        expected = reference_precursor_mask(mega, events)
+        assert precursor_mask(mega, events).tobytes() == expected.tobytes(), trial
+    assert precursor_mask(mega, []).tobytes() == (mega.label == 0).tobytes()
 
 
 def test_train_model_dispatch(small_world):
