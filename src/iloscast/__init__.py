@@ -26,7 +26,7 @@ from .missing import (
     impute_zero,
 )
 from .dataset import WindowDataset, build_dataset
-from .metrics import PrCurve, Score, pr_auc_truncated, pr_curve, weighted_average
+from .metrics import PrCurve, pr_auc_truncated, pr_curve, weighted_average
 from .trees import (
     BoosterConfig,
     ForestConfig,

@@ -25,8 +25,8 @@ import yaml
 from .dataset import WindowDataset, write_audit_csv
 from .errors import ConfigError, DataError, IloscastError, MissingArtifactError, NumericError
 from .ingest import series_from_arrays, series_to_arrays
-from .container import read_container, read_json, require_keys, write_container, write_csv, write_json
-from .metrics import evaluate_scores, write_curve_csv
+from .container import decoding, read_container, read_json, require_keys, write_container, write_csv, write_json
+from . import metrics
 from .pipeline import (
     BritsSettings,
     DEFAULT_GRID,
@@ -45,6 +45,71 @@ from .synth import GenConfig, PROTOCOL_INDICATORS, generate, load_ground_truth, 
 from .transfer import build_mega_dataset, finetune_classifier_only, finetune_entirety
 from .trees import TreeEnsemble
 from .windows import TEST
+
+
+#: Every config key the stages read, and what its value must be: a type
+#: (``float`` also takes an integer), ``[type]`` for a list of that type,
+#: or a nested table for a mapping.
+CONFIG_KEYS: dict = {
+    "seed": int,
+    "workspace": str,
+    "synth": {
+        "ports_per_network": [int],
+        "n_networks": int,
+        "days": int,
+        "target_missing_rate": float,
+        "degrade_fraction": float,
+        "unpredictable_fraction": float,
+        "benign_dip_fraction": float,
+        "dual_facility_prob": float,
+        "extra_features_per_network": int,
+        "feature_overlap": float,
+        "zero_suppression": bool,
+    },
+    "ingest": {"inputs": [str], "protocol_indicators": [str]},
+    "build": {"past_days": int, "future_days": int},
+    "train": {
+        "models": [str],
+        "networks": [str],
+        "grid": [int],
+        "forest_imputation": str,
+        "brits": {
+            "hidden_size": int,
+            "batch_size": int,
+            "learning_rate": float,
+            "max_epochs_phase1": int,
+            "max_epochs_phase2": int,
+            "patience": int,
+            "min_delta": float,
+        },
+    },
+    "transfer": {"strategies": [str], "networks": [str]},
+    "evaluate": {"models": [str], "facilities": [str]},
+    "report": {"plots": bool},
+}
+
+
+def _check_config(where: str, value, spec) -> None:
+    """:class:`ConfigError` naming the key at ``where`` unless ``value`` fits
+    ``spec``, an entry of :data:`CONFIG_KEYS`."""
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be a mapping, not {type(value).__name__}")
+        unknown = sorted(set(value) - set(spec))
+        if unknown:
+            raise ConfigError(f"unknown {where or 'config'} key(s) {unknown}")
+        for key, item in value.items():
+            _check_config(f"{where}.{key}" if where else key, item, spec[key])
+    elif isinstance(spec, list):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, not {type(value).__name__}")
+        for i, item in enumerate(value):
+            _check_config(f"{where}[{i}]", item, spec[0])
+    else:
+        # bool is a subclass of int, so only a bool spec takes true/false.
+        accepted = (int, float) if spec is float else spec
+        if isinstance(value, bool) != (spec is bool) or not isinstance(value, accepted):
+            raise ConfigError(f"{where} must be {spec.__name__}, not {type(value).__name__}")
 
 
 @dataclass
@@ -68,10 +133,7 @@ class RunConfig:
     def from_dict(cls, d: dict) -> "RunConfig":
         if "seed" not in d:
             raise ConfigError("config field 'seed' is mandatory")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        _check_config("", d, CONFIG_KEYS)
         return cls(**d)
 
     @classmethod
@@ -153,32 +215,10 @@ class Workspace:
 
 def stage_synth(cfg: RunConfig, ws: Workspace) -> None:
     opts = dict(cfg.synth)
-    ports = opts.pop("ports_per_network", None)
-    gen_kwargs = {}
-    for name in (
-        "n_networks",
-        "days",
-        "target_missing_rate",
-        "degrade_fraction",
-        "unpredictable_fraction",
-        "benign_dip_fraction",
-        "dual_facility_prob",
-        "extra_features_per_network",
-        "feature_overlap",
-        "zero_suppression",
-    ):
-        if name in opts:
-            gen_kwargs[name] = opts.pop(name)
-    if opts:
-        raise ConfigError(f"unknown synth options: {sorted(opts)}")
-    if ports is not None:
-        gen_kwargs["ports_per_network"] = tuple(ports)
-        gen_kwargs.setdefault("n_networks", len(ports))
-    try:
-        gen_cfg = GenConfig(seed=cfg.seed, **gen_kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad synth options: {exc}") from exc
-    result = generate(gen_cfg, ws.root / "synth")
+    if "ports_per_network" in opts:
+        opts["ports_per_network"] = tuple(opts["ports_per_network"])
+        opts.setdefault("n_networks", len(opts["ports_per_network"]))
+    result = generate(GenConfig(seed=cfg.seed, **opts), ws.root / "synth")
     ws.outputs += [*result.csv_paths, result.truth_path]  # named by the generator
     write_json(ws.write("synth", "summary.json"), result.summary)
 
@@ -214,8 +254,9 @@ def _load_ingested(ws: Workspace) -> dict[str, tuple[FeatureSchema, list]]:
         path = ws.read(net_dir / "series.ilos")
         arrays, meta = read_container(path)
         require_keys(meta, ("schema", "ports"), path, "metadata")
-        schema = FeatureSchema.from_dict(meta["schema"])
-        out[net_dir.name] = (schema, series_from_arrays(arrays, meta))
+        with decoding(path, "series container"):
+            schema = FeatureSchema.from_dict(meta["schema"])
+            out[net_dir.name] = (schema, series_from_arrays(arrays, meta))
     if not out:
         raise MissingArtifactError(f"no ingested networks under {ingest_dir}")
     return out
@@ -263,11 +304,7 @@ def _load_mega(ws: Workspace) -> WindowDataset:
 
 
 def _brits_settings(cfg: RunConfig) -> BritsSettings:
-    opts = dict(cfg.train.get("brits", {}))
-    try:
-        return BritsSettings(**opts)
-    except TypeError as exc:
-        raise ConfigError(f"bad train.brits options: {exc}") from exc
+    return BritsSettings(**cfg.train.get("brits", {}))
 
 
 def _train_options(cfg: RunConfig) -> tuple[list[str], dict]:
@@ -446,8 +483,10 @@ def stage_evaluate(cfg: RunConfig, ws: Workspace) -> None:
         )
         write_json(ws.write("eval", trained.name, "scores.json"), report)
         # Per-model overall PR curve and raw scores for plotting and audit.
-        _, curve = evaluate_scores(scores, ds.label[idx])
-        write_curve_csv(ws.write("eval", trained.name, "pr_curve.csv"), curve)
+        # The curve comes through the metrics module, where perfbench's
+        # tracer counts every ``pr_curve`` call.
+        curve = metrics.pr_curve(scores, ds.label[idx])
+        metrics.write_curve_csv(ws.write("eval", trained.name, "pr_curve.csv"), curve)
         rows = (
             [f"{ds.network[i]}:{ds.port[i]}:{int(ds.present_day[i])}", repr(float(s))]
             for i, s in zip(idx, scores)

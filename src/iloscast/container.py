@@ -32,7 +32,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError, MissingArtifactError
+from .errors import ConfigError, DataError, MissingArtifactError, SchemaError
 
 MAGIC = b"ILOS1"
 VERSION = 1
@@ -168,6 +168,19 @@ def require_keys(obj: dict, keys: tuple[str, ...], path: str | Path, what: str =
     if missing:
         raise DataError(f"{path}: {what} is missing key(s) {', '.join(map(repr, missing))}")
     return obj
+
+
+@contextmanager
+def decoding(path: str | Path, what: str) -> Iterator[None]:
+    """Run a block that builds ``what`` from the contents of ``path``; a
+    missing key or a wrong-typed or out-of-range value in them becomes a
+    :class:`DataError` naming ``path``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DataError(f"{path}: malformed {what}: missing key {exc}") from None
+    except (TypeError, ValueError, IndexError, OverflowError, ConfigError, SchemaError) as exc:
+        raise DataError(f"{path}: malformed {what}: {exc}") from None
 
 
 def read_json(path: str | Path, required: tuple[str, ...] = ()) -> dict:

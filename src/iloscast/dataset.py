@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import read_container, require_keys, write_container, write_csv
+from .container import decoding, read_container, require_keys, write_container, write_csv
 from .errors import DataError
 from .ingest import PortSeries
 from .missing import compute_mask, compute_time_gaps, flatten_for_trees, impute_median, impute_zero, train_medians
@@ -92,21 +92,13 @@ class WindowDataset:
     def networks(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.network.tolist())))
 
-    def indices(
-        self,
-        split: int | None = None,
-        network: str | None = None,
-        facility: str | None = None,
-    ) -> np.ndarray:
-        """Indices of samples matching the given split/network/facility."""
+    def indices(self, split: int | None = None, network: str | None = None) -> np.ndarray:
+        """Indices of samples matching the given split and network."""
         keep = np.ones(self.n, dtype=bool)
         if split is not None:
             keep &= self.split == split
         if network is not None:
             keep &= self.network == network
-        if facility is not None:
-            col = self.schema.onehot_index(facility)
-            keep &= self.x[:, 0, col] == 1.0
         return np.flatnonzero(keep)
 
     def subset(self, idx: np.ndarray) -> "WindowDataset":
@@ -189,21 +181,26 @@ class WindowDataset:
         arrays, meta = read_container(path)
         require_keys(meta, ("schema", "norm", "networks", "ports"), path, "metadata")
         require_keys(arrays, _ARRAYS, path, "array set")
-        nets = np.asarray(meta["networks"], dtype=object)
-        ports = np.asarray(meta["ports"], dtype=object)
-        return cls(
-            schema=FeatureSchema.from_dict(meta["schema"]),
-            x=arrays["x"],
-            label=arrays["label"].astype(np.int8),
-            network=nets[arrays["network_code"]],
-            port=ports[arrays["port_code"]],
-            present_day=arrays["present_day"],
-            split=arrays["split"].astype(np.int8),
-            norm=NormStats.from_dict(meta["norm"]),
-            split_bounds=tuple(meta.get("split_bounds", ("", ""))),
-            past_days=int(meta.get("past_days", 7)),
-            future_days=int(meta.get("future_days", 7)),
-        )
+        with decoding(path, "window dataset"):
+            nets = np.asarray(meta["networks"], dtype=object)
+            ports = np.asarray(meta["ports"], dtype=object)
+            # A negative code would index from the end without an error.
+            for key, names in (("network_code", nets), ("port_code", ports)):
+                if ((arrays[key] < 0) | (arrays[key] >= names.size)).any():
+                    raise DataError(f"{path}: {key} holds a code outside [0, {names.size})")
+            return cls(
+                schema=FeatureSchema.from_dict(meta["schema"]),
+                x=arrays["x"],
+                label=arrays["label"].astype(np.int8),
+                network=nets[arrays["network_code"]],
+                port=ports[arrays["port_code"]],
+                present_day=arrays["present_day"],
+                split=arrays["split"].astype(np.int8),
+                norm=NormStats.from_dict(meta["norm"]),
+                split_bounds=tuple(meta.get("split_bounds", ("", ""))),
+                past_days=int(meta.get("past_days", 7)),
+                future_days=int(meta.get("future_days", 7)),
+            )
 
 
 def build_dataset(

@@ -30,15 +30,6 @@ class PrCurve:
     n_total: int
 
 
-@dataclass(frozen=True)
-class Score:
-    """Truncated PR-AUC value plus what was evaluated."""
-
-    value: float
-    subset: str = ""
-    recall_cap: float = RECALL_CAP
-
-
 def pr_curve(scores: np.ndarray, labels: np.ndarray) -> PrCurve:
     """Exact PR curve with one point per distinct score.
 
@@ -80,7 +71,7 @@ def pr_curve(scores: np.ndarray, labels: np.ndarray) -> PrCurve:
     )
 
 
-def pr_auc_truncated(curve: PrCurve, recall_cap: float = RECALL_CAP) -> Score:
+def pr_auc_truncated(curve: PrCurve, recall_cap: float = RECALL_CAP) -> float:
     """Area of the precision(recall) step function from 0 to ``recall_cap``.
 
     Each recall increment takes the precision of the sweep point achieving
@@ -98,7 +89,7 @@ def pr_auc_truncated(curve: PrCurve, recall_cap: float = RECALL_CAP) -> Score:
             r_prev = r_hi
         if r_prev >= recall_cap:
             break
-    return Score(value=float(area), recall_cap=recall_cap)
+    return float(area)
 
 
 def weighted_average(scores: list[float], sizes: list[int]) -> float:
@@ -109,17 +100,6 @@ def weighted_average(scores: list[float], sizes: list[int]) -> float:
         raise DataError("sizes must be positive")
     total = float(sum(sizes))
     return float(sum(d * n for d, n in zip(scores, sizes)) / total)
-
-
-def evaluate_scores(
-    scores: np.ndarray,
-    labels: np.ndarray,
-    subset: str = "",
-    recall_cap: float = RECALL_CAP,
-) -> tuple[Score, PrCurve]:
-    curve = pr_curve(scores, labels)
-    d = pr_auc_truncated(curve, recall_cap)
-    return Score(value=d.value, subset=subset, recall_cap=recall_cap), curve
 
 
 def write_curve_csv(path: str | Path, curve: PrCurve) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 from .dataset import Audit, WindowDataset, build_dataset
 from .errors import DataError
 from .ingest import PmColumns, build_schema, merge_to_port_level, read_pm_csv
-from .metrics import evaluate_scores, pr_auc_truncated, pr_curve, weighted_average
+from .metrics import pr_auc_truncated, pr_curve, weighted_average
 from .rits import BritsModel, TrainSchedule, brits_predict, init_brits, train_brits
 from .schema import FeatureSchema
 from .synth import PROTOCOL_INDICATORS
@@ -35,7 +35,9 @@ MODEL_KINDS = ("booster", "forest", "brits")
 
 
 def truncated_auc_metric(scores: np.ndarray, labels: np.ndarray) -> float:
-    return pr_auc_truncated(pr_curve(scores, labels)).value
+    """D of ``scores`` against 0/1 ``labels``: the one way grid search and
+    evaluation compute it."""
+    return pr_auc_truncated(pr_curve(scores, labels))
 
 
 def ingest_csvs(
@@ -219,46 +221,33 @@ def evaluate_model(
 
     The model scores ``dataset.indices(split=TEST)`` once and every subset
     is a slice of those scores. A caller that has already scored them
-    passes them as ``scores``, in that index order.
+    passes them as ``scores``, in that index order. A subset without a
+    positive sample gets no score; the whole test split must have one.
     """
     test = dataset.indices(split=TEST)
     if scores is None:
         scores = trained.predictor(dataset)(test)
     labels = dataset.label[test]
+    first_day = dataset.x[test, 0]  # facility one-hot flags are constant per port
+    subsets = [("per_network", net, dataset.network[test] == net) for net in dataset.networks]
+    subsets += [
+        ("per_facility", fac, first_day[:, dataset.schema.onehot_index(fac)] == 1.0)
+        for fac in facilities
+    ]
+    subsets += [("subsets", name, mask[test]) for name, mask in (extra_masks or {}).items()]
+
     report: dict = {"model": trained.name, "per_network": {}, "per_facility": {}, "subsets": {}}
-
-    def d_value(keep: np.ndarray, subset: str) -> float | None:
-        """D on the kept test samples; None when they hold no positive."""
-        if labels[keep].sum() == 0:
-            return None
-        return evaluate_scores(scores[keep], labels[keep], subset=subset)[0].value
-
-    sizes = []
-    values = []
-    for net in dataset.networks:
-        keep = dataset.network[test] == net
-        value = d_value(keep, f"network={net}")
-        if value is not None:
-            report["per_network"][net] = value
-            sizes.append(int(keep.sum()))
-            values.append(value)
-    if values:
-        report["weighted_average"] = weighted_average(values, sizes)
-
-    score, _ = evaluate_scores(scores, labels, subset="overall")
-    report["overall"] = score.value
-
-    for fac in facilities:
-        keep = dataset.x[test, 0, dataset.schema.onehot_index(fac)] == 1.0
-        value = d_value(keep, f"facility={fac}")
-        if value is not None:
-            report["per_facility"][fac] = value
-
-    for name, mask in (extra_masks or {}).items():
-        value = d_value(mask[test], name)
-        if value is not None:
-            report["subsets"][name] = value
-
+    network_sizes = []
+    for section, name, keep in subsets:
+        if labels[keep].any():
+            report[section][name] = truncated_auc_metric(scores[keep], labels[keep])
+            if section == "per_network":
+                network_sizes.append(int(keep.sum()))
+    if network_sizes:
+        report["weighted_average"] = weighted_average(
+            list(report["per_network"].values()), network_sizes
+        )
+    report["overall"] = truncated_auc_metric(scores, labels)
     return report
 
 

@@ -389,15 +389,8 @@ def _bce(logit: np.ndarray, y: np.ndarray) -> np.ndarray:
 class BritsOutput:
     """Combined bidirectional outputs, in forward time order."""
 
-    probability: np.ndarray
-    prob_fwd: np.ndarray
-    prob_bwd: np.ndarray
+    probability: np.ndarray  # mean of the two directions' probabilities
     imputed: np.ndarray  # m*x + (1-m)*mean of directional estimates
-    x_prime_fwd: np.ndarray
-    x_prime_bwd: np.ndarray  # re-reversed into forward time order
-    estimation_fwd: float
-    estimation_bwd: float
-    consistency: float
 
 
 def backward_inputs(x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -417,8 +410,7 @@ def _forward_pair(
     gap is nonzero on the filled-in cells only.
     """
     fwd = _rits_forward(model.fwd, x, mask, delta, keep_steps)
-    xb, mb, db = backward_inputs(x, mask)
-    bwd = _rits_forward(model.bwd, xb, mb, db, keep_steps)
+    bwd = _rits_forward(model.bwd, *backward_inputs(x, mask), keep_steps)
     return fwd, bwd, fwd["x_comp"] - bwd["x_comp"][:, ::-1]
 
 
@@ -450,22 +442,15 @@ def total_loss(comps: dict[str, float], weights: dict[str, float], phase: int = 
 def brits_forward(
     model: BritsModel, x: np.ndarray, mask: np.ndarray, delta: np.ndarray
 ) -> BritsOutput:
-    """Run both directions and average their outputs; keeps no step caches."""
+    """Run both directions and average their outputs; keeps no step caches
+    and computes no loss terms."""
     x, mask, delta = _check_batch(x, mask, delta)
-    fwd, bwd, diff = _forward_pair(model, x, mask, delta)
-    chat_b_aligned = bwd["x_prime"][:, ::-1]
-    mean_prime = 0.5 * (fwd["x_prime"] + chat_b_aligned)
-    imputed = mask * x + (1.0 - mask) * mean_prime
+    fwd = _rits_forward(model.fwd, x, mask, delta)
+    bwd = _rits_forward(model.bwd, *backward_inputs(x, mask))
+    mean_prime = 0.5 * (fwd["x_prime"] + bwd["x_prime"][:, ::-1])
     return BritsOutput(
         probability=0.5 * (fwd["prob"] + bwd["prob"]),
-        prob_fwd=fwd["prob"],
-        prob_bwd=bwd["prob"],
-        imputed=imputed,
-        x_prime_fwd=fwd["x_prime"],
-        x_prime_bwd=chat_b_aligned,
-        estimation_fwd=float(fwd["est_per_sample"].mean()),
-        estimation_bwd=float(bwd["est_per_sample"].mean()),
-        consistency=float(np.mean(np.abs(diff))),
+        imputed=mask * x + (1.0 - mask) * mean_prime,
     )
 
 

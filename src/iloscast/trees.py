@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .activation import sigmoid
-from .container import atomic_write, read_json, require_keys
+from .container import atomic_write, decoding, read_json, require_keys
 from .errors import ConfigError, DataError
 
 _LEAF = -1
@@ -176,7 +176,7 @@ class TreeEnsemble:
         unknown = sorted(set(config) - set(cfg_cls.__dataclass_fields__))
         if unknown:
             raise DataError(f"{path}: config has unknown key(s) {unknown} for {cfg_cls.__name__}")
-        try:
+        with decoding(path, "tree ensemble"):
             model = cls(
                 kind=payload["kind"],
                 trees=[Tree.from_dict(require_keys(d, TREE_KEYS, path, "tree")) for d in payload["trees"]],
@@ -185,8 +185,6 @@ class TreeEnsemble:
                 base_score=float(payload["base_score"]),
                 train_loss=list(payload.get("train_loss", [])),
             )
-        except (TypeError, ValueError, OverflowError, ConfigError) as exc:
-            raise DataError(f"{path}: malformed tree ensemble: {exc}") from None
         for i, tree in enumerate(model.trees):
             problem = _tree_defect(tree, model.n_columns)
             if problem:

@@ -197,22 +197,22 @@ def test_criterion_5_metric_oracle():
         labels = (rng.random(n) < rng.uniform(0.1, 0.6)).astype(int)
         if labels.sum() == 0:
             labels[int(rng.integers(0, n))] = 1
-        d = pr_auc_truncated(pr_curve(scores, labels)).value
+        d = pr_auc_truncated(pr_curve(scores, labels))
         assert d == pytest.approx(oracle_truncated_area(scores, labels), abs=1e-12)
 
     # perfect classifier scores the full cap exactly
     perfect = pr_auc_truncated(
         pr_curve(np.array([0.9, 0.8, 0.3, 0.1]), np.array([1, 1, 0, 0]))
-    ).value
+    )
     assert perfect == 0.1
 
     # invariance under strictly monotone score transforms
     scores = rng.random(60)
     labels = (rng.random(60) < 0.3).astype(int)
     labels[0] = 1
-    base = pr_auc_truncated(pr_curve(scores, labels)).value
+    base = pr_auc_truncated(pr_curve(scores, labels))
     for transform in (lambda s: 10 * s - 3, np.exp, lambda s: np.arctan(s) + s):
-        assert pr_auc_truncated(pr_curve(transform(scores), labels)).value == base
+        assert pr_auc_truncated(pr_curve(transform(scores), labels)) == base
     elapsed = time.time() - t0
     assert elapsed < 10.0
     report(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import shutil
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from iloscast.cli import RunConfig, Workspace, cli_entry, run_stage
 from iloscast.errors import ConfigError, MissingArtifactError
@@ -53,6 +55,55 @@ def test_config_rejects_unknown_fields(tmp_path):
     path.write_text("seed: 1\nbogus: 2\n")
     with pytest.raises(ConfigError, match="bogus"):
         RunConfig.load(path)
+
+
+@pytest.mark.parametrize(
+    "stage, key, value, message",
+    [
+        ("synth", "synth.ports_per_network", 5, "synth.ports_per_network must be a list, not int"),
+        ("ingest", "ingest.inputs", 5, "ingest.inputs must be a list, not int"),
+        ("ingest", "ingest.protocol_indicators", 5, "ingest.protocol_indicators must be a list"),
+        ("build", "build.past_days", "x", "build.past_days must be int, not str"),
+        ("build", "build.future_days", True, "build.future_days must be int, not bool"),
+        ("train", "train.grid", 5, "train.grid must be a list, not int"),
+        ("train", "train.grid", ["10"], "train.grid[0] must be int, not str"),
+        ("train", "train.brits", [1], "train.brits must be a mapping, not list"),
+        ("train", "train.brits.hidden_size", 8.5, "train.brits.hidden_size must be int, not float"),
+        ("evaluate", "evaluate.facilities", 5, "evaluate.facilities must be a list, not int"),
+        ("train", "train", [1], "train must be a mapping, not list"),
+        ("train", "train.modelz", ["forest"], "unknown train key(s) ['modelz']"),
+        ("build", "build.past_day", 3, "unknown build key(s) ['past_day']"),
+        ("evaluate", "evaluate.facility", ["OTM"], "unknown evaluate key(s) ['facility']"),
+        ("report", "report.plots", "no", "report.plots must be bool, not str"),
+    ],
+)
+def test_cli_bad_config_exits_2(tmp_path, capsys, stage, key, value, message):
+    raw = tiny_config(tmp_path).to_dict()
+    *sections, last = key.split(".")
+    target = raw
+    for section in sections:
+        target = target.setdefault(section, {})
+    target[last] = value
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert cli_entry([stage, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "ws").exists()
+
+
+def test_config_keys_match_the_settings_they_fill():
+    """Every key of the config table reaches a field of the object it fills."""
+    from dataclasses import fields
+
+    from iloscast.cli import CONFIG_KEYS
+    from iloscast.pipeline import BritsSettings
+    from iloscast.synth import GenConfig
+
+    assert set(CONFIG_KEYS) == {f.name for f in fields(RunConfig)}
+    assert set(CONFIG_KEYS["synth"]) <= {f.name for f in fields(GenConfig)}
+    assert set(CONFIG_KEYS["train"]["brits"]) == {f.name for f in fields(BritsSettings)}
 
 
 def test_unknown_stage_rejected(tmp_path):
@@ -108,6 +159,35 @@ def test_predictions_scores_parse_as_plain_floats(pipeline_ws):
         assert lines
         for line in lines:
             assert 0.0 <= float(line.rsplit(",", 1)[1]) <= 1.0
+
+
+def test_evaluate_outputs_agree(pipeline_ws):
+    """D from each model's pr_curve.csv and from its predictions.csv equals
+    its scores.json overall value, bit for bit."""
+    from iloscast.dataset import WindowDataset
+    from iloscast.metrics import PrCurve, pr_auc_truncated, pr_curve
+    from iloscast.windows import TEST
+
+    cfg, _ = pipeline_ws
+    root = Path(cfg.workspace)
+    eval_dirs = sorted((root / "eval").iterdir())
+    assert eval_dirs
+    for eval_dir in eval_dirs:
+        meta = json.loads((root / "models" / eval_dir.name / "meta.json").read_text())
+        ds = WindowDataset.load(root / "build" / meta["dataset"] / "windows.ilos")
+        test = ds.indices(split=TEST)
+        labels = ds.label[test]
+        with open(eval_dir / "predictions.csv", encoding="utf-8", newline="") as fh:
+            ids, scores = zip(*list(csv.reader(fh))[1:])
+        assert list(ids) == [f"{ds.network[i]}:{ds.port[i]}:{int(ds.present_day[i])}" for i in test]
+        from_predictions = pr_auc_truncated(pr_curve(np.array([float(s) for s in scores]), labels))
+        with open(eval_dir / "pr_curve.csv", encoding="utf-8", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["threshold", "precision", "recall"]
+        columns = (np.array([float(v) for v in col]) for col in zip(*rows))
+        from_curve = pr_auc_truncated(PrCurve(*columns, int(labels.sum()), int(labels.size)))
+        overall = json.loads((eval_dir / "scores.json").read_text())["overall"]
+        assert from_curve == from_predictions == overall, eval_dir.name
 
 
 def container_cut_points(blob: bytes) -> dict[str, int]:
@@ -214,6 +294,39 @@ def test_cli_container_metadata_missing_key_exits_1(pipeline_ws, tmp_path, capsy
     write_container(ws / artifact, arrays, meta)
     assert cli_entry([stage] + args) == 1
     assert f"metadata is missing key(s) '{key}'" in capsys.readouterr().err
+
+
+SERIES = "ingest/net1/series.ilos"
+WINDOWS = "build/net1/windows.ilos"
+
+
+@pytest.mark.parametrize(
+    "stage, artifact, edit, message",
+    [
+        ("build", SERIES, lambda a, m: m["ports"][0].pop("start_day"), "missing key 'start_day'"),
+        ("build", SERIES, lambda a, m: m["ports"][0].update(start_day="x"), "isoformat"),
+        ("build", SERIES, lambda a, m: a.pop("values_00000"), "missing key 'values_00000'"),
+        ("build", SERIES, lambda a, m: m.update(ports=5), "not iterable"),
+        ("build", SERIES, lambda a, m: m["schema"].pop("numeric_features"), "missing key 'numeric_features'"),
+        ("evaluate", WINDOWS, lambda a, m: m["norm"].pop("mean"), "missing key 'mean'"),
+        ("evaluate", WINDOWS, lambda a, m: a["network_code"].fill(1), "network_code holds a code outside [0, 1)"),
+        ("evaluate", WINDOWS, lambda a, m: a["port_code"].fill(-1), "port_code holds a code outside"),
+    ],
+    ids=["start-day-missing", "start-day-bad", "values-missing", "ports-int", "schema", "norm",
+         "network-code", "port-code-negative"],
+)
+def test_cli_corrupt_container_content_exits_1(pipeline_ws, tmp_path, capsys, stage, artifact, edit, message):
+    from iloscast.container import read_container, write_container
+
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    arrays, meta = read_container(ws / artifact)
+    edit(arrays, meta)
+    write_container(ws / artifact, arrays, meta)
+    assert cli_entry([stage] + args) == 1
+    err = capsys.readouterr().err
+    assert f"{ws / artifact}: " in err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_cli_tree_missing_node_array_exits_1(pipeline_ws, tmp_path, capsys):

@@ -39,20 +39,13 @@ def test_build_dataset_shapes_and_split(schema):
 
 def test_indices_filters(schema):
     ds, _ = build_fixture(schema)
-    eth = ds.indices(facility="ETH")
-    otm = ds.indices(facility="OTM")
-    assert eth.size + 0 < ds.n  # p0/p2 have ETH flag 0... p1/p3 have 1
-    assert otm.size == ds.n  # all ports carry OTM
+    assert ds.indices().tolist() == list(range(ds.n))
     p_train = ds.indices(split=TRAIN, network="net1")
-    assert np.all(ds.split[p_train] == TRAIN)
-
-
-def test_partitioning_by_facility_covers_all(schema):
-    ds, _ = build_fixture(schema)
-    eth = set(ds.indices(facility="ETH").tolist())
-    not_eth = {i for i in range(ds.n) if ds.x[i, 0, schema.onehot_index("ETH")] == 0.0}
-    assert eth | not_eth == set(range(ds.n))
-    assert eth & not_eth == set()
+    assert p_train.size > 0
+    np.testing.assert_array_equal(
+        p_train, np.flatnonzero((ds.split == TRAIN) & (ds.network == "net1"))
+    )
+    assert ds.indices(network="net9").size == 0
 
 
 def test_normalized_x_preserves_nan_layout(schema):

@@ -100,7 +100,8 @@ def test_perfect_classifier_scores_full_cap():
     scores = np.array([0.9, 0.8, 0.2, 0.1])
     labels = np.array([1, 1, 0, 0])
     d = pr_auc_truncated(pr_curve(scores, labels))
-    assert d.value == pytest.approx(0.1, abs=0)
+    assert type(d) is float
+    assert d == pytest.approx(0.1, abs=0)
 
 
 def test_constant_half_precision_rectangle():
@@ -109,7 +110,7 @@ def test_constant_half_precision_rectangle():
     scores = np.repeat(np.arange(50, 0, -1, dtype=float), 2)
     labels = np.tile([1, 0], 50)
     d = pr_auc_truncated(pr_curve(scores, labels))
-    assert d.value == pytest.approx(0.05, abs=0)
+    assert d == pytest.approx(0.05, abs=0)
 
 
 def test_truncated_area_matches_integration_oracle():
@@ -120,7 +121,7 @@ def test_truncated_area_matches_integration_oracle():
         labels = (rng.random(n) < rng.uniform(0.1, 0.6)).astype(int)
         if labels.sum() == 0:
             labels[int(rng.integers(0, n))] = 1
-        d = pr_auc_truncated(pr_curve(scores, labels)).value
+        d = pr_auc_truncated(pr_curve(scores, labels))
         assert d == pytest.approx(oracle_truncated_area(scores, labels), abs=1e-12)
 
 
@@ -129,9 +130,9 @@ def test_monotone_transform_invariance():
     scores = rng.random(60)
     labels = (rng.random(60) < 0.3).astype(int)
     labels[0] = 1
-    base = pr_auc_truncated(pr_curve(scores, labels)).value
+    base = pr_auc_truncated(pr_curve(scores, labels))
     for transform in (lambda s: 3 * s + 2, np.exp, lambda s: s**3 + s):
-        assert pr_auc_truncated(pr_curve(transform(scores), labels)).value == base
+        assert pr_auc_truncated(pr_curve(transform(scores), labels)) == base
 
 
 @given(
@@ -148,8 +149,8 @@ def test_truncation_monotonicity_and_bounds(n, seed, cap_a, cap_b):
     labels[0] = 1
     curve = pr_curve(scores, labels)
     lo, hi = sorted((cap_a, cap_b))
-    d_lo = pr_auc_truncated(curve, lo).value
-    d_hi = pr_auc_truncated(curve, hi).value
+    d_lo = pr_auc_truncated(curve, lo)
+    d_hi = pr_auc_truncated(curve, hi)
     assert d_lo <= d_hi + 1e-15
     assert 0.0 <= d_lo <= lo + 1e-15
     assert 0.0 <= d_hi <= hi + 1e-15
@@ -160,9 +161,9 @@ def test_order_invariance():
     scores = np.round(rng.random(40), 1)
     labels = (rng.random(40) < 0.4).astype(int)
     labels[0] = 1
-    d1 = pr_auc_truncated(pr_curve(scores, labels)).value
+    d1 = pr_auc_truncated(pr_curve(scores, labels))
     perm = rng.permutation(40)
-    d2 = pr_auc_truncated(pr_curve(scores[perm], labels[perm])).value
+    d2 = pr_auc_truncated(pr_curve(scores[perm], labels[perm]))
     assert d1 == d2
 
 

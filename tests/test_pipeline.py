@@ -56,26 +56,23 @@ def test_booster_report_structure(small_world):
     values = [report["per_network"][n] for n in sorted(report["per_network"])]
     expect = sum(v * s for v, s in zip(values, sizes)) / sum(sizes)
     assert report["weighted_average"] == pytest.approx(expect)
-    # complementary facility filters partition the full test set
-    otm = mega.indices(split=2, facility="OTM")
-    eth_only = np.setdiff1d(mega.indices(split=2), otm)
-    assert otm.size + eth_only.size == mega.indices(split=2).size
 
 
 def per_subset_report(trained, dataset, facilities, extra_masks, seen):
     """Reference: score every subset of the test split with its own predictor
     call; ``seen`` collects each subset's (scores, labels)."""
-    from iloscast.metrics import evaluate_scores
+    from iloscast.metrics import pr_auc_truncated, pr_curve
     from iloscast.windows import TEST
 
     fn = trained.predictor(dataset)
+    test = dataset.indices(split=TEST)
     report = {"model": trained.name, "per_network": {}, "per_facility": {}, "subsets": {}}
 
     def d_value(idx, subset):
         if idx.size == 0 or dataset.label[idx].sum() == 0:
             return None
         seen[subset] = (fn(idx), dataset.label[idx])
-        return evaluate_scores(*seen[subset], subset=subset)[0].value
+        return pr_auc_truncated(pr_curve(*seen[subset]))
 
     sizes, values = [], []
     for net in dataset.networks:
@@ -89,12 +86,12 @@ def per_subset_report(trained, dataset, facilities, extra_masks, seen):
         report["weighted_average"] = float(
             sum(v * s for v, s in zip(values, sizes)) / sum(sizes)
         )
-    report["overall"] = d_value(dataset.indices(split=TEST), "overall")
+    report["overall"] = d_value(test, "overall")
     for fac in facilities:
-        value = d_value(dataset.indices(split=TEST, facility=fac), f"facility={fac}")
+        flagged = dataset.x[test, 0, dataset.schema.onehot_index(fac)] == 1.0
+        value = d_value(test[flagged], f"facility={fac}")
         if value is not None:
             report["per_facility"][fac] = value
-    test = dataset.indices(split=TEST)
     for name, mask in extra_masks.items():
         value = d_value(test[mask[test]], name)
         if value is not None:
@@ -127,22 +124,21 @@ def test_evaluate_model_scores_test_split_once(small_world, monkeypatch):
 
         return wrapped
 
-    inputs = {}
-    evaluate_scores = pipeline.evaluate_scores
+    inputs = []
+    metric = pipeline.truncated_auc_metric
 
-    def recording(scores, labels, subset=""):
-        inputs[subset] = (scores, labels)
-        return evaluate_scores(scores, labels, subset=subset)
+    def recording(scores, labels):
+        inputs.append((scores.tobytes(), labels.tobytes()))
+        return metric(scores, labels)
 
     monkeypatch.setattr(TrainedModel, "predictor", counting)
-    monkeypatch.setattr(pipeline, "evaluate_scores", recording)
+    monkeypatch.setattr(pipeline, "truncated_auc_metric", recording)
     report = evaluate_model(trained, mega, facilities=facilities, extra_masks=masks)
     assert calls == [mega.indices(split=2).size]
     assert report == expected
-    assert inputs.keys() == expected_inputs.keys()
-    for subset, (scores, labels) in expected_inputs.items():
-        assert inputs[subset][0].tobytes() == scores.tobytes(), subset
-        assert inputs[subset][1].tobytes() == labels.tobytes(), subset
+    # One metric call per scored subset, each on exactly its own inputs.
+    want = [(scores.tobytes(), labels.tobytes()) for scores, labels in expected_inputs.values()]
+    assert sorted(inputs) == sorted(want)
 
 
 def workspace_files(root):
