@@ -12,7 +12,6 @@ import tempfile
 from pathlib import Path
 
 from .pipeline import (
-    BritsSettings,
     DEFAULT_GRID,
     build_network_datasets,
     evaluate_model,
@@ -21,6 +20,7 @@ from .pipeline import (
     train_brits_model,
     train_tree_model,
 )
+from .rits import TrainSchedule
 from .synth import GenConfig, dataset_stats, generate
 from .transfer import build_mega_dataset
 
@@ -28,7 +28,7 @@ BENCH_SEED = 20240801
 
 #: Training settings frozen for the benchmark: desk-scale recurrent model
 #: (hidden 96, batch 256) and the standard desk grid for the booster.
-BENCH_BRITS = BritsSettings(
+BENCH_BRITS = TrainSchedule(
     hidden_size=96,
     batch_size=256,
     max_epochs_phase1=8,

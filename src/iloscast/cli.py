@@ -28,8 +28,8 @@ from .ingest import series_from_arrays, series_to_arrays
 from .container import decoding, read_container, read_json, require_keys, write_container, write_csv, write_json
 from . import metrics
 from .pipeline import (
-    BritsSettings,
     DEFAULT_GRID,
+    FOREST_IMPUTATIONS,
     MODEL_KINDS,
     TrainedModel,
     _check_validation_positives,
@@ -39,7 +39,7 @@ from .pipeline import (
     precursor_mask,
     train_model,
 )
-from .rits import BritsModel
+from .rits import BritsModel, TrainSchedule
 from .schema import FeatureSchema
 from .synth import GenConfig, PROTOCOL_INDICATORS, generate, load_ground_truth, dataset_stats
 from .transfer import build_mega_dataset, finetune_classifier_only, finetune_entirety
@@ -303,21 +303,31 @@ def _load_mega(ws: Workspace) -> WindowDataset:
     return mega
 
 
-def _brits_settings(cfg: RunConfig) -> BritsSettings:
-    return BritsSettings(**cfg.train.get("brits", {}))
+def _brits_settings(cfg: RunConfig) -> TrainSchedule:
+    """The recurrent training schedule of ``train.brits``, seeded by the
+    config seed; :class:`ConfigError` for an out-of-range value."""
+    try:
+        return TrainSchedule(seed=cfg.seed, **cfg.train.get("brits", {}))
+    except ConfigError as exc:
+        raise ConfigError(f"train.brits.{exc}") from None
 
 
 def _train_options(cfg: RunConfig) -> tuple[list[str], dict]:
-    """The configured model kinds, each checked, and the keyword options
-    of :func:`train_model`."""
+    """The configured model kinds and the keyword options of
+    :func:`train_model`, each checked."""
     kinds = list(cfg.train.get("models", ["booster", "brits"]))
     unknown = [kind for kind in kinds if kind not in MODEL_KINDS]
     if unknown:
         raise ConfigError(f"unknown model kind(s) {unknown}; expected any of {list(MODEL_KINDS)}")
+    imputation = cfg.train.get("forest_imputation", "zero")
+    if imputation not in FOREST_IMPUTATIONS:
+        raise ConfigError(
+            f"train.forest_imputation must be one of {list(FOREST_IMPUTATIONS)}, not {imputation!r}"
+        )
     return kinds, {
         "grid": tuple(cfg.train.get("grid", DEFAULT_GRID)),
-        "imputation": cfg.train.get("forest_imputation", "zero"),
-        "brits_settings": _brits_settings(cfg),
+        "imputation": imputation,
+        "schedule": _brits_settings(cfg),
         "seed": cfg.seed,
     }
 
@@ -384,7 +394,7 @@ def stage_finetune(cfg: RunConfig, ws: Workspace) -> None:
         raise ConfigError(
             f"unknown fine-tune strategies {unknown}; expected any of {list(FINETUNERS)}"
         )
-    schedule = _brits_settings(cfg).schedule(cfg.seed)
+    schedule = _brits_settings(cfg)
     model_path = ws.read(ws.require("models/brits_mega/model.ilos", "pretrain"))
     mega = _load_mega(ws)
     networks = cfg.transfer.get("networks") or list(mega.networks)
@@ -464,6 +474,8 @@ def stage_evaluate(cfg: RunConfig, ws: Workspace) -> None:
     facilities = tuple(cfg.evaluate.get("facilities", ()))
     truth_path = ws.root / "synth" / "ground_truth.csv"
     truth = load_ground_truth(ws.read(truth_path)) if truth_path.exists() else None
+    # Every model's dataset is resolved and checked before anything is written.
+    evaluated = []
     for trained, scope in models:
         if scope == "mega":
             if mega is None:
@@ -473,6 +485,14 @@ def stage_evaluate(cfg: RunConfig, ws: Workspace) -> None:
             ds = datasets[scope]
         else:
             raise MissingArtifactError(f"no built dataset for network {scope!r}")
+        unknown = [fac for fac in facilities if fac not in ds.schema.onehot_features]
+        if unknown:
+            raise ConfigError(
+                f"evaluate.facilities {unknown} are not facilities of the dataset of "
+                f"{trained.name!r}; it has {list(ds.schema.onehot_features)}"
+            )
+        evaluated.append((trained, ds))
+    for trained, ds in evaluated:
         extra = {}
         if truth is not None:
             extra["precursor_only"] = precursor_mask(ds, truth)

@@ -7,7 +7,7 @@ end-to-end runs reproducible and testable without a workspace.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,9 @@ from .windows import TEST, TRAIN, VALIDATION
 
 DEFAULT_GRID = (100, 200, 300, 400, 500)
 MODEL_KINDS = ("booster", "forest", "brits")
+#: The forest's input modes: absent cells filled by zero or by the
+#: training split's per-feature median.
+FOREST_IMPUTATIONS = ("zero", "median")
 
 
 def truncated_auc_metric(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -75,23 +78,6 @@ def build_network_datasets(
 
 # ---------------------------------------------------------------------------
 # Model training
-
-
-@dataclass
-class BritsSettings:
-    hidden_size: int = 96
-    batch_size: int = 256
-    learning_rate: float = 1e-3
-    max_epochs_phase1: int = 10
-    max_epochs_phase2: int = 15
-    patience: int = 5
-    min_delta: float = 1e-4
-
-    def schedule(self, seed: int) -> TrainSchedule:
-        """The training schedule of these settings (all but ``hidden_size``)."""
-        options = asdict(self)
-        del options["hidden_size"]
-        return TrainSchedule(seed=seed, **options)
 
 
 @dataclass
@@ -170,15 +156,17 @@ def train_tree_model(
 def train_brits_model(
     dataset: WindowDataset,
     scope: str,
-    settings: BritsSettings | None = None,
+    schedule: TrainSchedule | None = None,
     seed: int = 0,
 ) -> TrainedModel:
-    settings = settings or BritsSettings()
+    """Train the recurrent model on ``dataset`` with ``schedule``, its seed
+    replaced by ``seed``."""
+    schedule = replace(schedule or TrainSchedule(), seed=seed)
     _check_validation_positives(dataset, scope)
     tr = rits_data(dataset, dataset.indices(split=TRAIN))
     va = rits_data(dataset, dataset.indices(split=VALIDATION))
-    model = init_brits(dataset.schema.width, hidden_size=settings.hidden_size, seed=seed)
-    trained, history = train_brits(model, tr, va, settings.schedule(seed))
+    model = init_brits(dataset.schema.width, schedule.hidden_size, seed=seed)
+    trained, history = train_brits(model, tr, va, schedule)
     return TrainedModel(
         name=f"brits_{scope}", kind="brits", scope=scope, model=trained, history=history
     )
@@ -191,17 +179,17 @@ def train_model(
     *,
     grid: tuple[int, ...] = DEFAULT_GRID,
     imputation: str = "zero",
-    brits_settings: BritsSettings | None = None,
+    schedule: TrainSchedule | None = None,
     seed: int = 0,
 ) -> TrainedModel:
     """Train one model of any of ``MODEL_KINDS`` on ``dataset``.
 
     Tree families grid-search the tree count (``grid``; ``imputation`` is
     the forest's input mode); the recurrent model trains with
-    ``brits_settings``.
+    ``schedule``.
     """
     if kind == "brits":
-        return train_brits_model(dataset, scope, brits_settings, seed=seed)
+        return train_brits_model(dataset, scope, schedule, seed=seed)
     return train_tree_model(dataset, kind, scope, grid=grid, imputation=imputation, seed=seed)
 
 

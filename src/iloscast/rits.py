@@ -26,17 +26,16 @@ ensembles sharing that function must not do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .activation import sigmoid
 from .container import read_container, require_keys, write_container
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .missing import compute_time_gaps
 
-DEFAULT_HIDDEN = 256
 LOGIT_CLAMP = 15.0
 
 
@@ -67,8 +66,6 @@ def rits_param_shapes(n_features: int, hidden_size: int) -> dict[str, tuple[int,
 PARAM_BLOCKS = tuple(rits_param_shapes(1, 1))
 CLASSIFIER_BLOCKS = ("cls_W", "cls_b")
 
-DEFAULT_LOSS_WEIGHTS = {"estimation": 1.0, "consistency": 1.0, "classification": 1.0}
-
 
 def init_rits_params(
     n_features: int, hidden_size: int, rng: np.random.Generator
@@ -89,15 +86,12 @@ def init_rits_params(
 
 @dataclass
 class BritsModel:
-    """Forward and backward directional parameter sets plus loss weights."""
+    """Forward and backward directional parameter sets."""
 
     fwd: dict[str, np.ndarray]
     bwd: dict[str, np.ndarray]
     n_features: int
     hidden_size: int
-    loss_weights: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_LOSS_WEIGHTS)
-    )
 
     def copy(self) -> "BritsModel":
         return BritsModel(
@@ -105,7 +99,6 @@ class BritsModel:
             bwd={k: v.copy() for k, v in self.bwd.items()},
             n_features=self.n_features,
             hidden_size=self.hidden_size,
-            loss_weights=dict(self.loss_weights),
         )
 
     def save(self, path: str | Path) -> None:
@@ -118,7 +111,6 @@ class BritsModel:
             "version": 1,
             "n_features": self.n_features,
             "hidden_size": self.hidden_size,
-            "loss_weights": self.loss_weights,
         }
         write_container(path, arrays, meta)
 
@@ -127,10 +119,11 @@ class BritsModel:
         arrays, meta = read_container(path)
         if meta.get("format") != "iloscast-brits" or meta.get("version") != 1:
             raise DataError(f"{path}: not a version-1 model file")
-        require_keys(meta, ("n_features", "hidden_size", "loss_weights"), path, "metadata")
+        # Other keys are ignored: older files also hold the unit loss weights
+        # that are now constants.
+        require_keys(meta, ("n_features", "hidden_size"), path, "metadata")
         try:
             n_features, hidden_size = int(meta["n_features"]), int(meta["hidden_size"])
-            loss_weights = dict(meta["loss_weights"])
         except (TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed model metadata: {exc}") from None
         shapes = rits_param_shapes(n_features, hidden_size)
@@ -150,11 +143,10 @@ class BritsModel:
             bwd=params["bwd"],
             n_features=n_features,
             hidden_size=hidden_size,
-            loss_weights=loss_weights,
         )
 
 
-def init_brits(n_features: int, hidden_size: int = DEFAULT_HIDDEN, seed: int = 0) -> BritsModel:
+def init_brits(n_features: int, hidden_size: int, seed: int = 0) -> BritsModel:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB1D1)))
     return BritsModel(
         fwd=init_rits_params(n_features, hidden_size, rng),
@@ -297,13 +289,12 @@ def _rits_backward(
     cache: dict,
     d_chat_extra: np.ndarray,
     d_logit: np.ndarray,
-    est_weight: float,
 ) -> dict[str, np.ndarray]:
     """BPTT for one direction over a ``keep_steps`` forward cache.
 
     ``d_chat_extra`` carries upstream gradient on the combined estimates
     (consistency term); ``d_logit`` the classification gradient on the
-    clamped logit; ``est_weight`` scales the estimation-loss sign terms.
+    clamped logit.
     """
     x, mask = cache["x"], cache["mask"]
     steps = cache["steps"]
@@ -315,7 +306,7 @@ def _rits_backward(
     lstm_w_in = np.ascontiguousarray(params["lstm_W"][:, :F])
 
     # Per-sample estimation normalization, batch-averaged.
-    alpha = (est_weight / (cache["est_norm"] * B))[:, None]
+    alpha = (1.0 / (cache["est_norm"] * B))[:, None]
 
     inside_clamp = np.abs(cache["logit_raw"]) < LOGIT_CLAMP
     dz = d_logit * inside_clamp
@@ -414,6 +405,12 @@ def _forward_pair(
     return fwd, bwd, fwd["x_comp"] - bwd["x_comp"][:, ::-1]
 
 
+#: The batch-mean loss terms of one step, as ``_loss_components`` names them.
+LOSS_COMPONENTS = (
+    "estimation_fwd", "estimation_bwd", "consistency", "classification_fwd", "classification_bwd"
+)
+
+
 def _loss_components(fwd: dict, bwd: dict, diff: np.ndarray, y: np.ndarray) -> dict[str, float]:
     """Batch-mean loss components; classification is BCE on the clamped logits."""
     return {
@@ -425,18 +422,34 @@ def _loss_components(fwd: dict, bwd: dict, diff: np.ndarray, y: np.ndarray) -> d
     }
 
 
-def total_loss(comps: dict[str, float], weights: dict[str, float], phase: int = 2) -> float:
-    """The training objective from its components.
+def classification_weight(phase: int) -> float:
+    """Weight of the classification terms: phase 1 trains the imputation
+    objective alone, phase 2 adds classification. Every other term has
+    unit weight in both phases."""
+    return 1.0 if phase == 2 else 0.0
 
-    Estimation (both directions) and consistency always count; phase 2
-    adds classification (both directions), phase 1 leaves it out.
-    """
-    w_cls = weights["classification"] if phase == 2 else 0.0
+
+def total_loss(comps: dict[str, float], phase: int = 2) -> float:
+    """The training objective from its components: estimation (both
+    directions) plus consistency, plus classification (both directions)
+    in phase 2."""
     return (
-        weights["estimation"] * (comps["estimation_fwd"] + comps["estimation_bwd"])
-        + weights["consistency"] * comps["consistency"]
-        + w_cls * (comps["classification_fwd"] + comps["classification_bwd"])
+        comps["estimation_fwd"]
+        + comps["estimation_bwd"]
+        + comps["consistency"]
+        + classification_weight(phase) * (comps["classification_fwd"] + comps["classification_bwd"])
     )
+
+
+def loss_summary(sums: dict[str, float], n: int, phase: int) -> dict[str, float]:
+    """Sample-weighted sums of the ``LOSS_COMPONENTS`` over ``n`` samples as
+    means, plus their ``estimation`` and ``classification`` direction sums
+    and the phase's ``total``."""
+    comps = {key: sums[key] / n for key in LOSS_COMPONENTS}
+    comps["estimation"] = comps["estimation_fwd"] + comps["estimation_bwd"]
+    comps["classification"] = comps["classification_fwd"] + comps["classification_bwd"]
+    comps["total"] = total_loss(comps, phase)
+    return comps
 
 
 def brits_forward(
@@ -470,27 +483,22 @@ def brits_loss_and_grads(
     x, mask, delta = _check_batch(x, mask, delta)
     y = np.asarray(label, dtype=np.float64).reshape(-1)
     B = x.shape[0]
-    w = model.loss_weights
-    w_cls = w["classification"] if phase == 2 else 0.0
+    w_cls = classification_weight(phase)
 
     fwd, bwd, diff = _forward_pair(model, x, mask, delta, keep_steps=True)
     comps = _loss_components(fwd, bwd, diff, y)
-    comps["total"] = total_loss(comps, w, phase)
+    comps["total"] = total_loss(comps, phase)
     if not np.isfinite(comps["total"]):
         raise NumericError(f"non-finite loss: {comps}")
 
     # The consistency gradient reaches the combined estimates through
     # (1 - mask), because observed entries of the complements cancel.
-    cons_scale = w["consistency"] / diff.size
+    cons_scale = 1.0 / diff.size
     d_chat_fwd = (1.0 - mask) * np.sign(diff) * cons_scale
     d_chat_bwd = ((1.0 - mask) * -np.sign(diff) * cons_scale)[:, ::-1].copy()
     grads = {
-        "fwd": _rits_backward(
-            model.fwd, fwd, d_chat_fwd, w_cls * ((fwd["prob"] - y) / B), w["estimation"]
-        ),
-        "bwd": _rits_backward(
-            model.bwd, bwd, d_chat_bwd, w_cls * ((bwd["prob"] - y) / B), w["estimation"]
-        ),
+        "fwd": _rits_backward(model.fwd, fwd, d_chat_fwd, w_cls * ((fwd["prob"] - y) / B)),
+        "bwd": _rits_backward(model.bwd, bwd, d_chat_bwd, w_cls * ((bwd["prob"] - y) / B)),
     }
     return comps, grads
 
@@ -501,23 +509,46 @@ def brits_loss_and_grads(
 
 @dataclass
 class TrainSchedule:
-    """Two-phase training plan: imputation warm-up, then the full objective."""
+    """The recurrent model's size and two-phase training plan: imputation
+    warm-up, then the full objective.
 
-    batch_size: int = 1024
+    Mega pre-training, single-network training and both fine-tuning
+    strategies all train with one of these.
+    """
+
+    hidden_size: int = 96
+    batch_size: int = 256
     learning_rate: float = 1e-3
-    max_epochs_phase1: int = 20
-    max_epochs_phase2: int = 20
+    max_epochs_phase1: int = 10
+    max_epochs_phase2: int = 15
     patience: int = 5
     min_delta: float = 1e-4
     seed: int = 0
     trainable: tuple[str, ...] | None = None  # None = all blocks
 
+    def __post_init__(self) -> None:
+        lowest = {
+            "hidden_size": 1,
+            "batch_size": 1,
+            "max_epochs_phase1": 0,
+            "max_epochs_phase2": 0,
+            "patience": 1,
+            "min_delta": 0,
+        }
+        for name, low in lowest.items():
+            if not getattr(self, name) >= low:
+                raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)!r}")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate!r}")
+
 
 class AdamState:
-    """Adam with per-block first/second moment accumulators."""
+    """Adam with per-block first/second moment accumulators and the
+    usual constants (Kingma & Ba, 2015)."""
 
-    def __init__(self, model: BritsModel, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, model: BritsModel):
         self.t = 0
         self.m = {d: {k: np.zeros_like(v) for k, v in params.items()} for d, params in (("fwd", model.fwd), ("bwd", model.bwd))}
         self.v = {d: {k: np.zeros_like(v) for k, v in params.items()} for d, params in (("fwd", model.fwd), ("bwd", model.bwd))}
@@ -566,20 +597,17 @@ class RitsData:
 
 
 def evaluate_losses(model: BritsModel, data: RitsData, phase: int, batch_size: int = 1024) -> dict[str, float]:
-    """Batched loss evaluation without gradients or step caches; components
-    sample-averaged, plus their ``estimation`` sum and the phase's total."""
-    sums: dict[str, float] = {}
+    """Batched loss evaluation without gradients or step caches, summarized
+    by ``loss_summary``."""
+    sums = dict.fromkeys(LOSS_COMPONENTS, 0.0)
     for lo in range(0, data.n, batch_size):
         hi = min(lo + batch_size, data.n)
         x, mask, delta = _check_batch(data.x[lo:hi], data.mask[lo:hi], data.delta[lo:hi])
         fwd, bwd, diff = _forward_pair(model, x, mask, delta)
         batch = _loss_components(fwd, bwd, diff, data.label[lo:hi].astype(np.float64))
-        for key, value in batch.items():
-            sums[key] = sums.get(key, 0.0) + value * (hi - lo)
-    comps = {k: v / data.n for k, v in sums.items()}
-    comps["estimation"] = comps["estimation_fwd"] + comps["estimation_bwd"]
-    comps["total"] = total_loss(comps, model.loss_weights, phase)
-    return comps
+        for key in sums:
+            sums[key] += batch[key] * (hi - lo)
+    return loss_summary(sums, data.n, phase)
 
 
 def train_brits(
@@ -605,7 +633,10 @@ def train_brits(
         stale = 0
         for epoch in range(max_epochs):
             order = rng.permutation(train.n)
-            sums = {"total": 0.0, "estimation": 0.0, "consistency": 0.0, "classification": 0.0}
+            # Running sums, not each step's results: keeping a small dict
+            # per step alive raised perfbench brits_fit's peak RSS by ~6 MB,
+            # likely by pinning freed heap between the steps' temporaries.
+            sums = dict.fromkeys(LOSS_COMPONENTS, 0.0)
             for lo in range(0, train.n, schedule.batch_size):
                 idx = order[lo : lo + schedule.batch_size]
                 comps, grads = brits_loss_and_grads(
@@ -617,28 +648,14 @@ def train_brits(
                     phase=phase,
                 )
                 opt.step(model, grads, schedule.learning_rate, schedule.trainable)
-                b = idx.size
-                sums["total"] += comps["total"] * b
-                sums["estimation"] += (comps["estimation_fwd"] + comps["estimation_bwd"]) * b
-                sums["consistency"] += comps["consistency"] * b
-                sums["classification"] += (
-                    comps["classification_fwd"] + comps["classification_bwd"]
-                ) * b
+                for key in sums:
+                    sums[key] += comps[key] * idx.size
             val = evaluate_losses(model, validation, phase, schedule.batch_size)
-            history.append(
-                {
-                    "phase": phase,
-                    "epoch": epoch,
-                    "train_total": sums["total"] / train.n,
-                    "train_estimation": sums["estimation"] / train.n,
-                    "train_consistency": sums["consistency"] / train.n,
-                    "train_classification": sums["classification"] / train.n,
-                    "val_total": val["total"],
-                    "val_estimation": val["estimation"],
-                    "val_consistency": val["consistency"],
-                    "val_classification": val["classification_fwd"] + val["classification_bwd"],
-                }
-            )
+            row = {"phase": phase, "epoch": epoch}
+            for prefix, summary in (("train", loss_summary(sums, train.n, phase)), ("val", val)):
+                for key in ("total", "estimation", "consistency", "classification"):
+                    row[f"{prefix}_{key}"] = summary[key]
+            history.append(row)
             monitored = val[monitor]
             if monitored < best - schedule.min_delta:
                 best = monitored
@@ -688,7 +705,7 @@ def finite_difference_block_errors(
 
     def loss() -> float:
         comps = _loss_components(*_forward_pair(model, x, mask, delta), y)
-        return total_loss(comps, model.loss_weights, phase)
+        return total_loss(comps, phase)
 
     errors: dict[str, float] = {}
     for dname in ("fwd", "bwd"):

@@ -65,6 +65,12 @@ class GenConfig:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
         if len(self.ports_per_network) != self.n_networks:
             raise ConfigError("ports_per_network must list one count per network")
+        if self.n_networks < 1:
+            raise ConfigError("ports_per_network must list at least one network")
+        if min(self.ports_per_network) < 1:
+            raise ConfigError(
+                f"ports_per_network must be at least 1 per network, got {list(self.ports_per_network)}"
+            )
         if self.degradation_days[0] < 4 or self.degradation_days[0] > self.degradation_days[1]:
             raise ConfigError("degradation_days must be an increasing pair >= 4")
 

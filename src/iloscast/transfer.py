@@ -61,15 +61,6 @@ def project_x(
     return out
 
 
-def project_back(
-    x_union: np.ndarray, source: FeatureSchema, target: FeatureSchema
-) -> np.ndarray:
-    """Select a source network's columns back out of union-width data."""
-    cols = [target.numeric_index(n) for n in source.numeric_features]
-    cols += [target.onehot_index(n) for n in source.onehot_features]
-    return x_union[..., cols]
-
-
 def build_mega_dataset(datasets: list[WindowDataset]) -> WindowDataset:
     """Merge per-network datasets on the union schema.
 

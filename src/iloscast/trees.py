@@ -50,10 +50,6 @@ from .errors import ConfigError, DataError
 
 _LEAF = -1
 
-#: Full-scale tree-count grid: 100 to 3000 in steps of 100, thirty values.
-#: Desk-scale runs use a truncated prefix of it.
-FULL_TREE_GRID = tuple(range(100, 3001, 100))
-
 
 @dataclass
 class Tree:

@@ -13,7 +13,7 @@ from datetime import date
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import SplitError
+from .errors import ConfigError, SplitError
 from .ingest import PortSeries
 from .schema import FeatureSchema
 
@@ -122,6 +122,9 @@ def stack_windows(
     window yields none. The present day is the last past row. All series
     are windowed at once over their stacked rows.
     """
+    for name, days in (("past_days", past_days), ("future_days", future_days)):
+        if days < 1:
+            raise ConfigError(f"{name} must be at least 1, got {days}")
     span = past_days + future_days
     k = schema.n_numeric
     n_days = np.array([s.n_days for s in series_list], dtype=np.int64)

@@ -75,6 +75,14 @@ def test_config_rejects_unknown_fields(tmp_path):
         ("build", "build.past_day", 3, "unknown build key(s) ['past_day']"),
         ("evaluate", "evaluate.facility", ["OTM"], "unknown evaluate key(s) ['facility']"),
         ("report", "report.plots", "no", "report.plots must be bool, not str"),
+        ("synth", "synth.ports_per_network", [], "ports_per_network must list at least one network"),
+        ("synth", "synth.ports_per_network", [20, 0, 8], "ports_per_network must be at least 1 per network"),
+        ("train", "train.brits.hidden_size", 0, "train.brits.hidden_size must be at least 1, got 0"),
+        ("train", "train.brits.batch_size", 0, "train.brits.batch_size must be at least 1, got 0"),
+        ("train", "train.brits.max_epochs_phase1", -1, "train.brits.max_epochs_phase1 must be at least 0"),
+        ("pretrain", "train.brits.patience", 0, "train.brits.patience must be at least 1, got 0"),
+        ("pretrain", "train.brits.min_delta", -0.5, "train.brits.min_delta must be at least 0"),
+        ("finetune", "train.brits.learning_rate", 0, "train.brits.learning_rate must be positive"),
     ],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, stage, key, value, message):
@@ -98,12 +106,14 @@ def test_config_keys_match_the_settings_they_fill():
     from dataclasses import fields
 
     from iloscast.cli import CONFIG_KEYS
-    from iloscast.pipeline import BritsSettings
+    from iloscast.rits import TrainSchedule
     from iloscast.synth import GenConfig
 
     assert set(CONFIG_KEYS) == {f.name for f in fields(RunConfig)}
     assert set(CONFIG_KEYS["synth"]) <= {f.name for f in fields(GenConfig)}
-    assert set(CONFIG_KEYS["train"]["brits"]) == {f.name for f in fields(BritsSettings)}
+    # The config seed seeds training; fine-tuning picks the trainable blocks.
+    schedule_fields = {f.name for f in fields(TrainSchedule)} - {"seed", "trainable"}
+    assert set(CONFIG_KEYS["train"]["brits"]) == schedule_fields
 
 
 def test_unknown_stage_rejected(tmp_path):
@@ -351,7 +361,7 @@ def test_cli_tree_config_unknown_key_exits_1(pipeline_ws, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("key", ["n_features", "hidden_size", "loss_weights"])
+@pytest.mark.parametrize("key", ["n_features", "hidden_size"])
 def test_cli_brits_metadata_missing_key_exits_1(pipeline_ws, tmp_path, capsys, key):
     from iloscast.container import read_container, write_container
     from iloscast.rits import init_brits
@@ -528,16 +538,48 @@ def test_cli_bad_ground_truth_exits_1(pipeline_ws, tmp_path, capsys, old, new, w
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("stage", ["train", "pretrain"])
-def test_cli_unknown_model_kind_exits_2_before_training(pipeline_ws, tmp_path, capsys, stage):
+def workspace_state(root: Path) -> dict:
+    """Every path under ``root``: a file's sha256 and modification time, or
+    None for a directory."""
+    return {
+        path.relative_to(root): None
+        if path.is_dir()
+        else (hashlib.sha256(path.read_bytes()).hexdigest(), path.stat().st_mtime_ns)
+        for path in root.rglob("*")
+    }
+
+
+@pytest.mark.parametrize(
+    "stage, edit, message",
+    [
+        ("train", {"train": {"models": ["booster", "svm"]}}, "unknown model kind(s) ['svm']"),
+        ("pretrain", {"train": {"models": ["booster", "svm"]}}, "unknown model kind(s) ['svm']"),
+        (
+            "train",
+            {"train": {"models": ["booster", "forest"], "forest_imputation": "mean"}},
+            "train.forest_imputation must be one of ['zero', 'median'], not 'mean'",
+        ),
+        ("evaluate", {"evaluate": {"facilities": ["OTM", "XYZ"]}}, "evaluate.facilities ['XYZ']"),
+        ("build", {"build": {"past_days": 0}}, "past_days must be at least 1, got 0"),
+        ("build", {"build": {"past_days": -2}}, "past_days must be at least 1, got -2"),
+    ],
+    ids=["train", "pretrain", "forest-imputation", "facility", "past-days-0", "past-days-negative"],
+)
+def test_cli_unknown_model_kind_exits_2_before_training(pipeline_ws, tmp_path, capsys, stage, edit, message):
+    """A bad value that a stage checks when it starts (a model kind, the
+    forest's imputation mode, a facility, the window geometry) exits 2
+    and leaves every file of the workspace as it was."""
     ws, args = copied_workspace(pipeline_ws, tmp_path)
-    shutil.rmtree(ws / "models")
     cfg = RunConfig.load(args[1])
-    cfg.train["models"] = ["booster", "svm"]
+    for section, values in edit.items():
+        getattr(cfg, section).update(values)
     cfg.dump(args[1])
+    before = workspace_state(ws)
     assert cli_entry([stage] + args) == 2
-    assert "unknown model kind(s) ['svm']" in capsys.readouterr().err
-    assert not (ws / "models").exists()
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert workspace_state(ws) == before
 
 
 def test_cli_missing_model_meta_exits_3(pipeline_ws, tmp_path, capsys):

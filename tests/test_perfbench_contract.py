@@ -9,12 +9,13 @@ it.
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
-from iloscast import dataset, pipeline, synth
+from iloscast import dataset, pipeline, synth, transfer
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PERFBENCH_MODULES = ("clock", "layers", "record", "spans", "workloads")
@@ -72,3 +73,26 @@ def test_traced_data_path_counters(perfbench, tmp_path):
     for span in ("ingest.csvs", "ingest.merge", "dataset.build", "windows.split", "windows.zscore"):
         assert summary.total[span] > 0
     assert sum(len(a) for a in audits.values()) >= sum(d.n for d in datasets.values())
+
+
+def test_brits_fit_operation_on_tiny_data(perfbench, tmp_path):
+    """perfbench's recurrent operation runs on a tiny world: the settings
+    fields and call shapes it uses (``replace(BENCH_BRITS, ...)``,
+    ``TrainSchedule(batch_size=, max_epochs_phase2=, patience=, min_delta=,
+    seed=)`` and ``train_brits_model(..., seed=)``) still fit."""
+    import workloads
+
+    seed = 20240801
+    gen = synth.generate(synth.GenConfig(seed=seed, ports_per_network=(20, 12, 8), days=90), tmp_path)
+    datasets, _ = pipeline.build_network_datasets(pipeline.ingest_csvs([str(p) for p in gen.csv_paths]))
+    mega = transfer.build_mega_dataset(list(datasets.values()))
+    data = workloads.Data(seed=seed, events=gen.events, datasets=datasets, mega=mega)
+    fit = workloads.BritsFit()
+    result = fit.op(data)
+    trained, tuned, _, _ = result
+    # One epoch of the full objective each: pre-training, then fine-tuning.
+    assert [(row["phase"], row["epoch"]) for row in trained.history + tuned.history] == [(2, 0), (2, 0)]
+    for row in trained.history + tuned.history:
+        assert all(math.isfinite(value) for value in row.values())
+    assert trained.model.hidden_size == fit.describe(data)["hidden_size"] == 96
+    assert fit.work(data, result) > 0

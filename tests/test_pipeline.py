@@ -9,12 +9,12 @@ import pytest
 
 from iloscast.cli import RunConfig, Workspace, run_stage
 from iloscast.pipeline import (
-    BritsSettings,
     evaluate_model,
     precursor_mask,
     train_model,
     train_tree_model,
 )
+from iloscast.rits import TrainSchedule
 from iloscast.synth import GenConfig, generate
 from iloscast.pipeline import build_network_datasets, ingest_csvs
 from iloscast.transfer import build_mega_dataset
@@ -298,7 +298,7 @@ def test_train_model_dispatch(small_world):
         mega,
         "brits",
         "mega",
-        brits_settings=BritsSettings(hidden_size=8, batch_size=64, max_epochs_phase1=1, max_epochs_phase2=1),
+        schedule=TrainSchedule(hidden_size=8, batch_size=64, max_epochs_phase1=1, max_epochs_phase2=1),
         seed=4,
     )
     assert trained.kind == "brits"

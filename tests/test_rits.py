@@ -126,7 +126,7 @@ def test_loss_components_and_bounds():
     model = jittered_model()
     x, mask, delta, y = make_batch()
     comps = _loss_components(*_forward_pair(model, *_check_batch(x, mask, delta)), y)
-    assert total_loss(comps, model.loss_weights) >= 0.0
+    assert total_loss(comps) >= 0.0
     for key in ("estimation_fwd", "estimation_bwd", "consistency"):
         assert comps[key] >= 0.0
 
@@ -141,7 +141,7 @@ def test_loss_perfect_classifier_vanishing_bce():
         out["est_per_sample"] = np.zeros(2)
     comps = _loss_components(fwd, bwd, np.zeros_like(diff), np.ones(2))
     assert comps["classification_fwd"] < 1e-6
-    assert np.isfinite(total_loss(comps, model.loss_weights))
+    assert np.isfinite(total_loss(comps))
 
 
 def test_loss_identical_directional_imputations_zero_consistency():
@@ -250,6 +250,9 @@ def test_training_deterministic():
     t1, h1 = train_brits(model, train, val, schedule)
     t2, h2 = train_brits(model, train, val, schedule)
     assert h1 == h2
+    losses = ("total", "estimation", "consistency", "classification")
+    columns = ["phase", "epoch"] + [f"{split}_{key}" for split in ("train", "val") for key in losses]
+    assert [list(row) for row in h1] == [columns] * 4
     for d in ("fwd", "bwd"):
         for k in t1.fwd:
             np.testing.assert_array_equal(getattr(t1, d)[k], getattr(t2, d)[k])

@@ -5,7 +5,6 @@ import pytest
 
 from iloscast.errors import ConfigError, DataError
 from iloscast.trees import (
-    FULL_TREE_GRID,
     PRESORT_MIN_ROWS,
     BoosterConfig,
     ForestConfig,
@@ -543,11 +542,6 @@ def test_staged_proba_matches_predict_proba_prefixes():
 def test_grid_empty_errors():
     with pytest.raises(ConfigError, match="empty"):
         grid_search_trees((np.ones((5, 1)), np.ones(5)), (np.ones((5, 1)), np.ones(5)), [], d_metric_stub)
-
-
-def test_full_grid_has_thirty_points():
-    assert len(FULL_TREE_GRID) == 30
-    assert FULL_TREE_GRID[0] == 100 and FULL_TREE_GRID[-1] == 3000
 
 
 # ---------------------------------------------------------------------------
