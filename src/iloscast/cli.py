@@ -55,7 +55,6 @@ CONFIG_KEYS: dict = {
     "workspace": str,
     "synth": {
         "ports_per_network": [int],
-        "n_networks": int,
         "days": int,
         "target_missing_rate": float,
         "degrade_fraction": float,
@@ -217,7 +216,6 @@ def stage_synth(cfg: RunConfig, ws: Workspace) -> None:
     opts = dict(cfg.synth)
     if "ports_per_network" in opts:
         opts["ports_per_network"] = tuple(opts["ports_per_network"])
-        opts.setdefault("n_networks", len(opts["ports_per_network"]))
     result = generate(GenConfig(seed=cfg.seed, **opts), ws.root / "synth")
     ws.outputs += [*result.csv_paths, result.truth_path]  # named by the generator
     write_json(ws.write("synth", "summary.json"), result.summary)
@@ -436,6 +434,16 @@ def _read_model_meta(path: Path) -> dict:
     scores = meta.get("grid_scores", [])
     if not isinstance(scores, list) or not all(map(_is_grid_score, scores)):
         raise DataError(f"{path}: 'grid_scores' is not a list of [int, number] pairs")
+    kind = meta["kind"]
+    if kind not in MODEL_KINDS:
+        raise DataError(f"{path}: 'kind' {kind!r} is not one of {list(MODEL_KINDS)}")
+    meta.setdefault("imputation", "none")
+    allowed = FOREST_IMPUTATIONS if kind == "forest" else ("none",)
+    if meta["imputation"] not in allowed:
+        raise DataError(
+            f"{path}: 'imputation' {meta['imputation']!r} is not one of {list(allowed)} "
+            f"for 'kind' {kind!r}"
+        )
     return meta
 
 
@@ -451,14 +459,23 @@ def _load_models(ws: Workspace, names: list[str] | None) -> list[tuple[TrainedMo
             raise MissingArtifactError(f"no trained model artifacts for {sorted(missing)}")
     out = []
     for model_dir in dirs:
-        meta = _read_model_meta(ws.read(model_dir / "meta.json"))
-        loader = BritsModel.load if meta["kind"] == "brits" else TreeEnsemble.load
+        meta_path = ws.read(model_dir / "meta.json")
+        meta = _read_model_meta(meta_path)
+        model_path = ws.read(model_dir / _model_file(meta["kind"]))
+        if meta["kind"] == "brits":
+            model = BritsModel.load(model_path)
+        else:
+            model = TreeEnsemble.load(model_path)
+            if model.kind != meta["kind"]:
+                raise DataError(
+                    f"{model_path}: 'kind' {model.kind!r} differs from {meta['kind']!r} in {meta_path}"
+                )
         trained = TrainedModel(
             name=meta["name"],
             kind=meta["kind"],
             scope=meta["scope"],
-            model=loader(ws.read(model_dir / _model_file(meta["kind"]))),
-            imputation=meta.get("imputation", "none"),
+            model=model,
+            imputation=meta["imputation"],
             grid_scores=[tuple(x) for x in meta.get("grid_scores", [])],
         )
         out.append((trained, meta.get("dataset", trained.scope)))

@@ -131,11 +131,16 @@ def _decode_json(blob: bytes, path: Path, what: str, kind: type):
 def read_container(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a container written by :func:`write_container`.
 
-    Returns ``(arrays, meta)``. Raises :class:`DataError` on a bad magic,
-    version or index, undecodable JSON, or a file truncated anywhere.
+    Returns ``(arrays, meta)``. Raises :class:`MissingArtifactError` when
+    the file does not exist and :class:`DataError` on a bad magic, version
+    or index, undecodable JSON, or a file truncated anywhere.
     """
     path = Path(path)
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        raise MissingArtifactError(f"missing artifact {path}") from None
+    with fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise DataError(f"{path}: not an ILOS1 container (magic {magic!r})")

@@ -128,7 +128,7 @@ def train_tree_model(
     them filled by ``imputation``.
     """
     if kind == "booster":
-        config, mode = BoosterConfig(seed=seed), "none"
+        config, mode = BoosterConfig(), "none"
     elif kind == "forest":
         config, mode = ForestConfig(seed=seed), imputation
     else:

@@ -30,15 +30,23 @@ START_DATE = date(2024, 1, 1)
 CORE_PMS = ("QAVG", "QSTDEV", "UAS", "HCCS", "CV", "OPR", "OPT", "INFRAMES", "TRAFFIC")
 COUNTER_PMS = ("UAS", "HCCS", "CV")
 PROTOCOL_INDICATORS = ("TRAFFIC",)
+#: Facility types and their weights as a port's primary facility.
+FACILITY_MIX = (("OTM", 0.55), ("ETH", 0.45))
+#: Inclusive range of a precursor's degradation ramp, in days.
+DEGRADATION_DAYS = (12, 40)
+
+#: Columns of a port's value matrix: counters are zero-suppressed and
+#: emitted by the primary facility only; secondary facilities report the
+#: shifted columns 0.3 lower so dual-facility ports exercise the max-merge.
+_COUNTER_COLS = [CORE_PMS.index(pm) for pm in COUNTER_PMS]
+_SHIFTED_COLS = [CORE_PMS.index(pm) for pm in ("QAVG", "OPR", "OPT")]
 
 
 @dataclass(frozen=True)
 class GenConfig:
     seed: int
-    n_networks: int = 3
     ports_per_network: tuple[int, ...] = (150, 110, 40)
     days: int = 120
-    facility_mix: tuple[tuple[str, float], ...] = (("OTM", 0.55), ("ETH", 0.45))
     dual_facility_prob: float = 0.15
     extra_features_per_network: int = 4
     feature_overlap: float = 0.5
@@ -46,7 +54,6 @@ class GenConfig:
     degrade_fraction: float = 0.62
     unpredictable_fraction: float = 0.3
     benign_dip_fraction: float = 0.12
-    degradation_days: tuple[int, int] = (12, 40)
     zero_suppression: bool = True
 
     def __post_init__(self) -> None:
@@ -63,16 +70,12 @@ class GenConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        if len(self.ports_per_network) != self.n_networks:
-            raise ConfigError("ports_per_network must list one count per network")
-        if self.n_networks < 1:
+        if not self.ports_per_network:
             raise ConfigError("ports_per_network must list at least one network")
         if min(self.ports_per_network) < 1:
             raise ConfigError(
                 f"ports_per_network must be at least 1 per network, got {list(self.ports_per_network)}"
             )
-        if self.degradation_days[0] < 4 or self.degradation_days[0] > self.degradation_days[1]:
-            raise ConfigError("degradation_days must be an increasing pair >= 4")
 
 
 @dataclass(frozen=True)
@@ -127,13 +130,13 @@ def _port_events(cfg: GenConfig, rng: np.random.Generator) -> str | None:
 
 @dataclass
 class _PortDraft:
-    """Pre-drop values per (day, pm) plus bookkeeping for pass two."""
+    """Pre-drop values plus bookkeeping for pass two."""
 
     network_id: str
     port_id: str
     facilities: list[str]
-    values: dict[str, np.ndarray]  # pm -> per-day values; NaN = not emitted
-    exempt_days: set[int]
+    values: np.ndarray  # (days, len(vocab)) in vocabulary order; NaN = not emitted
+    exempt_days: list[int]
     event: OutageEvent | None
 
 
@@ -145,12 +148,12 @@ def _synthesize_port(
     network_id = f"net{net_idx + 1}"
     port_id = f"p{port_idx:04d}"
 
-    names = [f for f, _ in cfg.facility_mix]
-    weights = np.array([w for _, w in cfg.facility_mix], dtype=np.float64)
+    names = [f for f, _ in FACILITY_MIX]
+    weights = np.array([w for _, w in FACILITY_MIX], dtype=np.float64)
     weights /= weights.sum()
     primary = str(rng.choice(names, p=weights))
     facilities = [primary]
-    if len(names) > 1 and rng.random() < cfg.dual_facility_prob:
+    if rng.random() < cfg.dual_facility_prob:
         others = [f for f in names if f != primary]
         facilities.append(str(rng.choice(others)))
 
@@ -170,16 +173,16 @@ def _synthesize_port(
     uas = np.zeros(days)
     hccs = np.zeros(days)
 
-    exempt: set[int] = {0, days - 1}
+    exempt = [0, days - 1]
     event: OutageEvent | None = None
     kind = _port_events(cfg, rng)
     if kind is not None and days >= 30:
         outage = int(rng.integers(20, days - 7))
         uas[outage] = float(rng.integers(3600, 40000))
-        exempt.add(outage)
+        exempt.append(outage)
         event = OutageEvent(network_id, port_id, outage, has_precursor=(kind == "precursor"))
         if kind == "precursor":
-            ramp_len = int(rng.integers(cfg.degradation_days[0], cfg.degradation_days[1] + 1))
+            ramp_len = int(rng.integers(DEGRADATION_DAYS[0], DEGRADATION_DAYS[1] + 1))
             ramp_len = min(ramp_len, outage - 1)
             start = outage - ramp_len
             progress = np.arange(1, ramp_len + 1) / ramp_len
@@ -200,7 +203,7 @@ def _synthesize_port(
             # collectable so the outage has at least one usable window.
             witness = outage - 4
             hccs[witness] = 0.0
-            exempt.add(witness)
+            exempt.append(witness)
 
     if kind is None and rng.random() < cfg.benign_dip_fraction and days >= 40:
         # Degradation-shaped transient that recovers without an outage:
@@ -212,27 +215,14 @@ def _synthesize_port(
         qavg[dip_start : dip_start + dip_len] -= dip_amp * shape
         qstdev[dip_start : dip_start + dip_len] += 0.4 * dip_amp * shape
 
-    values: dict[str, np.ndarray] = {
-        "QAVG": qavg,
-        "QSTDEV": qstdev,
-        "UAS": uas,
-        "HCCS": hccs,
-        "CV": cv,
-        "OPR": opr,
-        "OPT": opt,
-        "INFRAMES": inframes,
-        "TRAFFIC": traffic,
-    }
-    for pm in vocab:
-        if pm in values:
-            continue
-        base = rng.normal(50.0, 10.0)
-        values[pm] = base + rng.normal(0.0, 2.0, size=days)
-
+    extras = [
+        rng.normal(50.0, 10.0) + rng.normal(0.0, 2.0, size=days)
+        for _ in vocab[len(CORE_PMS) :]
+    ]
+    values = np.column_stack([qavg, qstdev, uas, hccs, cv, opr, opt, inframes, traffic, *extras])
     if cfg.zero_suppression:
-        for pm in COUNTER_PMS:
-            vals = values[pm]
-            values[pm] = np.where(vals > 0, vals, np.nan)
+        counters = values[:, _COUNTER_COLS]
+        values[:, _COUNTER_COLS] = np.where(counters > 0, counters, np.nan)
 
     return _PortDraft(
         network_id=network_id,
@@ -247,14 +237,9 @@ def _synthesize_port(
 def _apply_day_drops(cfg: GenConfig, drafts: list[list[_PortDraft]]) -> float:
     """Drop whole port-days at random to close the gap to the target
     missing rate; returns the drop probability used."""
-    total_cells = 0
-    observed = 0
-    for net_idx, net_drafts in enumerate(drafts):
-        vocab = network_vocabulary(cfg, net_idx)
-        for draft in net_drafts:
-            total_cells += cfg.days * len(vocab)
-            for pm in vocab:
-                observed += int(np.sum(~np.isnan(draft.values[pm])))
+    ports = [draft for net_drafts in drafts for draft in net_drafts]
+    total_cells = sum(draft.values.size for draft in ports)
+    observed = sum(int(np.count_nonzero(~np.isnan(draft.values))) for draft in ports)
     intrinsic = 1.0 - observed / total_cells
     if intrinsic > cfg.target_missing_rate:
         raise DataError(
@@ -268,15 +253,9 @@ def _apply_day_drops(cfg: GenConfig, drafts: list[list[_PortDraft]]) -> float:
                 np.random.SeedSequence([cfg.seed, net_idx, port_idx, 2])
             )
             dropped = rng.random(cfg.days) < drop_p
-            for day in draft.exempt_days:
-                dropped[day] = False
-            for pm in draft.values:
-                draft.values[pm] = np.where(dropped, np.nan, draft.values[pm])
+            dropped[draft.exempt_days] = False
+            draft.values[dropped] = np.nan
     return drop_p
-
-
-def _format_value(v: float) -> str:
-    return f"{v:.6g}"
 
 
 PM_HEADER = ("network_id", "port_id", "facility_type", "date", "pm_name", "pm_value")
@@ -286,23 +265,20 @@ TRUTH_HEADER = ("network_id", "port_id", "outage_date", "has_precursor")
 def _pm_rows(
     cfg: GenConfig, net_drafts: list[_PortDraft], vocab: tuple[str, ...]
 ) -> Iterator[list]:
-    """One network's PM CSV rows, port by port and day by day."""
+    """One network's PM CSV rows: per port, the observed cells in
+    day × facility × PM order."""
+    dates = [(START_DATE + timedelta(days=day)).isoformat() for day in range(cfg.days)]
+    # Row f is added to facility f's values. The primary's 0.0 also turns
+    # a -0.0 into 0.0, which would otherwise print as "-0".
+    offsets = np.zeros((len(FACILITY_MIX), len(vocab)))
+    offsets[1:, _SHIFTED_COLS] = -0.3
     for draft in net_drafts:
-        # Per-facility offsets keep dual-facility ports exercising
-        # the max-merge; counters are emitted once.
-        offsets = {fac: (0.0 if i == 0 else -0.3) for i, fac in enumerate(draft.facilities)}
-        for day in range(cfg.days):
-            day_str = (START_DATE + timedelta(days=day)).isoformat()
-            for fac_i, fac in enumerate(draft.facilities):
-                for pm in vocab:
-                    v = draft.values[pm][day]
-                    if np.isnan(v):
-                        continue
-                    if pm in COUNTER_PMS and fac_i > 0:
-                        continue
-                    if pm in ("QAVG", "OPR", "OPT"):
-                        v = v + offsets[fac]
-                    yield [draft.network_id, draft.port_id, fac, day_str, pm, _format_value(v)]
+        emit = np.repeat(~np.isnan(draft.values)[:, None, :], len(draft.facilities), axis=1)
+        emit[:, 1:, _COUNTER_COLS] = False
+        day, fac, pm = np.nonzero(emit)
+        values = draft.values[day, pm] + offsets[fac, pm]
+        for d, f, p, v in zip(day.tolist(), fac.tolist(), pm.tolist(), values.tolist()):
+            yield [draft.network_id, draft.port_id, draft.facilities[f], dates[d], vocab[p], f"{v:.6g}"]
 
 
 def generate(cfg: GenConfig, out_dir: str | Path) -> GenResult:
@@ -314,24 +290,20 @@ def generate(cfg: GenConfig, out_dir: str | Path) -> GenResult:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    drafts: list[list[_PortDraft]] = []
-    events: list[OutageEvent] = []
-    for net_idx in range(cfg.n_networks):
-        vocab = network_vocabulary(cfg, net_idx)
-        port_ids = range(cfg.ports_per_network[net_idx])
-        net_drafts = [_synthesize_port(cfg, net_idx, p, vocab) for p in port_ids]
-        drafts.append(net_drafts)
-        events.extend(d.event for d in net_drafts if d.event is not None)
+    vocabs = [network_vocabulary(cfg, i) for i in range(len(cfg.ports_per_network))]
+    drafts = [
+        [_synthesize_port(cfg, net_idx, p, vocab) for p in range(n_ports)]
+        for net_idx, (vocab, n_ports) in enumerate(zip(vocabs, cfg.ports_per_network))
+    ]
+    events = [d.event for net_drafts in drafts for d in net_drafts if d.event is not None]
 
     drop_p = _apply_day_drops(cfg, drafts)
 
     csv_paths: list[Path] = []
-    n_outages = 0
-    for net_idx, net_drafts in enumerate(drafts):
+    for net_idx, (net_drafts, vocab) in enumerate(zip(drafts, vocabs)):
         path = out_dir / f"net{net_idx + 1}.csv"
-        write_csv(path, PM_HEADER, _pm_rows(cfg, net_drafts, network_vocabulary(cfg, net_idx)))
+        write_csv(path, PM_HEADER, _pm_rows(cfg, net_drafts, vocab))
         csv_paths.append(path)
-        n_outages += sum(1 for d in net_drafts if d.event is not None)
 
     truth_path = out_dir / "ground_truth.csv"
     write_csv(
@@ -344,10 +316,10 @@ def generate(cfg: GenConfig, out_dir: str | Path) -> GenResult:
     )
 
     summary = {
-        "networks": cfg.n_networks,
+        "networks": len(cfg.ports_per_network),
         "ports": sum(cfg.ports_per_network),
         "days": cfg.days,
-        "outages": n_outages,
+        "outages": len(events),
         "precursor_outages": sum(1 for e in events if e.has_precursor),
         "day_drop_probability": drop_p,
     }

@@ -119,7 +119,6 @@ class BoosterConfig:
     learning_rate: float = 0.3
     reg_lambda: float = 1.0
     min_child_hessian: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_trees < 1 or self.max_depth < 1:
@@ -169,6 +168,9 @@ class TreeEnsemble:
         config = payload["config"]
         if not isinstance(config, dict):
             raise DataError(f"{path}: config is not a JSON object")
+        if payload["kind"] == "booster":
+            # Older booster files carry a seed that no fit ever read.
+            config = {key: value for key, value in config.items() if key != "seed"}
         unknown = sorted(set(config) - set(cfg_cls.__dataclass_fields__))
         if unknown:
             raise DataError(f"{path}: config has unknown key(s) {unknown} for {cfg_cls.__name__}")

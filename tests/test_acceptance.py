@@ -228,7 +228,7 @@ def test_criterion_5_metric_oracle():
 
 def test_criterion_6_freeze_exactness(tmp_path):
     t0 = time.time()
-    result = generate(GenConfig(seed=606, ports_per_network=(16, 10), n_networks=2, days=90), tmp_path)
+    result = generate(GenConfig(seed=606, ports_per_network=(16, 10), days=90), tmp_path)
     ingested = ingest_csvs([str(p) for p in result.csv_paths])
     datasets, _ = build_network_datasets(ingested)
     from iloscast.transfer import build_mega_dataset, finetune_classifier_only

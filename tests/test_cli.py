@@ -83,6 +83,7 @@ def test_config_rejects_unknown_fields(tmp_path):
         ("pretrain", "train.brits.patience", 0, "train.brits.patience must be at least 1, got 0"),
         ("pretrain", "train.brits.min_delta", -0.5, "train.brits.min_delta must be at least 0"),
         ("finetune", "train.brits.learning_rate", 0, "train.brits.learning_rate must be positive"),
+        ("synth", "synth.n_networks", 3, "unknown synth key(s) ['n_networks']"),
     ],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, stage, key, value, message):
@@ -110,7 +111,7 @@ def test_config_keys_match_the_settings_they_fill():
     from iloscast.synth import GenConfig
 
     assert set(CONFIG_KEYS) == {f.name for f in fields(RunConfig)}
-    assert set(CONFIG_KEYS["synth"]) <= {f.name for f in fields(GenConfig)}
+    assert set(CONFIG_KEYS["synth"]) == {f.name for f in fields(GenConfig)} - {"seed"}
     # The config seed seeds training; fine-tuning picks the trainable blocks.
     schedule_fields = {f.name for f in fields(TrainSchedule)} - {"seed", "trainable"}
     assert set(CONFIG_KEYS["train"]["brits"]) == schedule_fields
@@ -277,6 +278,9 @@ def test_cli_json_missing_keys_exits_1(pipeline_ws, tmp_path, capsys, stage, art
         ("evaluate", "models/booster_net1/meta.json", "scope", {"net": 1}),
         ("evaluate", "models/booster_net1/meta.json", "imputation", 0),
         ("report", "eval/booster_net1/scores.json", "model", ["x"]),
+        ("evaluate", "models/booster_net1/meta.json", "kind", "xyz"),
+        ("evaluate", "models/booster_net1/meta.json", "kind", "forest"),
+        ("evaluate", "models/booster_net1/meta.json", "imputation", "zero"),
     ],
 )
 def test_cli_wrong_typed_json_value_exits_1(pipeline_ws, tmp_path, capsys, stage, artifact, key, value):
@@ -587,6 +591,17 @@ def test_cli_missing_model_meta_exits_3(pipeline_ws, tmp_path, capsys):
     (ws / "models" / "booster_net1" / "meta.json").unlink()
     assert cli_entry(["evaluate"] + args) == 3
     assert "meta.json" in capsys.readouterr().err
+
+
+def test_cli_model_file_of_meta_kind_missing_exits_3(pipeline_ws, tmp_path, capsys):
+    # A booster directory whose meta.json says brits has no model.ilos.
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    meta = ws / "models" / "booster_net1" / "meta.json"
+    meta.write_text(json.dumps(json.loads(meta.read_text()) | {"kind": "brits"}))
+    assert cli_entry(["evaluate"] + args) == 3
+    err = capsys.readouterr().err
+    assert "model.ilos" in err
+    assert "Traceback" not in err
 
 
 def test_runlog_has_hashed_lineage(pipeline_ws):

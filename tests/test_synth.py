@@ -54,8 +54,43 @@ def test_config_validation():
         GenConfig(seed=1, days=10)
     with pytest.raises(ConfigError, match="degrade_fraction"):
         GenConfig(seed=1, degrade_fraction=1.5)
-    with pytest.raises(ConfigError, match="per network"):
-        GenConfig(seed=1, ports_per_network=(5,), n_networks=2)
+
+
+GOLDEN_SHA256 = [
+    (
+        GenConfig(seed=7, ports_per_network=(20, 12, 8), days=90),
+        {
+            "net1.csv": "edd88afa0b3c5dad9fbbe1f4044c7d63b16f4f10449cc79527dd6a6424658251",
+            "net2.csv": "fadd0378e68fc72cd6b9bcab075096bbfa9dff13cb49b5b576e1cf1faf47a2e6",
+            "net3.csv": "e20c16aafe4fa45e1245fe4db1a3043e476f7589622cc4c7315d8bf5b6a5a57c",
+            "ground_truth.csv": "03877e1f3368a4b2000a753bb89af9bd891833aeefcade9c0765596d2b7a816c",
+        },
+    ),
+    (
+        GenConfig(
+            seed=3,
+            ports_per_network=(30, 20),
+            zero_suppression=False,
+            target_missing_rate=0.5,
+            dual_facility_prob=0.9,
+        ),
+        {
+            "net1.csv": "1632fc3c51f76ef493cc4bc96debe5598514f1494640b88f88e8d79bb76dc308",
+            "net2.csv": "877be7229a7b85b95fa00d407a44391edc6a417672290a48d61b6cdd944cbf48",
+            "ground_truth.csv": "504cb8bb4101cf6b95e35d10f2b07a605b51f6197ce91967e0ffb9e761dc8676",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg, digests", GOLDEN_SHA256, ids=["default-regime", "dense-dual"])
+def test_generated_bytes_match_recorded_sha256(tmp_path, cfg, digests):
+    import hashlib
+
+    result = generate(cfg, tmp_path)
+    files = [*result.csv_paths, result.truth_path]
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+    assert got == digests
 
 
 def test_ground_truth_round_trip(tmp_path):

@@ -401,8 +401,8 @@ def test_booster_determinism():
     rows = rng.normal(size=(120, 5))
     rows[rng.random((120, 5)) < 0.3] = np.nan
     labels = (rng.random(120) < 0.4).astype(float)
-    m1 = train_gbdt(rows, labels, BoosterConfig(n_trees=6, seed=1))
-    m2 = train_gbdt(rows, labels, BoosterConfig(n_trees=6, seed=1))
+    m1 = train_gbdt(rows, labels, BoosterConfig(n_trees=6))
+    m2 = train_gbdt(rows, labels, BoosterConfig(n_trees=6))
     np.testing.assert_array_equal(predict_proba(m1, rows), predict_proba(m2, rows))
 
 
@@ -564,3 +564,7 @@ def test_ensemble_json_round_trip(tmp_path):
 
     payload = json.loads(path.read_text())
     assert "default_left" in payload["trees"][0]
+    # A booster file written while BoosterConfig had its unused seed loads.
+    payload["config"]["seed"] = 0
+    path.write_text(json.dumps(payload))
+    assert TreeEnsemble.load(path).config == model.config
