@@ -14,8 +14,11 @@ against central finite differences.
 
 Recurrent model cost: one step evaluates the four LSTM gates with a single
 ``tanh`` over the (B, 4H) pre-activation, since sigma(a) = 1/2 +
-tanh(a/2)/2, and keeps that one (B, 4H) gate array for backprop.
-Forward-only passes (``brits_forward`` and through it prediction,
+tanh(a/2)/2, and keeps that one (B, 4H) gate array for backprop. Every
+per-step quantity is written in place into one (T, B, width) array, which
+training reuses across steps (``StepWorkspace``). A training step runs the
+two directions on two threads when ``step_threads()`` allows it, with the
+same bits as one thread. Forward-only passes (``brits_forward`` and through it prediction,
 ``evaluate_losses`` and the finite-difference check) run the same time
 loop with step caching off and sum the estimation error inside it. The
 other sigmoids (combination weight, output probability) use the shared
@@ -26,8 +29,11 @@ ensembles sharing that function must not do.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -183,17 +189,71 @@ def _gate_affine(hidden_size: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, shift
 
 
+#: The per-step quantities that backprop reads, with their widths in terms
+#: of the feature count F and hidden size H; ``*_pos`` ones are boolean.
+STEP_WIDTHS = {
+    "gamma_h": (0, 1), "s_h_pos": (0, 1), "s_x_pos": (1, 0), "h_dec": (0, 1),
+    "xhat": (1, 0), "xh": (1, 0), "zhat": (1, 0), "comb_in": (2, 0), "beta": (1, 0),
+    "chat": (1, 0), "u": (2, 0), "gates": (0, 4), "tanh_c": (0, 1),
+}
+
+
+def _step_arrays(T: int, B: int, F: int, H: int, keep_steps: bool) -> dict[str, np.ndarray]:
+    """Arrays one direction's time loop writes in place.
+
+    Each ``STEP_WIDTHS`` quantity gets a (T, B, width) array with
+    ``keep_steps`` and one slot rewritten every step without; the hidden and
+    cell states ``h``/``c`` get one slot more for the initial state, or a
+    pair of slots taken in turn. The rest are one-slot scratch: ``s_h``,
+    ``gi_gg`` and ``h_gates`` for the forward pass, and with ``keep_steps``
+    the ones backprop uses.
+    """
+    slots = T if keep_steps else 1
+    arrays = {
+        name: np.empty((slots, B, nf * F + nh * H), dtype=bool if name.endswith("_pos") else np.float64)
+        for name, (nf, nh) in STEP_WIDTHS.items()
+    }
+    for name in ("h", "c"):
+        arrays[name] = np.empty((slots + 1, B, H))
+    scratch = {"s_h": H, "gi_gg": H, "h_gates": 4 * H}
+    if keep_steps:
+        scratch.update(dict.fromkeys(("dh", "dc", "dc_prev", "dh_dec", "t1", "t2"), H), da=4 * H)
+    for name, width in scratch.items():
+        arrays[name] = np.empty((1, B, width))
+    return arrays
+
+
+class StepWorkspace:
+    """Step-cache arrays of both directions, reused by every training step
+    of one fit, so that each step writes memory already mapped instead of
+    fresh pages. A batch takes the first B rows of each array; a larger
+    batch or another shape allocates anew."""
+
+    def __init__(self) -> None:
+        self._held: dict[str, tuple[tuple[int, int, int], dict[str, np.ndarray]]] = {}
+
+    def arrays(self, direction: str, T: int, B: int, F: int, H: int) -> dict[str, np.ndarray]:
+        shape, held = self._held.get(direction, (None, {}))
+        if shape != (T, F, H) or held["h"].shape[1] < B:
+            held = _step_arrays(T, B, F, H, keep_steps=True)
+            self._held[direction] = ((T, F, H), held)
+        return {name: arr[:, :B] for name, arr in held.items()}
+
+
 def _rits_forward(
     params: dict[str, np.ndarray],
     x: np.ndarray,
     mask: np.ndarray,
     delta: np.ndarray,
     keep_steps: bool = False,
+    arrays: dict[str, np.ndarray] | None = None,
 ) -> dict:
     """Forward pass of one direction over checked (B, T, F) input.
 
     With ``keep_steps`` the result also holds the per-step intermediates
-    that backprop needs; forward-only callers leave it off and keep none.
+    that backprop needs, as ``steps[t]`` views into ``arrays`` (see
+    ``_step_arrays``; allocated when not given); forward-only callers leave
+    it off and keep none.
     """
     B, T, F = x.shape
     H = params["cls_W"].shape[0]
@@ -201,68 +261,76 @@ def _rits_forward(
     w_off = params["feat_W"] * offdiag
     gate_scale, gate_shift = _gate_affine(H)
 
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
+    if arrays is None:
+        arrays = _step_arrays(T, B, F, H, keep_steps)
+    hs, cs = arrays["h"], arrays["c"]
+    hs[0] = 0.0
+    cs[0] = 0.0
+    state_slots = hs.shape[0]
+    s_h, gi_gg, h_gates = arrays["s_h"][0], arrays["gi_gg"][0], arrays["h_gates"][0]
     steps = []
-    hidden = np.empty((B, T, H))
     x_prime = np.empty((B, T, F))
     x_comp = np.empty((B, T, F))
     abs_err = np.zeros(B)
 
     for t in range(T):
         xt, mt, dt = x[:, t], mask[:, t], delta[:, t]
-        s_h = dt @ params["decay_h_W"].T + params["decay_h_b"]
-        gamma_h = np.exp(-np.maximum(0.0, s_h))
+        st = {name: arrays[name][t if keep_steps else 0] for name in STEP_WIDTHS}
+        st["h_prev"], h = hs[t % state_slots], hs[(t + 1) % state_slots]
+        st["c_prev"], c = cs[t % state_slots], cs[(t + 1) % state_slots]
+        gamma_h, h_dec, xhat, xh, zhat, comb_in, beta, chat, u, gates = (
+            st[name]
+            for name in ("gamma_h", "h_dec", "xhat", "xh", "zhat", "comb_in", "beta", "chat", "u", "gates")
+        )
+
+        np.matmul(dt, params["decay_h_W"].T, out=s_h)
+        s_h += params["decay_h_b"]
+        np.greater(s_h, 0, out=st["s_h_pos"])
+        np.maximum(0.0, s_h, out=gamma_h)
+        np.negative(gamma_h, out=gamma_h)
+        np.exp(gamma_h, out=gamma_h)
         s_x = dt @ params["decay_x_W"].T + params["decay_x_b"]
-        gamma_x = np.exp(-np.maximum(0.0, s_x))
-        h_dec = gamma_h * h
-        xhat = h_dec @ params["hist_W"].T + params["hist_b"]
-        xh = mt * xt + (1.0 - mt) * xhat
-        zhat = xh @ w_off.T + params["feat_b"]
-        comb_in = np.concatenate([gamma_x, mt], axis=1)
-        beta = sigmoid(comb_in @ params["comb_W"].T + params["comb_b"])
-        chat = beta * zhat + (1.0 - beta) * xhat
-        xc = mt * xt + (1.0 - mt) * chat
-        u = np.concatenate([xc, mt], axis=1)
-        gates = u @ params["lstm_W"].T + h_dec @ params["lstm_U"].T + params["lstm_b"]
+        np.greater(s_x, 0, out=st["s_x_pos"])
+        comb_in[:, :F] = np.exp(-np.maximum(0.0, s_x))
+        comb_in[:, F:] = mt
+        np.multiply(gamma_h, st["h_prev"], out=h_dec)
+        np.matmul(h_dec, params["hist_W"].T, out=xhat)
+        xhat += params["hist_b"]
+        not_mt = 1.0 - mt
+        np.multiply(mt, xt, out=xh)
+        xh += not_mt * xhat
+        np.matmul(xh, w_off.T, out=zhat)
+        zhat += params["feat_b"]
+        beta[...] = sigmoid(comb_in @ params["comb_W"].T + params["comb_b"])
+        np.multiply(beta, zhat, out=chat)
+        chat += (1.0 - beta) * xhat
+        xc = mt * xt + not_mt * chat
+        u[:, :F] = xc
+        u[:, F:] = mt
+        np.matmul(u, params["lstm_W"].T, out=gates)
+        np.matmul(h_dec, params["lstm_U"].T, out=h_gates)
+        gates += h_gates
+        gates += params["lstm_b"]
         gates *= gate_scale
         np.tanh(gates, out=gates)
         gates *= gate_scale
         gates += gate_shift
         gi, gf, gg, go = (gates[:, k * H : (k + 1) * H] for k in range(4))
-        c_prev = c
-        c = gf * c_prev + gi * gg
-        tanh_c = np.tanh(c)
-        h_prev = h
-        h = go * tanh_c
+        np.multiply(gf, st["c_prev"], out=c)
+        np.multiply(gi, gg, out=gi_gg)
+        c += gi_gg
+        np.tanh(c, out=st["tanh_c"])
+        np.multiply(go, st["tanh_c"], out=h)
 
-        hidden[:, t] = h
         x_prime[:, t] = chat
         x_comp[:, t] = xc
         err = np.abs(xhat - xt) + np.abs(zhat - xt) + np.abs(chat - xt)
         abs_err += (mt * err).sum(axis=1)
         if keep_steps:
-            steps.append(
-                {
-                    "gamma_h": gamma_h,
-                    "s_h_pos": s_h > 0,
-                    "s_x_pos": s_x > 0,
-                    "h_prev": h_prev,
-                    "h_dec": h_dec,
-                    "xhat": xhat,
-                    "xh": xh,
-                    "zhat": zhat,
-                    "comb_in": comb_in,
-                    "beta": beta,
-                    "chat": chat,
-                    "u": u,
-                    "gates": gates,
-                    "c_prev": c_prev,
-                    "tanh_c": tanh_c,
-                }
-            )
+            steps.append(st)
 
-    logit_raw = hidden[:, -1] @ params["cls_W"] + params["cls_b"][0]
+    h_last = hs[T % state_slots]
+    logit_raw = h_last @ params["cls_W"] + params["cls_b"][0]
     logit = np.clip(logit_raw, -LOGIT_CLAMP, LOGIT_CLAMP)
     est_norm = 3.0 * np.maximum(mask.reshape(B, -1).sum(axis=1), 1.0)
 
@@ -273,7 +341,8 @@ def _rits_forward(
         "w_off": w_off,
         "offdiag": offdiag,
         "steps": steps,
-        "hidden": hidden,
+        "arrays": arrays,
+        "h_last": h_last,
         "x_prime": x_prime,
         "x_comp": x_comp,
         "logit_raw": logit_raw,
@@ -310,30 +379,51 @@ def _rits_backward(
 
     inside_clamp = np.abs(cache["logit_raw"]) < LOGIT_CLAMP
     dz = d_logit * inside_clamp
-    grads["cls_W"] += cache["hidden"][:, -1].T @ dz
+    grads["cls_W"] += cache["h_last"].T @ dz
     grads["cls_b"][0] += dz.sum()
 
-    dh = dz[:, None] * params["cls_W"][None, :]
-    dc = np.zeros((B, H))
-    da = np.empty((B, 4 * H))
+    dh, dc, dc_prev, dh_dec, t1, t2, da = (
+        cache["arrays"][name][0] for name in ("dh", "dc", "dc_prev", "dh_dec", "t1", "t2", "da")
+    )
+    np.multiply(dz[:, None], params["cls_W"][None, :], out=dh)
+    dc[...] = 0.0
+    lstm_w_step = np.empty_like(params["lstm_W"])
+    lstm_u_step = np.empty_like(params["lstm_U"])
     for t in range(T - 1, -1, -1):
         st = steps[t]
         xt, mt, dt = x[:, t], mask[:, t], cache["delta"][:, t]
         gi, gf, gg, go = (st["gates"][:, k * H : (k + 1) * H] for k in range(4))
         tanh_c = st["tanh_c"]
 
-        # LSTM cell: gradient on the (B, 4H) pre-activation, block by block.
-        da[:, 3 * H :] = dh * tanh_c * go * (1.0 - go)
-        dc = dc + dh * go * (1.0 - tanh_c**2)
-        da[:, :H] = dc * gg * gi * (1.0 - gi)
-        da[:, H : 2 * H] = dc * st["c_prev"] * gf * (1.0 - gf)
-        da[:, 2 * H : 3 * H] = dc * gi * (1.0 - gg**2)
-        dc_prev = dc * gf
-        grads["lstm_W"] += da.T @ st["u"]
-        grads["lstm_U"] += da.T @ st["h_dec"]
+        # LSTM cell: gradient on the (B, 4H) pre-activation, block by block,
+        # each product evaluated left to right into scratch arrays.
+        np.multiply(dh, tanh_c, out=t1)  # da_o = dh * tanh_c * go * (1 - go)
+        t1 *= go
+        np.subtract(1.0, go, out=t2)
+        np.multiply(t1, t2, out=da[:, 3 * H :])
+        np.multiply(dh, go, out=t1)  # dc += dh * go * (1 - tanh_c**2)
+        np.square(tanh_c, out=t2)
+        np.subtract(1.0, t2, out=t2)
+        t1 *= t2
+        dc += t1
+        np.multiply(dc, gg, out=t1)  # da_i = dc * gg * gi * (1 - gi)
+        t1 *= gi
+        np.subtract(1.0, gi, out=t2)
+        np.multiply(t1, t2, out=da[:, :H])
+        np.multiply(dc, st["c_prev"], out=t1)  # da_f = dc * c_prev * gf * (1 - gf)
+        t1 *= gf
+        np.subtract(1.0, gf, out=t2)
+        np.multiply(t1, t2, out=da[:, H : 2 * H])
+        np.multiply(dc, gi, out=t1)  # da_g = dc * gi * (1 - gg**2)
+        np.square(gg, out=t2)
+        np.subtract(1.0, t2, out=t2)
+        np.multiply(t1, t2, out=da[:, 2 * H : 3 * H])
+        np.multiply(dc, gf, out=dc_prev)
+        grads["lstm_W"] += np.matmul(da.T, st["u"], out=lstm_w_step)
+        grads["lstm_U"] += np.matmul(da.T, st["h_dec"], out=lstm_u_step)
         grads["lstm_b"] += da.sum(axis=0)
         dxc = da @ lstm_w_in
-        dh_dec = da @ params["lstm_U"]
+        np.matmul(da, params["lstm_U"], out=dh_dec)
 
         # Complement and the three estimates with their masked-MAE terms.
         dchat = (1.0 - mt) * dxc + mt * np.sign(st["chat"] - xt) * alpha + d_chat_extra[:, t]
@@ -353,20 +443,22 @@ def _rits_backward(
 
         grads["hist_W"] += dxhat.T @ st["h_dec"]
         grads["hist_b"] += dxhat.sum(axis=0)
-        dh_dec += dxhat @ params["hist_W"]
+        np.matmul(dxhat, params["hist_W"], out=t1)
+        dh_dec += t1
 
-        dgamma_h = dh_dec * st["h_prev"]
-        dh_prev = dh_dec * st["gamma_h"]
-        ds_h = -dgamma_h * st["gamma_h"] * st["s_h_pos"]
-        grads["decay_h_W"] += ds_h.T @ dt
-        grads["decay_h_b"] += ds_h.sum(axis=0)
+        np.multiply(dh_dec, st["h_prev"], out=t1)  # dgamma_h
+        np.multiply(dh_dec, st["gamma_h"], out=dh)  # the next step's dh
+        np.negative(t1, out=t1)  # ds_h = -dgamma_h * gamma_h * [s_h > 0]
+        t1 *= st["gamma_h"]
+        t1 *= st["s_h_pos"]
+        grads["decay_h_W"] += t1.T @ dt
+        grads["decay_h_b"] += t1.sum(axis=0)
         gamma_x = st["comb_in"][:, :F]
         ds_x = -dgamma_x * gamma_x * st["s_x_pos"]
         grads["decay_x_W"] += ds_x.T @ dt
         grads["decay_x_b"] += ds_x.sum(axis=0)
 
-        dh = dh_prev
-        dc = dc_prev
+        dc, dc_prev = dc_prev, dc
 
     return grads
 
@@ -391,17 +483,80 @@ def backward_inputs(x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.nda
     return xb, mb, compute_time_gaps(mb)
 
 
+_worker: ThreadPoolExecutor | None = None
+
+
+def _forget_worker() -> None:
+    """A forked child has no worker thread; it starts its own when needed."""
+    global _worker
+    _worker = None
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def step_threads() -> int:
+    """Threads for one training step: 2 when this process may run on two
+    or more CPUs and BLAS is pinned to one thread (``OPENBLAS_NUM_THREADS``,
+    else ``OMP_NUM_THREADS``, is ``1``); 1 otherwise, where a second thread
+    would compete with BLAS's own."""
+    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return 2 if blas == "1" and cpus >= 2 else 1
+
+
+def _both_directions(run_fwd: Callable, run_bwd: Callable, threaded: bool) -> tuple:
+    """``(run_fwd(), run_bwd())``; with ``threaded`` and two step threads,
+    ``run_bwd`` runs on one persistent worker thread meanwhile. NumPy and
+    BLAS release the GIL, the two calls share no written array, and each
+    does the same arithmetic in the same order on either thread."""
+    global _worker
+    if not threaded or step_threads() < 2:
+        return run_fwd(), run_bwd()
+    if _worker is None:
+        # Unlocked: two racing first callers would each start a worker,
+        # and either one computes the same bits.
+        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="iloscast-bwd")
+    job = _worker.submit(run_bwd)
+    try:
+        fwd = run_fwd()
+    finally:
+        # Always join; an error in the worker surfaces here, chained to
+        # the calling thread's if both directions failed.
+        bwd = job.result()
+    return fwd, bwd
+
+
 def _forward_pair(
-    model: BritsModel, x: np.ndarray, mask: np.ndarray, delta: np.ndarray, keep_steps: bool = False
+    model: BritsModel,
+    x: np.ndarray,
+    mask: np.ndarray,
+    delta: np.ndarray,
+    keep_steps: bool = False,
+    workspace: StepWorkspace | None = None,
 ) -> tuple[dict, dict, np.ndarray]:
     """Both directions over checked input, plus the aligned complement gap.
 
     Consistency ties the two directions' imputation matrices (the
     complements) together; observed entries agree by construction, so the
-    gap is nonzero on the filled-in cells only.
+    gap is nonzero on the filled-in cells only. Only the caching pass of a
+    training step may run the directions on two threads; forward-only
+    passes stay on the calling thread. ``workspace`` lends the caching
+    arrays of both directions.
     """
-    fwd = _rits_forward(model.fwd, x, mask, delta, keep_steps)
-    bwd = _rits_forward(model.bwd, *backward_inputs(x, mask), keep_steps)
+    bwd_inputs = backward_inputs(x, mask)
+    arrays = {"fwd": None, "bwd": None}
+    if workspace is not None:
+        B, T, F = x.shape
+        arrays = {d: workspace.arrays(d, T, B, F, model.hidden_size) for d in arrays}
+    fwd, bwd = _both_directions(
+        lambda: _rits_forward(model.fwd, x, mask, delta, keep_steps, arrays["fwd"]),
+        lambda: _rits_forward(model.bwd, *bwd_inputs, keep_steps, arrays["bwd"]),
+        threaded=keep_steps,
+    )
     return fwd, bwd, fwd["x_comp"] - bwd["x_comp"][:, ::-1]
 
 
@@ -474,18 +629,23 @@ def brits_loss_and_grads(
     delta: np.ndarray,
     label: np.ndarray,
     phase: int = 2,
+    workspace: StepWorkspace | None = None,
 ) -> tuple[dict[str, float], dict[str, dict[str, np.ndarray]]]:
     """Loss components plus analytic gradients for both directions.
 
     Phase 1 trains the imputation objective only (estimation both ways plus
-    consistency); phase 2 adds per-direction classification.
+    consistency); phase 2 adds per-direction classification. With two
+    ``step_threads()`` the backward direction's forward and backprop run on
+    a worker thread, joined before the loss and before returning; the
+    result is the same bits either way. ``train_brits`` passes one
+    ``workspace`` for all the steps of a fit.
     """
     x, mask, delta = _check_batch(x, mask, delta)
     y = np.asarray(label, dtype=np.float64).reshape(-1)
     B = x.shape[0]
     w_cls = classification_weight(phase)
 
-    fwd, bwd, diff = _forward_pair(model, x, mask, delta, keep_steps=True)
+    fwd, bwd, diff = _forward_pair(model, x, mask, delta, keep_steps=True, workspace=workspace)
     comps = _loss_components(fwd, bwd, diff, y)
     comps["total"] = total_loss(comps, phase)
     if not np.isfinite(comps["total"]):
@@ -496,11 +656,14 @@ def brits_loss_and_grads(
     cons_scale = 1.0 / diff.size
     d_chat_fwd = (1.0 - mask) * np.sign(diff) * cons_scale
     d_chat_bwd = ((1.0 - mask) * -np.sign(diff) * cons_scale)[:, ::-1].copy()
-    grads = {
-        "fwd": _rits_backward(model.fwd, fwd, d_chat_fwd, w_cls * ((fwd["prob"] - y) / B)),
-        "bwd": _rits_backward(model.bwd, bwd, d_chat_bwd, w_cls * ((bwd["prob"] - y) / B)),
-    }
-    return comps, grads
+    d_logit_fwd = w_cls * ((fwd["prob"] - y) / B)
+    d_logit_bwd = w_cls * ((bwd["prob"] - y) / B)
+    grads_fwd, grads_bwd = _both_directions(
+        lambda: _rits_backward(model.fwd, fwd, d_chat_fwd, d_logit_fwd),
+        lambda: _rits_backward(model.bwd, bwd, d_chat_bwd, d_logit_bwd),
+        threaded=True,
+    )
+    return comps, {"fwd": grads_fwd, "bwd": grads_bwd}
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +790,7 @@ def train_brits(
     opt = AdamState(model)
     rng = np.random.default_rng(np.random.SeedSequence((schedule.seed, 0x7E41)))
     history: list[dict] = []
+    workspace = StepWorkspace()
 
     def run_phase(phase: int, max_epochs: int, monitor: str) -> None:
         best = np.inf
@@ -646,6 +810,7 @@ def train_brits(
                     train.delta[idx],
                     train.label[idx],
                     phase=phase,
+                    workspace=workspace,
                 )
                 opt.step(model, grads, schedule.learning_rate, schedule.trainable)
                 for key in sums:

@@ -346,7 +346,7 @@ def test_forward_only_pass_equals_training_forward_bit_for_bit():
         bare = _rits_forward(params, x, mask, delta)
         cached = _rits_forward(params, x, mask, delta, keep_steps=True)
         assert bare["steps"] == [] and len(cached["steps"]) == x.shape[1]
-        for key in ("prob", "logit", "x_prime", "x_comp", "hidden", "est_per_sample"):
+        for key in ("prob", "logit", "x_prime", "x_comp", "h_last", "est_per_sample"):
             assert bare[key].tobytes() == cached[key].tobytes(), key
     # brits_forward is the cache-free pair; the training pair keeps caches.
     out = brits_forward(model, x, mask, delta)
