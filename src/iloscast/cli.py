@@ -274,31 +274,13 @@ def stage_build(cfg: RunConfig, ws: Workspace) -> None:
 def _load_datasets(ws: Workspace) -> dict[str, WindowDataset]:
     build_dir = ws.require("build", "build")
     out = {}
+    # Workspaces of older versions hold a cached mega-dataset in
+    # build/mega/; it is no network and is never read.
     for net_dir in sorted(p for p in build_dir.iterdir() if p.is_dir() and p.name != "mega"):
         out[net_dir.name] = WindowDataset.load(ws.read(net_dir / "windows.ilos"))
     if not out:
         raise MissingArtifactError(f"no built datasets under {build_dir}")
     return out
-
-
-def _load_mega(ws: Workspace) -> WindowDataset:
-    """The mega-dataset, built from the per-network datasets and saved the
-    first time a stage needs it."""
-    path = ws.root / "build" / "mega" / "windows.ilos"
-    if path.exists():
-        return WindowDataset.load(ws.read(path))
-    datasets = _load_datasets(ws)
-    mega = build_mega_dataset(list(datasets.values()))
-    mega.save(ws.write("build", "mega", "windows.ilos"))
-    manifest = {
-        "sources": sorted(datasets),
-        "union_schema": mega.schema.to_dict(),
-        "samples_per_network": {
-            net: int(mega.indices(network=net).size) for net in mega.networks
-        },
-    }
-    write_json(ws.write("build", "mega", "manifest.json"), manifest)
-    return mega
 
 
 def _brits_settings(cfg: RunConfig) -> TrainSchedule:
@@ -377,7 +359,7 @@ def stage_train(cfg: RunConfig, ws: Workspace) -> None:
 def stage_pretrain(cfg: RunConfig, ws: Workspace) -> None:
     """Build the mega-dataset and pre-train the selected models on it."""
     kinds, options = _train_options(cfg)
-    mega = _load_mega(ws)
+    mega = build_mega_dataset(list(_load_datasets(ws).values()))
     for kind in kinds:
         _save_model(ws, train_model(mega, kind, "mega", **options), dataset_scope="mega")
 
@@ -394,7 +376,7 @@ def stage_finetune(cfg: RunConfig, ws: Workspace) -> None:
         )
     schedule = _brits_settings(cfg)
     model_path = ws.read(ws.require("models/brits_mega/model.ilos", "pretrain"))
-    mega = _load_mega(ws)
+    mega = build_mega_dataset(list(_load_datasets(ws).values()))
     networks = cfg.transfer.get("networks") or list(mega.networks)
     missing = [net for net in networks if net not in mega.networks]
     if missing:
@@ -496,7 +478,7 @@ def stage_evaluate(cfg: RunConfig, ws: Workspace) -> None:
     for trained, scope in models:
         if scope == "mega":
             if mega is None:
-                mega = _load_mega(ws)
+                mega = build_mega_dataset(list(datasets.values()))
             ds = mega
         elif scope in datasets:
             ds = datasets[scope]

@@ -14,11 +14,13 @@ against central finite differences.
 
 Recurrent model cost: one step evaluates the four LSTM gates with a single
 ``tanh`` over the (B, 4H) pre-activation, since sigma(a) = 1/2 +
-tanh(a/2)/2, and keeps that one (B, 4H) gate array for backprop. Every
-per-step quantity is written in place into one (T, B, width) array, which
-training reuses across steps (``StepWorkspace``). A training step runs the
-two directions on two threads when ``step_threads()`` allows it, with the
-same bits as one thread. Forward-only passes (``brits_forward`` and through it prediction,
+tanh(a/2)/2, and keeps that one (B, 4H) gate array for backprop. The
+forward writes every per-step quantity in place into one (T, B, width)
+array, which training reuses across steps (``StepWorkspace``); backprop
+uses plain temporaries, because writing them in place measured no faster.
+A training step runs the two directions on two threads when
+``step_threads()`` allows it, with the same bits as one thread.
+Forward-only passes (``brits_forward`` and through it prediction,
 ``evaluate_losses`` and the finite-difference check) run the same time
 loop with step caching off and sum the estimation error inside it. The
 other sigmoids (combination weight, output probability) use the shared
@@ -204,9 +206,8 @@ def _step_arrays(T: int, B: int, F: int, H: int, keep_steps: bool) -> dict[str, 
     Each ``STEP_WIDTHS`` quantity gets a (T, B, width) array with
     ``keep_steps`` and one slot rewritten every step without; the hidden and
     cell states ``h``/``c`` get one slot more for the initial state, or a
-    pair of slots taken in turn. The rest are one-slot scratch: ``s_h``,
-    ``gi_gg`` and ``h_gates`` for the forward pass, and with ``keep_steps``
-    the ones backprop uses.
+    pair of slots taken in turn. ``s_h``, ``gi_gg`` and ``h_gates`` are
+    one-slot scratch.
     """
     slots = T if keep_steps else 1
     arrays = {
@@ -215,10 +216,7 @@ def _step_arrays(T: int, B: int, F: int, H: int, keep_steps: bool) -> dict[str, 
     }
     for name in ("h", "c"):
         arrays[name] = np.empty((slots + 1, B, H))
-    scratch = {"s_h": H, "gi_gg": H, "h_gates": 4 * H}
-    if keep_steps:
-        scratch.update(dict.fromkeys(("dh", "dc", "dc_prev", "dh_dec", "t1", "t2"), H), da=4 * H)
-    for name, width in scratch.items():
+    for name, width in {"s_h": H, "gi_gg": H, "h_gates": 4 * H}.items():
         arrays[name] = np.empty((1, B, width))
     return arrays
 
@@ -341,7 +339,6 @@ def _rits_forward(
         "w_off": w_off,
         "offdiag": offdiag,
         "steps": steps,
-        "arrays": arrays,
         "h_last": h_last,
         "x_prime": x_prime,
         "x_comp": x_comp,
@@ -382,48 +379,27 @@ def _rits_backward(
     grads["cls_W"] += cache["h_last"].T @ dz
     grads["cls_b"][0] += dz.sum()
 
-    dh, dc, dc_prev, dh_dec, t1, t2, da = (
-        cache["arrays"][name][0] for name in ("dh", "dc", "dc_prev", "dh_dec", "t1", "t2", "da")
-    )
-    np.multiply(dz[:, None], params["cls_W"][None, :], out=dh)
-    dc[...] = 0.0
-    lstm_w_step = np.empty_like(params["lstm_W"])
-    lstm_u_step = np.empty_like(params["lstm_U"])
+    dh = dz[:, None] * params["cls_W"][None, :]
+    dc = np.zeros((B, H))
+    da = np.empty((B, 4 * H))
     for t in range(T - 1, -1, -1):
         st = steps[t]
         xt, mt, dt = x[:, t], mask[:, t], cache["delta"][:, t]
         gi, gf, gg, go = (st["gates"][:, k * H : (k + 1) * H] for k in range(4))
         tanh_c = st["tanh_c"]
 
-        # LSTM cell: gradient on the (B, 4H) pre-activation, block by block,
-        # each product evaluated left to right into scratch arrays.
-        np.multiply(dh, tanh_c, out=t1)  # da_o = dh * tanh_c * go * (1 - go)
-        t1 *= go
-        np.subtract(1.0, go, out=t2)
-        np.multiply(t1, t2, out=da[:, 3 * H :])
-        np.multiply(dh, go, out=t1)  # dc += dh * go * (1 - tanh_c**2)
-        np.square(tanh_c, out=t2)
-        np.subtract(1.0, t2, out=t2)
-        t1 *= t2
-        dc += t1
-        np.multiply(dc, gg, out=t1)  # da_i = dc * gg * gi * (1 - gi)
-        t1 *= gi
-        np.subtract(1.0, gi, out=t2)
-        np.multiply(t1, t2, out=da[:, :H])
-        np.multiply(dc, st["c_prev"], out=t1)  # da_f = dc * c_prev * gf * (1 - gf)
-        t1 *= gf
-        np.subtract(1.0, gf, out=t2)
-        np.multiply(t1, t2, out=da[:, H : 2 * H])
-        np.multiply(dc, gi, out=t1)  # da_g = dc * gi * (1 - gg**2)
-        np.square(gg, out=t2)
-        np.subtract(1.0, t2, out=t2)
-        np.multiply(t1, t2, out=da[:, 2 * H : 3 * H])
-        np.multiply(dc, gf, out=dc_prev)
-        grads["lstm_W"] += np.matmul(da.T, st["u"], out=lstm_w_step)
-        grads["lstm_U"] += np.matmul(da.T, st["h_dec"], out=lstm_u_step)
+        # LSTM cell: gradient on the (B, 4H) pre-activation, block by block.
+        da[:, 3 * H :] = dh * tanh_c * go * (1.0 - go)
+        dc = dc + dh * go * (1.0 - tanh_c**2)
+        da[:, :H] = dc * gg * gi * (1.0 - gi)
+        da[:, H : 2 * H] = dc * st["c_prev"] * gf * (1.0 - gf)
+        da[:, 2 * H : 3 * H] = dc * gi * (1.0 - gg**2)
+        dc_prev = dc * gf
+        grads["lstm_W"] += da.T @ st["u"]
+        grads["lstm_U"] += da.T @ st["h_dec"]
         grads["lstm_b"] += da.sum(axis=0)
         dxc = da @ lstm_w_in
-        np.matmul(da, params["lstm_U"], out=dh_dec)
+        dh_dec = da @ params["lstm_U"]
 
         # Complement and the three estimates with their masked-MAE terms.
         dchat = (1.0 - mt) * dxc + mt * np.sign(st["chat"] - xt) * alpha + d_chat_extra[:, t]
@@ -443,22 +419,20 @@ def _rits_backward(
 
         grads["hist_W"] += dxhat.T @ st["h_dec"]
         grads["hist_b"] += dxhat.sum(axis=0)
-        np.matmul(dxhat, params["hist_W"], out=t1)
-        dh_dec += t1
+        dh_dec += dxhat @ params["hist_W"]
 
-        np.multiply(dh_dec, st["h_prev"], out=t1)  # dgamma_h
-        np.multiply(dh_dec, st["gamma_h"], out=dh)  # the next step's dh
-        np.negative(t1, out=t1)  # ds_h = -dgamma_h * gamma_h * [s_h > 0]
-        t1 *= st["gamma_h"]
-        t1 *= st["s_h_pos"]
-        grads["decay_h_W"] += t1.T @ dt
-        grads["decay_h_b"] += t1.sum(axis=0)
+        dgamma_h = dh_dec * st["h_prev"]
+        dh_prev = dh_dec * st["gamma_h"]
+        ds_h = -dgamma_h * st["gamma_h"] * st["s_h_pos"]
+        grads["decay_h_W"] += ds_h.T @ dt
+        grads["decay_h_b"] += ds_h.sum(axis=0)
         gamma_x = st["comb_in"][:, :F]
         ds_x = -dgamma_x * gamma_x * st["s_x_pos"]
         grads["decay_x_W"] += ds_x.T @ dt
         grads["decay_x_b"] += ds_x.sum(axis=0)
 
-        dc, dc_prev = dc_prev, dc
+        dh = dh_prev
+        dc = dc_prev
 
     return grads
 
@@ -755,8 +729,14 @@ class RitsData:
     def n(self) -> int:
         return self.x.shape[0]
 
-    def take(self, idx: np.ndarray) -> "RitsData":
-        return RitsData(self.x[idx], self.mask[idx], self.delta[idx], self.label[idx])
+
+def _check_width(model: BritsModel, data: RitsData) -> None:
+    """:class:`DataError` unless ``data`` has the model's feature count."""
+    if data.x.shape[-1] != model.n_features:
+        raise DataError(
+            f"the recurrent model takes {model.n_features} features per step, "
+            f"but the data has {data.x.shape[-1]}"
+        )
 
 
 def evaluate_losses(model: BritsModel, data: RitsData, phase: int, batch_size: int = 1024) -> dict[str, float]:
@@ -786,6 +766,8 @@ def train_brits(
     epochs; phase 2 optimizes the full loss under the same policy on the
     validation total. The input model is left untouched.
     """
+    _check_width(model, train)
+    _check_width(model, validation)
     model = model.copy()
     opt = AdamState(model)
     rng = np.random.default_rng(np.random.SeedSequence((schedule.seed, 0x7E41)))
@@ -837,6 +819,7 @@ def train_brits(
 
 def brits_predict(model: BritsModel, data: RitsData, batch_size: int = 1024) -> np.ndarray:
     """Mean of the two directions' probabilities, batched."""
+    _check_width(model, data)
     out = np.empty(data.n, dtype=np.float64)
     for lo in range(0, data.n, batch_size):
         hi = min(lo + batch_size, data.n)

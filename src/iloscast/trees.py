@@ -62,7 +62,6 @@ class Tree:
     right: np.ndarray
     value: np.ndarray
     gain: np.ndarray
-    gain_flipped: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -77,7 +76,6 @@ class Tree:
             "right": self.right.tolist(),
             "value": self.value.tolist(),
             "gain": self.gain.tolist(),
-            "gain_flipped": self.gain_flipped.tolist(),
         }
 
     @classmethod
@@ -90,7 +88,6 @@ class Tree:
             right=np.asarray(d["right"], dtype=np.int32),
             value=np.asarray(d["value"], dtype=np.float64),
             gain=np.asarray(d["gain"], dtype=np.float64),
-            gain_flipped=np.asarray(d["gain_flipped"], dtype=np.float64),
         )
 
 
@@ -98,18 +95,17 @@ class Tree:
 TREE_KEYS = tuple(Tree.__dataclass_fields__)
 
 
+FOREST_MAX_DEPTH = 12
+
+
 @dataclass(frozen=True)
 class ForestConfig:
     n_trees: int = 100
-    max_depth: int = 12
-    features_per_split: int | None = None  # default ceil(sqrt(n_columns))
-    bootstrap: bool = True
-    min_samples_split: int = 2
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_trees < 1 or self.max_depth < 1:
-            raise ConfigError("forest needs n_trees >= 1 and max_depth >= 1")
+        if self.n_trees < 1:
+            raise ConfigError("forest needs n_trees >= 1")
 
 
 @dataclass(frozen=True)
@@ -127,6 +123,13 @@ class BoosterConfig:
             raise ConfigError("learning rate must be in (0, 1]")
         if self.reg_lambda < 0:
             raise ConfigError("reg_lambda must be >= 0")
+
+
+#: Config keys of older files that loading drops: no fit reads them.
+RETIRED_CONFIG_KEYS = {
+    "booster": ("seed",),
+    "forest": ("max_depth", "features_per_split", "bootstrap", "min_samples_split"),
+}
 
 
 @dataclass
@@ -168,9 +171,8 @@ class TreeEnsemble:
         config = payload["config"]
         if not isinstance(config, dict):
             raise DataError(f"{path}: config is not a JSON object")
-        if payload["kind"] == "booster":
-            # Older booster files carry a seed that no fit ever read.
-            config = {key: value for key, value in config.items() if key != "seed"}
+        retired = RETIRED_CONFIG_KEYS[payload["kind"]]
+        config = {key: value for key, value in config.items() if key not in retired}
         unknown = sorted(set(config) - set(cfg_cls.__dataclass_fields__))
         if unknown:
             raise DataError(f"{path}: config has unknown key(s) {unknown} for {cfg_cls.__name__}")
@@ -345,7 +347,7 @@ def _score_candidates(
     threshold: Callable[[int, int], float],
     reg_lambda: float,
     min_child_hessian: float,
-) -> tuple[float, float, int, float, bool] | None:
+) -> tuple[float, int, float, bool] | None:
     """Best positive-gain split among a node's candidate thresholds, or None.
 
     Candidates come feature by feature, ``counts[i]`` of them for
@@ -397,8 +399,7 @@ def _score_candidates(
         return None
     j = int(np.argmax(cand[starts[i] : starts[i] + counts[i]]))
     k = starts[i] + j
-    flipped = gain_right[k] if take_left[k] else gain_left[k]
-    return float(cand[k]), float(flipped), int(features[i]), threshold(i, j), bool(take_left[k])
+    return float(cand[k]), int(features[i]), threshold(i, j), bool(take_left[k])
 
 
 def _split_presorted(
@@ -408,7 +409,7 @@ def _split_presorted(
     h: np.ndarray,
     reg_lambda: float,
     min_child_hessian: float,
-) -> tuple[float, float, int, float, bool] | None:
+) -> tuple[float, int, float, bool] | None:
     """Large-node kernel: filter each column's presorted order to the node.
 
     ``idx`` is increasing, so the filtered order equals a stable sort of the
@@ -488,7 +489,7 @@ def _split_node_sorted(
     h: np.ndarray,
     reg_lambda: float,
     min_child_hessian: float,
-) -> tuple[float, float, int, float, bool] | None:
+) -> tuple[float, int, float, bool] | None:
     """Small-node kernel: one 2-D sort, cumsum and gain pass over the
     searched columns."""
     g_node = g[idx]
@@ -527,8 +528,8 @@ def _best_split_booster(
     h: np.ndarray,
     reg_lambda: float,
     min_child_hessian: float,
-) -> tuple[float, float, int, float, bool] | None:
-    """Best (gain, flipped_gain, feature, threshold, default_left) or None.
+) -> tuple[float, int, float, bool] | None:
+    """Best (gain, feature, threshold, default_left) or None.
 
     Gain is the second-order split gain with the absent set's gradient and
     hessian totals added to the default side; both routings are scored and
@@ -542,34 +543,32 @@ def _grow_tree(
     columns: np.ndarray,
     root: np.ndarray,
     max_depth: int,
-    min_rows: int,
-    find_split: Callable[[np.ndarray], tuple[float, float, int, float, bool] | None],
+    find_split: Callable[[np.ndarray], tuple[float, int, float, bool] | None],
     leaf_value: Callable[[np.ndarray], float],
 ) -> Tree:
     """Grow one tree breadth-first over ``columns`` (d, n) from the row ids
     ``root``.
 
-    A node shallower than ``max_depth`` with at least ``min_rows`` rows
-    ``idx`` asks ``find_split(idx)`` for (gain, flipped_gain, feature,
-    threshold, default_left); a node it gets None for, or does not ask,
-    becomes a leaf of ``leaf_value(idx)``. Absent cells follow
-    ``default_left``.
+    A node shallower than ``max_depth`` with at least two rows ``idx`` asks
+    ``find_split(idx)`` for (gain, feature, threshold, default_left); a
+    node it gets None for, or does not ask, becomes a leaf of
+    ``leaf_value(idx)``. Absent cells follow ``default_left``.
     """
     nodes: list[list | None] = [None]  # one row per node, in TREE_KEYS order
     frontier: list[tuple[int, np.ndarray, int]] = [(0, root, 0)]
     while frontier:
         node, idx, depth = frontier.pop(0)
         split = None
-        if depth < max_depth and idx.size >= min_rows:
+        if depth < max_depth and idx.size >= 2:
             split = find_split(idx)
         if split is None:
-            nodes[node] = [_LEAF, 0.0, True, _LEAF, _LEAF, leaf_value(idx), 0.0, 0.0]
+            nodes[node] = [_LEAF, 0.0, True, _LEAF, _LEAF, leaf_value(idx), 0.0]
             continue
-        gain, flipped, f, thr, go_left_default = split
+        gain, f, thr, go_left_default = split
         vals = columns[f, idx]
         go_left = np.where(np.isnan(vals), go_left_default, vals < thr)
         lid = len(nodes)
-        nodes[node] = [f, thr, go_left_default, lid, lid + 1, 0.0, gain, flipped]
+        nodes[node] = [f, thr, go_left_default, lid, lid + 1, 0.0, gain]
         nodes += [None, None]
         frontier.append((lid, idx[go_left], depth + 1))
         frontier.append((lid + 1, idx[~go_left], depth + 1))
@@ -615,7 +614,6 @@ def train_gbdt(
             cols.columns,
             np.arange(rows.shape[0], dtype=np.int64),
             config.max_depth,
-            2,
             lambda idx: _best_split_booster(
                 cols, idx, g, h, config.reg_lambda, config.min_child_hessian
             ),
@@ -640,12 +638,12 @@ def train_gbdt(
 
 def _best_split_gini(
     rows: np.ndarray, idx: np.ndarray, y: np.ndarray, mtry: int, rng: np.random.Generator
-) -> tuple[float, float, int, float, bool] | None:
+) -> tuple[float, int, float, bool] | None:
     """Best Gini split over ``mtry`` features drawn from ``rng``, or None.
 
-    Returned as the grower's (gain, flipped_gain, feature, threshold,
-    default_left) with both gains 0.0 and default_left True: forest input
-    is dense, and a forest stores no split gains.
+    Returned as the grower's (gain, feature, threshold, default_left) with
+    gain 0.0 and default_left True: forest input is dense, and a forest
+    stores no split gains.
     """
     features = np.sort(rng.choice(rows.shape[1], size=mtry, replace=False))
     y_node = y[idx]
@@ -679,14 +677,16 @@ def _best_split_gini(
         dec = parent - float(weighted[k])
         if dec > best_dec:
             best_dec = dec
-            best = (0.0, 0.0, int(f), float(0.5 * (vs[cut[k]] + vs[cut[k] + 1])), True)
+            best = (0.0, int(f), float(0.5 * (vs[cut[k]] + vs[cut[k] + 1])), True)
     return best
 
 
 def train_random_forest(
     rows: np.ndarray, labels: np.ndarray, config: ForestConfig
 ) -> TreeEnsemble:
-    """Bagged Gini trees over dense, pre-imputed rows.
+    """Bagged Gini trees over dense, pre-imputed rows: each grows on a
+    bootstrap sample to ``FOREST_MAX_DEPTH``, splitting every node of two or
+    more rows on the best of ceil(sqrt(d)) features drawn per node.
 
     Per-tree randomness derives from (seed, tree index), so a k-tree prefix
     of a larger forest equals the k-tree forest trained directly.
@@ -696,17 +696,15 @@ def train_random_forest(
         raise DataError("forest input must be dense; impute absent values first")
 
     n, d = rows.shape
-    mtry = min(config.features_per_split or int(np.ceil(np.sqrt(d))), d)
+    mtry = int(np.ceil(np.sqrt(d)))
     trees = []
     for t in range(config.n_trees):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, t)))
-        root = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
         trees.append(
             _grow_tree(
                 rows.T,
-                root,
-                config.max_depth,
-                config.min_samples_split,
+                rng.integers(0, n, size=n),
+                FOREST_MAX_DEPTH,
                 lambda idx: _best_split_gini(rows, idx, y, mtry, rng),
                 lambda idx: float(y[idx].mean()),
             )

@@ -468,6 +468,53 @@ def test_cli_brits_bad_parameter_block_exits_1(pipeline_ws, tmp_path, capsys, bl
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("stage", ["evaluate", "finetune"])
+def test_cli_brits_model_of_another_width_exits_1(pipeline_ws, tmp_path, capsys, stage):
+    """A recurrent model whose feature count differs from its data's: the
+    network model meets net1's dataset in evaluate, the pre-trained mega
+    model the mega dataset in finetune."""
+    from iloscast.dataset import WindowDataset
+    from iloscast.rits import init_brits
+    from iloscast.transfer import build_mega_dataset
+
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    datasets = [WindowDataset.load(p) for p in sorted((ws / "build").glob("*/windows.ilos"))]
+    if stage == "evaluate":
+        name, scope, width = "brits_net1", "net1", datasets[0].schema.width
+    else:
+        name, scope, width = "brits_mega", "mega", build_mega_dataset(datasets).schema.width
+        cfg = RunConfig.load(args[1])
+        cfg.transfer = {"networks": ["net1"], "strategies": ["classifier_only"]}
+        cfg.dump(args[1])
+    model_dir = ws / "models" / name
+    model_dir.mkdir()
+    meta = {"name": name, "kind": "brits", "scope": scope, "dataset": scope}
+    (model_dir / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    init_brits(width + 1, hidden_size=2).save(model_dir / "model.ilos")
+    assert cli_entry([stage] + args) == 1
+    err = capsys.readouterr().err
+    assert f"takes {width + 1} features per step, but the data has {width}" in err
+    assert "Traceback" not in err
+
+
+def test_cli_pretrain_reads_the_rebuilt_datasets(pipeline_ws, tmp_path):
+    """After ``build`` rewrites the per-network datasets, ``pretrain`` trains
+    on them, not on an earlier stage's mega-dataset; a ``build/mega/`` left
+    by older versions is ignored."""
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    shutil.copytree(ws / "build" / "net1", ws / "build" / "mega")
+    booster = ws / "models" / "booster_mega" / "model.json"
+    assert cli_entry(["pretrain"] + args) == 0
+    n_columns = json.loads(booster.read_text(encoding="utf-8"))["n_columns"]
+    assert n_columns % 7 == 0
+    cfg = RunConfig.load(args[1])
+    cfg.build = {"past_days": 5}
+    cfg.dump(args[1])
+    for stage in ("build", "pretrain"):
+        assert cli_entry([stage] + args) == 0
+    assert json.loads(booster.read_text(encoding="utf-8"))["n_columns"] == n_columns // 7 * 5
+
+
 def test_cli_unknown_train_network_exits_3_before_training(pipeline_ws, tmp_path, capsys):
     ws, args = copied_workspace(pipeline_ws, tmp_path)
     shutil.rmtree(ws / "models")

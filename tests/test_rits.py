@@ -89,6 +89,20 @@ def test_rits_rejects_nonfinite_input():
         _rits_forward(model.fwd, *_check_batch(x, mask, delta))
 
 
+@pytest.mark.parametrize("entry", ["train_brits", "brits_predict"])
+def test_model_refuses_data_of_another_width(entry):
+    """A model meeting data of another feature count raises DataError naming
+    both widths, before any step; even a fit of zero epochs refuses it."""
+    model = init_brits(F + 1, hidden_size=H, seed=0)
+    data = make_data(8, 2)
+    schedule = TrainSchedule(batch_size=4, max_epochs_phase1=0, max_epochs_phase2=0)
+    with pytest.raises(DataError, match=f"takes {F + 1} features per step, but the data has {F}"):
+        if entry == "train_brits":
+            train_brits(model, data, data, schedule)
+        else:
+            brits_predict(model, data)
+
+
 def test_brits_probability_is_mean_of_directions():
     model = jittered_model()
     x, mask, delta, _ = make_batch()

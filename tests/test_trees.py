@@ -6,6 +6,7 @@ import pytest
 from iloscast.errors import ConfigError, DataError
 from iloscast.trees import (
     PRESORT_MIN_ROWS,
+    TREE_KEYS,
     BoosterConfig,
     ForestConfig,
     Tree,
@@ -213,8 +214,7 @@ def per_column_split(rows, idx, g, h, reg_lambda, min_child_hessian):
         k = int(np.argmax(cand))
         if cand[k] > best_gain:
             best_gain = float(cand[k])
-            flipped = float(gains[1][k] if take_left[k] else gains[0][k])
-            best = (best_gain, flipped, f, float(0.5 * (v[cut[k]] + v[cut[k] + 1])), bool(take_left[k]))
+            best = (best_gain, f, float(0.5 * (v[cut[k]] + v[cut[k] + 1])), bool(take_left[k]))
     return best
 
 
@@ -280,7 +280,7 @@ def test_split_kernels_skip_redundant_columns_bit_for_bit():
     cfg = BoosterConfig(n_trees=2, max_depth=4, min_child_hessian=0.5)
     p = np.full(n, labels.mean())
     root = per_column_split(rows, np.arange(n), p - labels, p * (1.0 - p), cfg.reg_lambda, cfg.min_child_hessian)
-    _, _, win, thr, _ = root
+    _, win, thr, _ = root
     absent = rng.random(n) < 0.3
     same_counts = rng.normal(size=(n, 3))
     same_counts[absent] = np.nan
@@ -375,7 +375,6 @@ def stump(feature=0, threshold=5.0, default_left=True, left_value=-1.0, right_va
         right=np.array([2, -1, -1], dtype=np.int32),
         value=np.array([0.0, left_value, right_value]),
         gain=np.zeros(3),
-        gain_flipped=np.zeros(3),
     )
 
 
@@ -568,3 +567,48 @@ def test_ensemble_json_round_trip(tmp_path):
     payload["config"]["seed"] = 0
     path.write_text(json.dumps(payload))
     assert TreeEnsemble.load(path).config == model.config
+
+
+#: Config keys that files of the older format carry, with the values the
+#: fits then used.
+OLDER_CONFIG_KEYS = {
+    "booster": {"seed": 0},
+    "forest": {"max_depth": 12, "features_per_split": None, "bootstrap": True, "min_samples_split": 2},
+}
+
+
+@pytest.mark.parametrize("kind", ["booster", "forest"])
+def test_older_format_files_load(tmp_path, kind):
+    """Files that carry a per-node ``gain_flipped`` and the retired config
+    keys load to the same model; a key of neither format is still refused."""
+    import json
+
+    rng = np.random.default_rng(25)
+    rows = rng.normal(size=(80, 4))
+    labels = (rows[:, 0] + rng.normal(size=80) > 0.5).astype(float)
+    if kind == "booster":
+        rows[rng.random(rows.shape) < 0.3] = np.nan
+        model = train_gbdt(rows, labels, BoosterConfig(n_trees=3))
+    else:
+        model = train_random_forest(rows, labels, ForestConfig(n_trees=3, seed=1))
+    path = tmp_path / "model.json"
+    model.save(path)
+    payload = json.loads(path.read_text())
+    payload["config"].update(OLDER_CONFIG_KEYS[kind])
+    for tree in payload["trees"]:
+        tree["gain_flipped"] = [0.25] * len(tree["gain"])
+    path.write_text(json.dumps(payload))
+    loaded = TreeEnsemble.load(path)
+    assert loaded.config == model.config
+    assert loaded.train_loss == model.train_loss
+    for old, new in zip(model.trees, loaded.trees):
+        for key in TREE_KEYS:
+            assert getattr(old, key).tobytes() == getattr(new, key).tobytes(), key
+    assert predict_proba(loaded, rows).tobytes() == predict_proba(model, rows).tobytes()
+
+    # A key of the other kind only is still refused.
+    foreign = "bootstrap" if kind == "booster" else "learning_rate"
+    payload["config"][foreign] = 1
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=f"unknown key\\(s\\) \\['{foreign}'\\]"):
+        TreeEnsemble.load(path)
