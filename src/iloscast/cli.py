@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import shutil
 import sys
 import time
 from dataclasses import dataclass, field
@@ -221,6 +222,16 @@ def stage_synth(cfg: RunConfig, ws: Workspace) -> None:
     write_json(ws.write("synth", "summary.json"), result.summary)
 
 
+def _remove_unwritten(ws: Workspace, stage_dir: str) -> None:
+    """Delete each network directory under ``stage_dir`` that the running
+    stage wrote nothing into: later stages read every one present, so a
+    network dropped from the input would otherwise live on."""
+    written = {path.parent for path in ws.outputs}
+    for net_dir in (ws.root / stage_dir).iterdir():
+        if net_dir.is_dir() and net_dir not in written:
+            shutil.rmtree(net_dir)
+
+
 def stage_ingest(cfg: RunConfig, ws: Workspace) -> None:
     inputs = [Path(p) for p in cfg.ingest.get("inputs", [])]
     if not inputs:
@@ -243,6 +254,7 @@ def stage_ingest(cfg: RunConfig, ws: Workspace) -> None:
             "date_span": [start.isoformat(), end.isoformat()],
         }
         write_json(ws.write("ingest", net, "manifest.json"), manifest)
+    _remove_unwritten(ws, "ingest")
 
 
 def _load_ingested(ws: Workspace) -> dict[str, tuple[FeatureSchema, list]]:
@@ -269,6 +281,7 @@ def stage_build(cfg: RunConfig, ws: Workspace) -> None:
         ds.save(ws.write("build", net, "windows.ilos"))
         write_audit_csv(ws.write("build", net, "audit.csv"), audits[net])
         write_json(ws.write("build", net, "stats.json"), dataset_stats(ds))
+    _remove_unwritten(ws, "build")
 
 
 def _load_datasets(ws: Workspace) -> dict[str, WindowDataset]:

@@ -18,11 +18,13 @@ tanh(a/2)/2, and keeps that one (B, 4H) gate array for backprop. The
 forward writes every per-step quantity in place into one (T, B, width)
 array, which training reuses across steps (``StepWorkspace``); backprop
 uses plain temporaries, because writing them in place measured no faster.
-A training step runs the two directions on two threads when
-``step_threads()`` allows it, with the same bits as one thread.
-Forward-only passes (``brits_forward`` and through it prediction,
-``evaluate_losses`` and the finite-difference check) run the same time
-loop with step caching off and sum the estimation error inside it. The
+Every pass, training step or forward-only, runs the two directions on
+two threads when ``step_threads()`` allows it, with the same bits as one
+thread. Forward-only passes (``brits_forward`` and through it prediction,
+and ``evaluate_losses``) run the same time loop with step caching off,
+rewriting one slot per quantity, and sum the estimation error inside it.
+Classifier-only fine-tuning (``train_classifier_head``) runs one such
+pass and then trains the head alone on what it cached. The
 other sigmoids (combination weight, output probability) use the shared
 ``activation.sigmoid``, the exact branch-free form of the two-sided
 stable sigmoid; the tanh form would round differently, which the tree
@@ -35,7 +37,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -222,19 +224,23 @@ def _step_arrays(T: int, B: int, F: int, H: int, keep_steps: bool) -> dict[str, 
 
 
 class StepWorkspace:
-    """Step-cache arrays of both directions, reused by every training step
-    of one fit, so that each step writes memory already mapped instead of
-    fresh pages. A batch takes the first B rows of each array; a larger
+    """Step arrays of both directions, reused by every batch of one fit or
+    one forward-only pass, so that each batch writes memory already mapped
+    instead of fresh pages. Caching (``keep_steps``) and one-slot arrays
+    are held apart. A batch takes the first B rows of each array; a larger
     batch or another shape allocates anew."""
 
     def __init__(self) -> None:
-        self._held: dict[str, tuple[tuple[int, int, int], dict[str, np.ndarray]]] = {}
+        self._held: dict[tuple[str, bool], tuple[tuple[int, int, int], dict[str, np.ndarray]]] = {}
 
-    def arrays(self, direction: str, T: int, B: int, F: int, H: int) -> dict[str, np.ndarray]:
-        shape, held = self._held.get(direction, (None, {}))
+    def arrays(
+        self, direction: str, T: int, B: int, F: int, H: int, keep_steps: bool
+    ) -> dict[str, np.ndarray]:
+        key = (direction, keep_steps)
+        shape, held = self._held.get(key, (None, {}))
         if shape != (T, F, H) or held["h"].shape[1] < B:
-            held = _step_arrays(T, B, F, H, keep_steps=True)
-            self._held[direction] = ((T, F, H), held)
+            held = _step_arrays(T, B, F, H, keep_steps)
+            self._held[key] = ((T, F, H), held)
         return {name: arr[:, :B] for name, arr in held.items()}
 
 
@@ -328,8 +334,6 @@ def _rits_forward(
             steps.append(st)
 
     h_last = hs[T % state_slots]
-    logit_raw = h_last @ params["cls_W"] + params["cls_b"][0]
-    logit = np.clip(logit_raw, -LOGIT_CLAMP, LOGIT_CLAMP)
     est_norm = 3.0 * np.maximum(mask.reshape(B, -1).sum(axis=1), 1.0)
 
     return {
@@ -342,12 +346,28 @@ def _rits_forward(
         "h_last": h_last,
         "x_prime": x_prime,
         "x_comp": x_comp,
-        "logit_raw": logit_raw,
-        "logit": logit,
-        "prob": sigmoid(logit),
+        **_head(params, h_last),
         "est_per_sample": abs_err / est_norm,
         "est_norm": est_norm,
     }
+
+
+def _head(params: dict[str, np.ndarray], h_last: np.ndarray) -> dict[str, np.ndarray]:
+    """The classifier head on the last hidden states: raw and clamped logit
+    and the probability."""
+    logit_raw = h_last @ params["cls_W"] + params["cls_b"][0]
+    logit = np.clip(logit_raw, -LOGIT_CLAMP, LOGIT_CLAMP)
+    return {"logit_raw": logit_raw, "logit": logit, "prob": sigmoid(logit)}
+
+
+def _head_backward(out: dict, d_logit: np.ndarray, grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Add the head's gradients, given ``d_logit`` on the clamped logit of
+    ``out`` (a direction's outputs), to ``grads``; return the gradient on
+    the raw logit, which is zero where the clamp is active."""
+    dz = d_logit * (np.abs(out["logit_raw"]) < LOGIT_CLAMP)
+    grads["cls_W"] += out["h_last"].T @ dz
+    grads["cls_b"][0] += dz.sum()
+    return dz
 
 
 def _rits_backward(
@@ -374,11 +394,7 @@ def _rits_backward(
     # Per-sample estimation normalization, batch-averaged.
     alpha = (1.0 / (cache["est_norm"] * B))[:, None]
 
-    inside_clamp = np.abs(cache["logit_raw"]) < LOGIT_CLAMP
-    dz = d_logit * inside_clamp
-    grads["cls_W"] += cache["h_last"].T @ dz
-    grads["cls_b"][0] += dz.sum()
-
+    dz = _head_backward(cache, d_logit, grads)
     dh = dz[:, None] * params["cls_W"][None, :]
     dc = np.zeros((B, H))
     da = np.empty((B, 4 * H))
@@ -470,9 +486,10 @@ os.register_at_fork(after_in_child=_forget_worker)
 
 
 def step_threads() -> int:
-    """Threads for one training step: 2 when this process may run on two
-    or more CPUs and BLAS is pinned to one thread (``OPENBLAS_NUM_THREADS``,
-    else ``OMP_NUM_THREADS``, is ``1``); 1 otherwise, where a second thread
+    """Threads for the two directions of one pass, training step or
+    forward-only: 2 when this process may run on two or more CPUs and BLAS
+    is pinned to one thread (``OPENBLAS_NUM_THREADS``, else
+    ``OMP_NUM_THREADS``, is ``1``); 1 otherwise, where a second thread
     would compete with BLAS's own."""
     blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
     if hasattr(os, "sched_getaffinity"):
@@ -482,13 +499,13 @@ def step_threads() -> int:
     return 2 if blas == "1" and cpus >= 2 else 1
 
 
-def _both_directions(run_fwd: Callable, run_bwd: Callable, threaded: bool) -> tuple:
-    """``(run_fwd(), run_bwd())``; with ``threaded`` and two step threads,
-    ``run_bwd`` runs on one persistent worker thread meanwhile. NumPy and
-    BLAS release the GIL, the two calls share no written array, and each
-    does the same arithmetic in the same order on either thread."""
+def _both_directions(run_fwd: Callable, run_bwd: Callable) -> tuple:
+    """``(run_fwd(), run_bwd())``; with two step threads, ``run_bwd`` runs
+    on one persistent worker thread meanwhile. NumPy and BLAS release the
+    GIL, the two calls share no written array, and each does the same
+    arithmetic in the same order on either thread."""
     global _worker
-    if not threaded or step_threads() < 2:
+    if step_threads() < 2:
         return run_fwd(), run_bwd()
     if _worker is None:
         # Unlocked: two racing first callers would each start a worker,
@@ -511,27 +528,34 @@ def _forward_pair(
     delta: np.ndarray,
     keep_steps: bool = False,
     workspace: StepWorkspace | None = None,
-) -> tuple[dict, dict, np.ndarray]:
-    """Both directions over checked input, plus the aligned complement gap.
+) -> tuple[dict, dict]:
+    """Both directions over checked input, the backward one (its time
+    reversal included) on the step worker when ``_both_directions`` uses
+    it. Training steps keep step caches; forward-only passes keep none.
 
-    Consistency ties the two directions' imputation matrices (the
-    complements) together; observed entries agree by construction, so the
-    gap is nonzero on the filled-in cells only. Only the caching pass of a
-    training step may run the directions on two threads; forward-only
-    passes stay on the calling thread. ``workspace`` lends the caching
-    arrays of both directions.
+    ``workspace`` lends the arrays of both directions to every step of a
+    fit or every batch of a forward-only pass; with both directions
+    running at once, reusing them keeps peak memory near that of one
+    direction after the other.
     """
-    bwd_inputs = backward_inputs(x, mask)
     arrays = {"fwd": None, "bwd": None}
     if workspace is not None:
         B, T, F = x.shape
-        arrays = {d: workspace.arrays(d, T, B, F, model.hidden_size) for d in arrays}
-    fwd, bwd = _both_directions(
+        arrays = {d: workspace.arrays(d, T, B, F, model.hidden_size, keep_steps) for d in arrays}
+    return _both_directions(
         lambda: _rits_forward(model.fwd, x, mask, delta, keep_steps, arrays["fwd"]),
-        lambda: _rits_forward(model.bwd, *bwd_inputs, keep_steps, arrays["bwd"]),
-        threaded=keep_steps,
+        lambda: _rits_forward(model.bwd, *backward_inputs(x, mask), keep_steps, arrays["bwd"]),
     )
-    return fwd, bwd, fwd["x_comp"] - bwd["x_comp"][:, ::-1]
+
+
+def _complement_gap(fwd: dict, bwd: dict) -> np.ndarray:
+    """The two directions' complements, aligned in time, subtracted.
+
+    Consistency ties the two directions' imputation matrices (the
+    complements) together; observed entries agree by construction, so the
+    gap is nonzero on the filled-in cells only.
+    """
+    return fwd["x_comp"] - bwd["x_comp"][:, ::-1]
 
 
 #: The batch-mean loss terms of one step, as ``_loss_components`` names them.
@@ -581,14 +605,46 @@ def loss_summary(sums: dict[str, float], n: int, phase: int) -> dict[str, float]
     return comps
 
 
+def _step_loss(fwd: dict, bwd: dict, diff: np.ndarray, y: np.ndarray, phase: int) -> dict[str, float]:
+    """One training batch's loss components and ``total``;
+    :class:`NumericError` if the total is not finite."""
+    comps = _loss_components(fwd, bwd, diff, y)
+    comps["total"] = total_loss(comps, phase)
+    if not np.isfinite(comps["total"]):
+        raise NumericError(f"non-finite loss: {comps}")
+    return comps
+
+
+def _d_logit(out: dict, y: np.ndarray, phase: int) -> np.ndarray:
+    """Gradient of the batch-mean weighted BCE on one direction's clamped logit."""
+    return classification_weight(phase) * ((out["prob"] - y) / y.size)
+
+
+def _summed_losses(batches: Iterable[tuple[dict, dict, np.ndarray, np.ndarray]], phase: int) -> dict[str, float]:
+    """``loss_summary`` over ``(fwd, bwd, gap, y)`` batches, each batch's
+    components weighted by its size."""
+    sums = dict.fromkeys(LOSS_COMPONENTS, 0.0)
+    n = 0
+    for fwd, bwd, gap, y in batches:
+        batch = _loss_components(fwd, bwd, gap, y)
+        for key in sums:
+            sums[key] += batch[key] * y.size
+        n += y.size
+    return loss_summary(sums, n, phase)
+
+
 def brits_forward(
-    model: BritsModel, x: np.ndarray, mask: np.ndarray, delta: np.ndarray
+    model: BritsModel,
+    x: np.ndarray,
+    mask: np.ndarray,
+    delta: np.ndarray,
+    workspace: StepWorkspace | None = None,
 ) -> BritsOutput:
     """Run both directions and average their outputs; keeps no step caches
-    and computes no loss terms."""
+    and computes no loss terms. ``brits_predict`` passes one ``workspace``
+    for all its batches."""
     x, mask, delta = _check_batch(x, mask, delta)
-    fwd = _rits_forward(model.fwd, x, mask, delta)
-    bwd = _rits_forward(model.bwd, *backward_inputs(x, mask))
+    fwd, bwd = _forward_pair(model, x, mask, delta, workspace=workspace)
     mean_prime = 0.5 * (fwd["x_prime"] + bwd["x_prime"][:, ::-1])
     return BritsOutput(
         probability=0.5 * (fwd["prob"] + bwd["prob"]),
@@ -616,26 +672,19 @@ def brits_loss_and_grads(
     """
     x, mask, delta = _check_batch(x, mask, delta)
     y = np.asarray(label, dtype=np.float64).reshape(-1)
-    B = x.shape[0]
-    w_cls = classification_weight(phase)
 
-    fwd, bwd, diff = _forward_pair(model, x, mask, delta, keep_steps=True, workspace=workspace)
-    comps = _loss_components(fwd, bwd, diff, y)
-    comps["total"] = total_loss(comps, phase)
-    if not np.isfinite(comps["total"]):
-        raise NumericError(f"non-finite loss: {comps}")
+    fwd, bwd = _forward_pair(model, x, mask, delta, keep_steps=True, workspace=workspace)
+    diff = _complement_gap(fwd, bwd)
+    comps = _step_loss(fwd, bwd, diff, y, phase)
 
     # The consistency gradient reaches the combined estimates through
     # (1 - mask), because observed entries of the complements cancel.
     cons_scale = 1.0 / diff.size
     d_chat_fwd = (1.0 - mask) * np.sign(diff) * cons_scale
     d_chat_bwd = ((1.0 - mask) * -np.sign(diff) * cons_scale)[:, ::-1].copy()
-    d_logit_fwd = w_cls * ((fwd["prob"] - y) / B)
-    d_logit_bwd = w_cls * ((bwd["prob"] - y) / B)
     grads_fwd, grads_bwd = _both_directions(
-        lambda: _rits_backward(model.fwd, fwd, d_chat_fwd, d_logit_fwd),
-        lambda: _rits_backward(model.bwd, bwd, d_chat_bwd, d_logit_bwd),
-        threaded=True,
+        lambda: _rits_backward(model.fwd, fwd, d_chat_fwd, _d_logit(fwd, y, phase)),
+        lambda: _rits_backward(model.bwd, bwd, d_chat_bwd, _d_logit(bwd, y, phase)),
     )
     return comps, {"fwd": grads_fwd, "bwd": grads_bwd}
 
@@ -661,7 +710,6 @@ class TrainSchedule:
     patience: int = 5
     min_delta: float = 1e-4
     seed: int = 0
-    trainable: tuple[str, ...] | None = None  # None = all blocks
 
     def __post_init__(self) -> None:
         lowest = {
@@ -690,21 +738,14 @@ class AdamState:
         self.m = {d: {k: np.zeros_like(v) for k, v in params.items()} for d, params in (("fwd", model.fwd), ("bwd", model.bwd))}
         self.v = {d: {k: np.zeros_like(v) for k, v in params.items()} for d, params in (("fwd", model.fwd), ("bwd", model.bwd))}
 
-    def step(
-        self,
-        model: BritsModel,
-        grads: dict[str, dict[str, np.ndarray]],
-        lr: float,
-        trainable: tuple[str, ...] | None,
-    ) -> None:
+    def step(self, model: BritsModel, grads: dict[str, dict[str, np.ndarray]], lr: float) -> None:
+        """Update the blocks that ``grads`` holds; the others stay as they are."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for d, params in (("fwd", model.fwd), ("bwd", model.bwd)):
-            for k, p in params.items():
-                if trainable is not None and k not in trainable:
-                    continue
-                g = grads[d][k]
+            for k, g in grads[d].items():
+                p = params[k]
                 m = self.m[d][k]
                 v = self.v[d][k]
                 m *= self.beta1
@@ -739,67 +780,69 @@ def _check_width(model: BritsModel, data: RitsData) -> None:
         )
 
 
+def _batches(n: int, size: int) -> Iterator[slice]:
+    """Consecutive row ranges of at most ``size`` covering ``n`` rows."""
+    return (slice(lo, min(lo + size, n)) for lo in range(0, n, size))
+
+
+def _forward_chunks(model: BritsModel, data: RitsData, chunks: Iterable[slice]) -> Iterator[tuple[slice, dict, dict]]:
+    """``(rows, fwd, bwd)`` per row range of ``chunks``: one forward-only
+    pass whose batches share one ``StepWorkspace``, so each batch's
+    outputs are to be read before the next is computed."""
+    _check_width(model, data)
+    workspace = StepWorkspace()
+    for rows in chunks:
+        x, mask, delta = _check_batch(data.x[rows], data.mask[rows], data.delta[rows])
+        yield rows, *_forward_pair(model, x, mask, delta, workspace=workspace)
+
+
 def evaluate_losses(model: BritsModel, data: RitsData, phase: int, batch_size: int = 1024) -> dict[str, float]:
     """Batched loss evaluation without gradients or step caches, summarized
     by ``loss_summary``."""
-    sums = dict.fromkeys(LOSS_COMPONENTS, 0.0)
-    for lo in range(0, data.n, batch_size):
-        hi = min(lo + batch_size, data.n)
-        x, mask, delta = _check_batch(data.x[lo:hi], data.mask[lo:hi], data.delta[lo:hi])
-        fwd, bwd, diff = _forward_pair(model, x, mask, delta)
-        batch = _loss_components(fwd, bwd, diff, data.label[lo:hi].astype(np.float64))
-        for key in sums:
-            sums[key] += batch[key] * (hi - lo)
-    return loss_summary(sums, data.n, phase)
+    return _summed_losses(
+        (
+            (fwd, bwd, _complement_gap(fwd, bwd), data.label[rows].astype(np.float64))
+            for rows, fwd, bwd in _forward_chunks(model, data, _batches(data.n, batch_size))
+        ),
+        phase,
+    )
 
 
-def train_brits(
+def _fit(
     model: BritsModel,
-    train: RitsData,
-    validation: RitsData,
+    n_train: int,
     schedule: TrainSchedule,
+    step: Callable[[BritsModel, np.ndarray, int], tuple[dict[str, float], dict]],
+    validate: Callable[[BritsModel, int], dict[str, float]],
 ) -> tuple[BritsModel, list[dict]]:
-    """Two-phase Adam training; returns a trained copy plus epoch history.
-
-    Phase 1 optimizes estimation + consistency until the validation
-    estimation loss stops improving by ``min_delta`` for ``patience``
-    epochs; phase 2 optimizes the full loss under the same policy on the
-    validation total. The input model is left untouched.
-    """
-    _check_width(model, train)
-    _check_width(model, validation)
+    """The two-phase epoch loop of every recurrent fit, on a copy of
+    ``model``: shuffled batches of ``n_train`` training rows, an Adam step
+    on the gradients ``step(model, rows, phase)`` returns with the batch's
+    loss components, and ``validate(model, phase)``'s ``loss_summary``
+    after each epoch for the history and early stopping."""
     model = model.copy()
     opt = AdamState(model)
     rng = np.random.default_rng(np.random.SeedSequence((schedule.seed, 0x7E41)))
     history: list[dict] = []
-    workspace = StepWorkspace()
 
     def run_phase(phase: int, max_epochs: int, monitor: str) -> None:
         best = np.inf
         stale = 0
         for epoch in range(max_epochs):
-            order = rng.permutation(train.n)
+            order = rng.permutation(n_train)
             # Running sums, not each step's results: keeping a small dict
             # per step alive raised perfbench brits_fit's peak RSS by ~6 MB,
             # likely by pinning freed heap between the steps' temporaries.
             sums = dict.fromkeys(LOSS_COMPONENTS, 0.0)
-            for lo in range(0, train.n, schedule.batch_size):
-                idx = order[lo : lo + schedule.batch_size]
-                comps, grads = brits_loss_and_grads(
-                    model,
-                    train.x[idx],
-                    train.mask[idx],
-                    train.delta[idx],
-                    train.label[idx],
-                    phase=phase,
-                    workspace=workspace,
-                )
-                opt.step(model, grads, schedule.learning_rate, schedule.trainable)
+            for batch in _batches(n_train, schedule.batch_size):
+                rows = order[batch]
+                comps, grads = step(model, rows, phase)
+                opt.step(model, grads, schedule.learning_rate)
                 for key in sums:
-                    sums[key] += comps[key] * idx.size
-            val = evaluate_losses(model, validation, phase, schedule.batch_size)
+                    sums[key] += comps[key] * rows.size
+            val = validate(model, phase)
             row = {"phase": phase, "epoch": epoch}
-            for prefix, summary in (("train", loss_summary(sums, train.n, phase)), ("val", val)):
+            for prefix, summary in (("train", loss_summary(sums, n_train, phase)), ("val", val)):
                 for key in ("total", "estimation", "consistency", "classification"):
                     row[f"{prefix}_{key}"] = summary[key]
             history.append(row)
@@ -817,63 +860,134 @@ def train_brits(
     return model, history
 
 
-def brits_predict(model: BritsModel, data: RitsData, batch_size: int = 1024) -> np.ndarray:
-    """Mean of the two directions' probabilities, batched."""
-    _check_width(model, data)
-    out = np.empty(data.n, dtype=np.float64)
-    for lo in range(0, data.n, batch_size):
-        hi = min(lo + batch_size, data.n)
-        res = brits_forward(model, data.x[lo:hi], data.mask[lo:hi], data.delta[lo:hi])
-        out[lo:hi] = res.probability
-    return out
-
-
-def finite_difference_block_errors(
+def train_brits(
     model: BritsModel,
-    x: np.ndarray,
-    mask: np.ndarray,
-    delta: np.ndarray,
-    label: np.ndarray,
-    phase: int = 2,
-    eps: float = 1e-6,
-) -> dict[str, float]:
-    """Relative error per parameter block between analytic and central
-    finite-difference gradients.
+    train: RitsData,
+    validation: RitsData,
+    schedule: TrainSchedule,
+) -> tuple[BritsModel, list[dict]]:
+    """Two-phase Adam training of every block; returns a trained copy plus
+    epoch history.
 
-    The error is ||fd - analytic|| / max(||fd||, ||analytic||) over each
-    block, which keeps float64 roundoff on near-zero entries from
-    swamping the comparison. The constrained diagonal of the
-    feature-regression weight is excluded (it does not affect the loss).
-    Perturbed losses come from the forward-only pair, whose total equals
-    the training step's bit for bit.
+    Phase 1 optimizes estimation + consistency until the validation
+    estimation loss stops improving by ``min_delta`` for ``patience``
+    epochs; phase 2 optimizes the full loss under the same policy on the
+    validation total. The input model is left untouched.
     """
-    _, grads = brits_loss_and_grads(model, x, mask, delta, label, phase=phase)
-    x, mask, delta = _check_batch(x, mask, delta)
-    y = np.asarray(label, dtype=np.float64).reshape(-1)
+    _check_width(model, train)
+    _check_width(model, validation)
+    workspace = StepWorkspace()
 
-    def loss() -> float:
-        comps = _loss_components(*_forward_pair(model, x, mask, delta), y)
-        return total_loss(comps, phase)
+    def step(model: BritsModel, rows: np.ndarray, phase: int) -> tuple[dict[str, float], dict]:
+        return brits_loss_and_grads(
+            model,
+            train.x[rows],
+            train.mask[rows],
+            train.delta[rows],
+            train.label[rows],
+            phase=phase,
+            workspace=workspace,
+        )
 
-    errors: dict[str, float] = {}
-    for dname in ("fwd", "bwd"):
-        params = getattr(model, dname)
-        for name, arr in params.items():
-            flat = arr.ravel()
-            fd = np.zeros_like(flat)
-            skip_diag = name == "feat_W"
-            f_dim = arr.shape[0] if skip_diag else 0
-            for i in range(flat.size):
-                if skip_diag and i % (f_dim + 1) == 0:
-                    continue
-                orig = flat[i]
-                flat[i] = orig + eps
-                lp = loss()
-                flat[i] = orig - eps
-                lm = loss()
-                flat[i] = orig
-                fd[i] = (lp - lm) / (2.0 * eps)
-            g = grads[dname][name].ravel()
-            denom = max(float(np.linalg.norm(fd)), float(np.linalg.norm(g)), 1e-12)
-            errors[f"{dname}.{name}"] = float(np.linalg.norm(fd - g) / denom)
-    return errors
+    def validate(model: BritsModel, phase: int) -> dict[str, float]:
+        return evaluate_losses(model, validation, phase, schedule.batch_size)
+
+    return _fit(model, train.n, schedule, step, validate)
+
+
+@dataclass
+class FrozenPass:
+    """What the classifier head does not change, per sample of ``data``:
+    each direction's last hidden state and estimation term, and the
+    complement gap, from one forward-only pass in batches of ``size``.
+
+    BLAS picks kernels by matrix size, so a sample's outputs can differ in
+    the last bit with the size of the batch it is computed in, and in some
+    small batches also with its place there. So the pass computes every
+    sample in a batch of ``size`` rows, the training batch size (or all
+    rows, if fewer); a batch of that size reads these values, and a batch
+    of any other size, a ragged last one, runs the encoder again.
+    """
+
+    data: RitsData
+    size: int
+    h_last: dict[str, np.ndarray]  # direction -> (n, H)
+    est_per_sample: dict[str, np.ndarray]  # direction -> (n,)
+    gap: np.ndarray  # (n, T, F)
+
+    @classmethod
+    def run(cls, model: BritsModel, data: RitsData, batch_size: int) -> "FrozenPass":
+        n, size = data.n, min(batch_size, data.n)
+        h_last = {d: np.empty((n, model.hidden_size)) for d in ("fwd", "bwd")}
+        est = {d: np.empty(n) for d in ("fwd", "bwd")}
+        gap = np.empty(data.x.shape)
+        # The last batch ends at row n and overlaps the one before it.
+        starts = (min(lo, n - size) for lo in range(0, n, size))
+        for rows, fwd, bwd in _forward_chunks(model, data, (slice(lo, lo + size) for lo in starts)):
+            for d, out in (("fwd", fwd), ("bwd", bwd)):
+                h_last[d][rows] = out["h_last"]
+                est[d][rows] = out["est_per_sample"]
+            gap[rows] = _complement_gap(fwd, bwd)
+        return cls(data, size, h_last, est, gap)
+
+    def batch(self, model: BritsModel, rows: np.ndarray | slice) -> tuple[dict, dict, np.ndarray, np.ndarray]:
+        """``(fwd, bwd, gap, y)`` of ``rows`` under ``model``'s head, as a
+        forward pass over those rows gives them."""
+        y = np.asarray(self.data.label[rows], dtype=np.float64)
+        if y.size != self.size:
+            x, mask, delta = _check_batch(self.data.x[rows], self.data.mask[rows], self.data.delta[rows])
+            fwd, bwd = _forward_pair(model, x, mask, delta)
+            return fwd, bwd, _complement_gap(fwd, bwd), y
+        outs = {}
+        for d in ("fwd", "bwd"):
+            h_last = self.h_last[d][rows]
+            outs[d] = {"h_last": h_last, "est_per_sample": self.est_per_sample[d][rows], **_head(getattr(model, d), h_last)}
+        return outs["fwd"], outs["bwd"], self.gap[rows], y
+
+
+def train_classifier_head(
+    model: BritsModel,
+    train: RitsData,
+    validation: RitsData,
+    schedule: TrainSchedule,
+) -> tuple[BritsModel, list[dict]]:
+    """``train_brits`` restricted to the classifier head (``cls_W``,
+    ``cls_b``) of both directions; every other block stays bit-identical.
+
+    With the rest frozen, one forward-only pass over each split
+    (``FrozenPass``) fixes everything but the logits, so a step computes
+    only the logits, the loss and the head's gradients; only a ragged
+    last batch runs the encoder again. The shuffling, batches, validation
+    chunks, history and early stopping are ``train_brits``'s, and so are
+    the bits wherever a full batch's outputs per sample do not depend on
+    the batch's other rows, as at the batch sizes the tests check.
+    """
+    frozen_train = FrozenPass.run(model, train, schedule.batch_size)
+    frozen_val = FrozenPass.run(model, validation, schedule.batch_size)
+
+    def step(model: BritsModel, rows: np.ndarray, phase: int) -> tuple[dict[str, float], dict]:
+        fwd, bwd, gap, y = frozen_train.batch(model, rows)
+        comps = _step_loss(fwd, bwd, gap, y, phase)
+        grads = {}
+        for d, out in (("fwd", fwd), ("bwd", bwd)):
+            grads[d] = {k: np.zeros_like(getattr(model, d)[k]) for k in CLASSIFIER_BLOCKS}
+            _head_backward(out, _d_logit(out, y, phase), grads[d])
+        return comps, grads
+
+    def validate(model: BritsModel, phase: int) -> dict[str, float]:
+        chunks = _batches(validation.n, schedule.batch_size)
+        return _summed_losses((frozen_val.batch(model, rows) for rows in chunks), phase)
+
+    return _fit(model, train.n, schedule, step, validate)
+
+
+def brits_predict(model: BritsModel, data: RitsData, batch_size: int = 1024) -> np.ndarray:
+    """Mean of the two directions' probabilities, batched; the batches share
+    one ``StepWorkspace``."""
+    _check_width(model, data)
+    workspace = StepWorkspace()
+    out = np.empty(data.n, dtype=np.float64)
+    for rows in _batches(data.n, batch_size):
+        res = brits_forward(model, data.x[rows], data.mask[rows], data.delta[rows], workspace)
+        out[rows] = res.probability
+    return out

@@ -3,12 +3,14 @@ fine-tuning strategies for the recurrent model.
 
 Tree models only ever pre-train; the recurrent model can afterwards be
 fine-tuned per network, either touching the classifier head alone (the
-imputer stays bit-identical) or every parameter block.
+imputer stays bit-identical, and one forward pass stands in for its
+backprop) or every parameter block.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
@@ -16,10 +18,10 @@ from .dataset import WindowDataset
 from .errors import DataError
 from .rits import (
     BritsModel,
-    CLASSIFIER_BLOCKS,
     RitsData,
     TrainSchedule,
     train_brits,
+    train_classifier_head,
 )
 from .schema import FeatureSchema
 from .windows import TRAIN, VALIDATION, zscore_fit
@@ -127,16 +129,15 @@ def _finetune(
     mega: WindowDataset,
     network: str,
     schedule: TrainSchedule | None,
-    trainable: tuple[str, ...] | None,
+    fit: Callable[..., tuple[BritsModel, list[dict]]],
 ) -> tuple[BritsModel, list[dict]]:
     train, val = _network_slices(mega, network)
     sched = replace(
         schedule or TrainSchedule(),
         learning_rate=FINETUNE_LR,
         max_epochs_phase1=0,  # fine-tuning continues on the full objective
-        trainable=trainable,
     )
-    return train_brits(pretrained, train, val, sched)
+    return fit(pretrained, train, val, sched)
 
 
 def finetune_classifier_only(
@@ -145,12 +146,13 @@ def finetune_classifier_only(
     network: str,
     schedule: TrainSchedule | None = None,
 ) -> tuple[BritsModel, list[dict]]:
-    """Retrain only the classifier head on one network's samples.
+    """Retrain only the classifier head on one network's samples, over one
+    frozen forward pass (``rits.train_classifier_head``).
 
     Every imputer block of the returned model is bit-identical to the
     pretrained snapshot; the learning rate is halved to 5e-4.
     """
-    return _finetune(pretrained, mega, network, schedule, CLASSIFIER_BLOCKS)
+    return _finetune(pretrained, mega, network, schedule, train_classifier_head)
 
 
 def finetune_entirety(
@@ -160,5 +162,4 @@ def finetune_entirety(
     schedule: TrainSchedule | None = None,
 ) -> tuple[BritsModel, list[dict]]:
     """Fine-tune every parameter block on one network's samples at 5e-4."""
-    return _finetune(pretrained, mega, network, schedule, None)
-
+    return _finetune(pretrained, mega, network, schedule, train_brits)

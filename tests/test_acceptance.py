@@ -17,18 +17,14 @@ from iloscast.benchmark import BENCH_SEED, run_benchmark
 from iloscast.missing import compute_time_gaps
 from iloscast.metrics import pr_auc_truncated, pr_curve
 from iloscast.pipeline import build_network_datasets, ingest_csvs
-from iloscast.rits import (
-    CLASSIFIER_BLOCKS,
-    TrainSchedule,
-    finite_difference_block_errors,
-    init_brits,
-)
+from iloscast.rits import CLASSIFIER_BLOCKS, TrainSchedule, init_brits
 from iloscast.schema import FeatureSchema
 from iloscast.synth import GenConfig, generate
 from iloscast.trees import BoosterConfig, train_gbdt
 from iloscast.windows import TRAIN, label_window, slide_windows
 
 from conftest import make_series
+from rits_reference import finite_difference_block_errors
 from test_metrics import oracle_truncated_area
 from test_trees import audit_booster_splits
 

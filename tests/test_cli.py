@@ -112,8 +112,8 @@ def test_config_keys_match_the_settings_they_fill():
 
     assert set(CONFIG_KEYS) == {f.name for f in fields(RunConfig)}
     assert set(CONFIG_KEYS["synth"]) == {f.name for f in fields(GenConfig)} - {"seed"}
-    # The config seed seeds training; fine-tuning picks the trainable blocks.
-    schedule_fields = {f.name for f in fields(TrainSchedule)} - {"seed", "trainable"}
+    # The config seed seeds training.
+    schedule_fields = {f.name for f in fields(TrainSchedule)} - {"seed"}
     assert set(CONFIG_KEYS["train"]["brits"]) == schedule_fields
 
 
@@ -513,6 +513,23 @@ def test_cli_pretrain_reads_the_rebuilt_datasets(pipeline_ws, tmp_path):
     for stage in ("build", "pretrain"):
         assert cli_entry([stage] + args) == 0
     assert json.loads(booster.read_text(encoding="utf-8"))["n_columns"] == n_columns // 7 * 5
+
+
+def test_reingest_of_fewer_networks_drops_the_others_downstream(pipeline_ws, tmp_path):
+    """Re-running ``ingest`` on two of three networks removes the third's
+    ingest directory, the next ``build`` removes its build directory, and
+    neither ``build`` nor ``train`` writes anything for it."""
+    ws, _ = copied_workspace(pipeline_ws, tmp_path)
+    cfg, _ = pipeline_ws
+    cfg = RunConfig.from_dict(cfg.to_dict() | {"workspace": str(ws)})
+    cfg.ingest = {"inputs": [str(ws / "synth" / f"{net}.csv") for net in ("net1", "net2")]}
+    shutil.rmtree(ws / "models")
+    outputs = {stage: run_stage(stage, cfg) for stage in ("ingest", "build", "train")}
+    for stage in ("ingest", "build"):
+        assert sorted(p.name for p in (ws / stage).iterdir()) == ["net1", "net2"]
+    for stage, paths in outputs.items():
+        assert paths and not [p for p in paths if "net3" in str(p)], stage
+    assert sorted(p.name for p in (ws / "models").iterdir()) == ["booster_net1", "booster_net2"]
 
 
 def test_cli_unknown_train_network_exits_3_before_training(pipeline_ws, tmp_path, capsys):

@@ -6,22 +6,26 @@ import pytest
 from iloscast.activation import sigmoid
 from iloscast.errors import DataError
 from iloscast.missing import compute_time_gaps
+from rits_reference import finite_difference_block_errors, train_with_head_gradients_only
+
 from iloscast.rits import (
     AdamState,
     BritsModel,
     CLASSIFIER_BLOCKS,
     LOGIT_CLAMP,
+    PARAM_BLOCKS,
     RitsData,
     TrainSchedule,
     brits_forward,
     brits_loss_and_grads,
     brits_predict,
     evaluate_losses,
-    finite_difference_block_errors,
     init_brits,
     total_loss,
     train_brits,
+    train_classifier_head,
     _check_batch,
+    _complement_gap,
     _forward_pair,
     _loss_components,
     _rits_forward,
@@ -89,7 +93,7 @@ def test_rits_rejects_nonfinite_input():
         _rits_forward(model.fwd, *_check_batch(x, mask, delta))
 
 
-@pytest.mark.parametrize("entry", ["train_brits", "brits_predict"])
+@pytest.mark.parametrize("entry", ["train_brits", "train_classifier_head", "brits_predict"])
 def test_model_refuses_data_of_another_width(entry):
     """A model meeting data of another feature count raises DataError naming
     both widths, before any step; even a fit of zero epochs refuses it."""
@@ -97,17 +101,19 @@ def test_model_refuses_data_of_another_width(entry):
     data = make_data(8, 2)
     schedule = TrainSchedule(batch_size=4, max_epochs_phase1=0, max_epochs_phase2=0)
     with pytest.raises(DataError, match=f"takes {F + 1} features per step, but the data has {F}"):
-        if entry == "train_brits":
-            train_brits(model, data, data, schedule)
-        else:
+        if entry == "brits_predict":
             brits_predict(model, data)
+        else:
+            {"train_brits": train_brits, "train_classifier_head": train_classifier_head}[entry](
+                model, data, data, schedule
+            )
 
 
 def test_brits_probability_is_mean_of_directions():
     model = jittered_model()
     x, mask, delta, _ = make_batch()
     out = brits_forward(model, x, mask, delta)
-    fwd, bwd, _ = _forward_pair(model, *_check_batch(x, mask, delta))
+    fwd, bwd = _forward_pair(model, *_check_batch(x, mask, delta))
     np.testing.assert_array_equal(out.probability, 0.5 * (fwd["prob"] + bwd["prob"]))
 
 
@@ -120,7 +126,8 @@ def test_palindromic_input_with_tied_directions_has_zero_consistency():
     x = np.concatenate([half, mid, half[:, ::-1]], axis=1)  # palindrome in time
     mask = np.ones_like(x)
     delta = compute_time_gaps(mask)
-    comps = _loss_components(*_forward_pair(model, x, mask, delta), np.zeros(1))
+    fwd, bwd = _forward_pair(model, x, mask, delta)
+    comps = _loss_components(fwd, bwd, _complement_gap(fwd, bwd), np.zeros(1))
     assert comps["consistency"] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -132,14 +139,16 @@ def test_fully_observed_consistency_nonnegative():
     delta = compute_time_gaps(mask)
     out = brits_forward(model, x, mask, delta)
     np.testing.assert_array_equal(out.imputed, x)  # complements pass observed through
-    comps = _loss_components(*_forward_pair(model, x, mask, delta), np.zeros(2))
+    fwd, bwd = _forward_pair(model, x, mask, delta)
+    comps = _loss_components(fwd, bwd, _complement_gap(fwd, bwd), np.zeros(2))
     assert comps["consistency"] >= 0.0
 
 
 def test_loss_components_and_bounds():
     model = jittered_model()
     x, mask, delta, y = make_batch()
-    comps = _loss_components(*_forward_pair(model, *_check_batch(x, mask, delta)), y)
+    fwd, bwd = _forward_pair(model, *_check_batch(x, mask, delta))
+    comps = _loss_components(fwd, bwd, _complement_gap(fwd, bwd), y)
     assert total_loss(comps) >= 0.0
     for key in ("estimation_fwd", "estimation_bwd", "consistency"):
         assert comps[key] >= 0.0
@@ -148,7 +157,8 @@ def test_loss_components_and_bounds():
 def test_loss_perfect_classifier_vanishing_bce():
     model = jittered_model()
     x, mask, delta, _ = make_batch(batch=2)
-    fwd, bwd, diff = _forward_pair(model, *_check_batch(x, mask, delta))
+    fwd, bwd = _forward_pair(model, *_check_batch(x, mask, delta))
+    diff = _complement_gap(fwd, bwd)
     # force both directions to the clamped logit of a sure positive, label 1
     for out in (fwd, bwd):
         out["logit"] = np.full(2, LOGIT_CLAMP)
@@ -161,7 +171,7 @@ def test_loss_perfect_classifier_vanishing_bce():
 def test_loss_identical_directional_imputations_zero_consistency():
     model = jittered_model()
     x, mask, delta, y = make_batch()
-    fwd, bwd, _ = _forward_pair(model, *_check_batch(x, mask, delta))
+    fwd, bwd = _forward_pair(model, *_check_batch(x, mask, delta))
     bwd["x_comp"] = fwd["x_comp"][:, ::-1]
     diff = fwd["x_comp"] - bwd["x_comp"][:, ::-1]
     assert _loss_components(fwd, bwd, diff, y)["consistency"] == 0.0
@@ -200,7 +210,7 @@ def test_zero_diag_preserved_after_optimizer_steps():
     opt = AdamState(model)
     for _ in range(5):
         _, grads = brits_loss_and_grads(model, x, mask, delta, y, phase=2)
-        opt.step(model, grads, 1e-3, None)
+        opt.step(model, grads, 1e-3)
     for params in (model.fwd, model.bwd):
         np.testing.assert_array_equal(np.diag(params["feat_W"]), np.zeros(F))
 
@@ -302,20 +312,52 @@ def test_impute_passes_observed_through():
 def test_freeze_classifier_only_updates_nothing_else():
     model = jittered_model()
     data = make_data(28, 32)
-    schedule = TrainSchedule(
-        batch_size=8,
-        max_epochs_phase1=0,
-        max_epochs_phase2=3,
-        trainable=CLASSIFIER_BLOCKS,
-        seed=1,
-    )
-    trained, _ = train_brits(model, data, data, schedule)
+    schedule = TrainSchedule(batch_size=8, max_epochs_phase1=0, max_epochs_phase2=3, seed=1)
+    trained, _ = train_with_head_gradients_only(model, data, data, schedule)
     for d in ("fwd", "bwd"):
         for k in model.fwd:
             if k in CLASSIFIER_BLOCKS:
                 assert not np.array_equal(getattr(model, d)[k], getattr(trained, d)[k])
             else:
                 np.testing.assert_array_equal(getattr(model, d)[k], getattr(trained, d)[k])
+
+
+def make_wide_data(seed, n, features):
+    rng = np.random.default_rng(seed)
+    mask = (rng.random((n, 7, features)) > 0.5).astype(np.float64)
+    x = np.where(mask == 1, rng.normal(size=mask.shape), 0.0)
+    y = (rng.random(n) < 0.3).astype(np.float64)
+    return RitsData(x=x, mask=mask, delta=compute_time_gaps(mask), label=y)
+
+
+@pytest.mark.parametrize(
+    "features, hidden, n_train, n_val, batch",
+    [(F, H, 48, 12, 16), (133, 96, 1287, 263, 256)],
+    ids=["even-batches", "ragged-batches"],
+)
+def test_classifier_head_training_equals_zeroed_gradient_reference(features, hidden, n_train, n_val, batch):
+    """Head-only training over one frozen pass gives the bytes of full
+    training with every non-head gradient zeroed: parameters and history.
+    The second shape is the benchmark's width with a ragged last training
+    batch and validation chunk of 7 rows, a size at which BLAS
+    rounds a sample's outputs differently from a full batch and by its
+    place in the batch."""
+    model = init_brits(features, hidden_size=hidden, seed=features)
+    pretrain = TrainSchedule(hidden_size=hidden, batch_size=batch, max_epochs_phase1=1, max_epochs_phase2=1, seed=2)
+    train, val = make_wide_data(40, n_train, features), make_wide_data(41, n_val, features)
+    model, _ = train_brits(model, train, val, pretrain)  # off the initial point
+    schedule = TrainSchedule(
+        hidden_size=hidden, batch_size=batch, learning_rate=5e-4, max_epochs_phase1=0, max_epochs_phase2=3, seed=7
+    )
+    want_model, want_history = train_with_head_gradients_only(model, train, val, schedule)
+    got_model, got_history = train_classifier_head(model, train, val, schedule)
+    assert len(got_history) == 3
+    assert got_history == want_history
+    for d in ("fwd", "bwd"):
+        for k in PARAM_BLOCKS:
+            assert getattr(got_model, d)[k].tobytes() == getattr(want_model, d)[k].tobytes(), (d, k)
+            if k not in CLASSIFIER_BLOCKS:
+                assert getattr(got_model, d)[k].tobytes() == getattr(model, d)[k].tobytes(), (d, k)
 
 
 def test_model_save_load_round_trip(tmp_path):
@@ -364,7 +406,7 @@ def test_forward_only_pass_equals_training_forward_bit_for_bit():
             assert bare[key].tobytes() == cached[key].tobytes(), key
     # brits_forward is the cache-free pair; the training pair keeps caches.
     out = brits_forward(model, x, mask, delta)
-    fwd, bwd, _ = _forward_pair(model, x, mask, delta, keep_steps=True)
+    fwd, bwd = _forward_pair(model, x, mask, delta, keep_steps=True)
     probability = 0.5 * (fwd["prob"] + bwd["prob"])
     imputed = mask * x + (1.0 - mask) * (0.5 * (fwd["x_prime"] + bwd["x_prime"][:, ::-1]))
     assert out.probability.tobytes() == probability.tobytes()

@@ -1,5 +1,6 @@
-"""The training step on two threads: same bits as one thread, errors and
-forks handled, and the thread count chosen from the environment."""
+"""Training steps and forward-only passes on two threads: same bits as one
+thread, errors and forks handled, and the thread count chosen from the
+environment."""
 
 from __future__ import annotations
 
@@ -22,9 +23,13 @@ from iloscast.rits import (
     StepWorkspace,
     TrainSchedule,
     backward_inputs,
+    brits_forward,
     brits_loss_and_grads,
+    brits_predict,
     classification_weight,
+    evaluate_losses,
     init_brits,
+    loss_summary,
     train_brits,
     _check_batch,
     _loss_components,
@@ -131,6 +136,92 @@ def test_worker_exception_reaches_the_caller(two_threads, monkeypatch, where):
     assert grad_bytes(grads) == grad_bytes(sequential_reference(model, x, mask, delta, y, 2)[1])
 
 
+def sequential_pair(model, x, mask, delta):
+    """The two directions' forward-only passes, one after the other on the
+    calling thread, each over fresh arrays."""
+    x, mask, delta = _check_batch(x, mask, delta)
+    return x, mask, _rits_forward(model.fwd, x, mask, delta), _rits_forward(model.bwd, *backward_inputs(x, mask))
+
+
+def sequential_forward_only(model, data, batch):
+    """What brits_forward (over the whole data), brits_predict and
+    evaluate_losses (over batches of ``batch``) return, composed from
+    sequential directional passes."""
+    x, mask, fwd, bwd = sequential_pair(model, data.x, data.mask, data.delta)
+    forward = (
+        0.5 * (fwd["prob"] + bwd["prob"]),
+        mask * x + (1.0 - mask) * (0.5 * (fwd["x_prime"] + bwd["x_prime"][:, ::-1])),
+    )
+    prob = np.empty(data.n)
+    sums = {phase: dict.fromkeys(rits.LOSS_COMPONENTS, 0.0) for phase in (1, 2)}
+    for lo in range(0, data.n, batch):
+        hi = min(lo + batch, data.n)
+        _, _, fwd, bwd = sequential_pair(model, data.x[lo:hi], data.mask[lo:hi], data.delta[lo:hi])
+        prob[lo:hi] = 0.5 * (fwd["prob"] + bwd["prob"])
+        diff = fwd["x_comp"] - bwd["x_comp"][:, ::-1]
+        comps = _loss_components(fwd, bwd, diff, data.label[lo:hi])
+        for phase in (1, 2):
+            for key in sums[phase]:
+                sums[phase][key] += comps[key] * (hi - lo)
+    losses = {phase: loss_summary(sums[phase], data.n, phase) for phase in (1, 2)}
+    return forward, prob, losses
+
+
+def float_bytes(summary):
+    return {key: np.float64(value).tobytes() for key, value in summary.items()}
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 7, 5, 8, 1024), (1024, 7, 19, 96, 1024), (1324, 7, 19, 96, 1024)],
+    ids=["criterion4", "one-batch", "ragged-last-batch"],
+)
+def test_forward_only_passes_on_two_threads_equal_sequential(two_threads, shape):
+    """brits_forward, brits_predict and evaluate_losses run the backward
+    direction on the worker and return the sequential bytes."""
+    B, T, F, H, batch = shape
+    model = jittered_model(F, H, seed=B)
+    data = RitsData(*make_batch(B + 2, B, T, F))
+    (want_prob, want_imputed), want_predict, want_losses = sequential_forward_only(model, data, batch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        two_threads.clear()
+        out = brits_forward(model, data.x, data.mask, data.delta)
+        assert out.probability.tobytes() == want_prob.tobytes()
+        assert out.imputed.tobytes() == want_imputed.tobytes()
+        assert brits_predict(model, data, batch).tobytes() == want_predict.tobytes()
+        for phase in (1, 2):
+            assert float_bytes(evaluate_losses(model, data, phase, batch)) == float_bytes(want_losses[phase])
+        assert len(set(two_threads)) == 2, two_threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("entry", ["brits_predict", "evaluate_losses"])
+def test_forward_only_worker_exception_reaches_the_caller(two_threads, monkeypatch, entry):
+    model = jittered_model(5, 8, seed=2)
+    data = RitsData(*make_batch(3, 6, 7, 5))
+    run = {"brits_predict": lambda: brits_predict(model, data, 4), "evaluate_losses": lambda: evaluate_losses(model, data, 2, 4)}[entry]
+    want = sequential_forward_only(model, data, 4)
+    original = rits._rits_forward
+
+    def failing(params, *args, **kwargs):
+        if params is model.bwd:
+            raise FloatingPointError(f"forward failed on {threading.current_thread().name}")
+        return original(params, *args, **kwargs)
+
+    monkeypatch.setattr(rits, "_rits_forward", failing)
+    with pytest.raises(FloatingPointError, match="iloscast-bwd"):
+        run()
+    # The worker survives its job's error and serves the next call.
+    monkeypatch.setattr(rits, "_rits_forward", original)
+    if entry == "brits_predict":
+        assert run().tobytes() == want[1].tobytes()
+    else:
+        assert float_bytes(run()) == float_bytes(want[2][2])
+
+
 @pytest.mark.parametrize(
     "openblas, omp, cpus, want",
     [
@@ -158,6 +249,18 @@ def test_sequential_step_starts_no_thread(monkeypatch):
     model = jittered_model(5, 8, seed=3)
     brits_loss_and_grads(model, *make_batch(4, 3, 7, 5))
     assert rits._worker is None
+
+
+def test_sequential_prediction_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(rits, "step_threads", lambda: 1)
+    monkeypatch.setattr(rits, "_worker", None)
+    before = threading.active_count()
+    model = jittered_model(5, 8, seed=4)
+    data = RitsData(*make_batch(5, 9, 7, 5))
+    brits_predict(model, data, 4)
+    evaluate_losses(model, data, 2, 4)
+    assert rits._worker is None
+    assert threading.active_count() == before
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")

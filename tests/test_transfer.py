@@ -228,13 +228,13 @@ def test_classifier_only_equals_entirety_with_zeroed_imputer_grads():
     opt_b = AdamState(m_zeroed)
     for _ in range(4):
         _, ga = brits_loss_and_grads(m_restrict, data.x, data.mask, data.delta, data.label, phase=2)
-        opt_a.step(m_restrict, ga, 5e-4, CLASSIFIER_BLOCKS)
+        opt_a.step(m_restrict, {d: {k: ga[d][k] for k in CLASSIFIER_BLOCKS} for d in ga}, 5e-4)
         _, gb = brits_loss_and_grads(m_zeroed, data.x, data.mask, data.delta, data.label, phase=2)
         for d in ("fwd", "bwd"):
             for k in gb[d]:
                 if k not in CLASSIFIER_BLOCKS:
                     gb[d][k] = np.zeros_like(gb[d][k])
-        opt_b.step(m_zeroed, gb, 5e-4, None)
+        opt_b.step(m_zeroed, gb, 5e-4)
     for d in ("fwd", "bwd"):
         for k in m_restrict.fwd:
             np.testing.assert_array_equal(getattr(m_restrict, d)[k], getattr(m_zeroed, d)[k])
