@@ -36,58 +36,52 @@ BENCH_BRITS = TrainSchedule(
 )
 
 
-def run_benchmark(seed: int = BENCH_SEED, workdir: str | Path | None = None) -> dict:
+def run_benchmark(seed: int = BENCH_SEED) -> dict:
     """Full-pipeline benchmark; returns scores and dataset statistics.
 
     The result dict carries, per model, the overall mega-test score, the
     per-network scores, and the precursor-only subset score, plus the
     single-network-trained recurrent model's score on the smallest network
-    for the transfer comparison.
+    for the transfer comparison. The generated CSVs live in a temporary
+    directory until they are ingested.
     """
-
-    def compute(out_dir: Path) -> dict:
-        gen_cfg = GenConfig(seed=seed)
-        result = generate(gen_cfg, out_dir)
+    with tempfile.TemporaryDirectory() as out_dir:
+        result = generate(GenConfig(seed=seed), Path(out_dir))
         ingested = ingest_csvs([str(p) for p in result.csv_paths])
-        datasets, _ = build_network_datasets(ingested)
-        mega = build_mega_dataset(list(datasets.values()))
-        stats = dataset_stats(mega)["merged"]
-        mask = precursor_mask(mega, result.events)
+    datasets, _ = build_network_datasets(ingested)
+    mega = build_mega_dataset(list(datasets.values()))
+    stats = dataset_stats(mega)["merged"]
+    mask = precursor_mask(mega, result.events)
 
-        booster = train_tree_model(mega, "booster", "mega", grid=DEFAULT_GRID, seed=seed)
-        booster_report = evaluate_model(booster, mega, extra_masks={"precursor_only": mask})
+    booster = train_tree_model(mega, "booster", "mega", grid=DEFAULT_GRID, seed=seed)
+    booster_report = evaluate_model(booster, mega, extra_masks={"precursor_only": mask})
 
-        brits = train_brits_model(mega, "mega", BENCH_BRITS, seed=seed)
-        brits_report = evaluate_model(brits, mega, extra_masks={"precursor_only": mask})
+    brits = train_brits_model(mega, "mega", BENCH_BRITS, seed=seed)
+    brits_report = evaluate_model(brits, mega, extra_masks={"precursor_only": mask})
 
-        smallest = min(datasets, key=lambda net: datasets[net].n)
-        brits_single = train_brits_model(datasets[smallest], smallest, BENCH_BRITS, seed=seed)
-        single_report = evaluate_model(brits_single, datasets[smallest])
+    smallest = min(datasets, key=lambda net: datasets[net].n)
+    brits_single = train_brits_model(datasets[smallest], smallest, BENCH_BRITS, seed=seed)
+    single_report = evaluate_model(brits_single, datasets[smallest])
 
-        return {
-            "seed": seed,
-            "stats": {
-                "samples": stats["samples"],
-                "missing_rate": stats["missing_rate"],
-                "positive_rate": stats["positive_rate"],
-            },
-            "booster": {
-                "overall": booster_report["overall"],
-                "per_network": booster_report["per_network"],
-                "precursor_only": booster_report["subsets"]["precursor_only"],
-                "best_tree_count": booster.model.config.n_trees,
-            },
-            "brits": {
-                "overall": brits_report["overall"],
-                "per_network": brits_report["per_network"],
-                "precursor_only": brits_report["subsets"]["precursor_only"],
-            },
-            "smallest_network": smallest,
-            "brits_mega_on_smallest": brits_report["per_network"][smallest],
-            "brits_single_on_smallest": single_report["per_network"][smallest],
-        }
-
-    if workdir is not None:
-        return compute(Path(workdir))
-    with tempfile.TemporaryDirectory() as td:
-        return compute(Path(td))
+    return {
+        "seed": seed,
+        "stats": {
+            "samples": stats["samples"],
+            "missing_rate": stats["missing_rate"],
+            "positive_rate": stats["positive_rate"],
+        },
+        "booster": {
+            "overall": booster_report["overall"],
+            "per_network": booster_report["per_network"],
+            "precursor_only": booster_report["subsets"]["precursor_only"],
+            "best_tree_count": booster.model.config.n_trees,
+        },
+        "brits": {
+            "overall": brits_report["overall"],
+            "per_network": brits_report["per_network"],
+            "precursor_only": brits_report["subsets"]["precursor_only"],
+        },
+        "smallest_network": smallest,
+        "brits_mega_on_smallest": brits_report["per_network"][smallest],
+        "brits_single_on_smallest": single_report["per_network"][smallest],
+    }

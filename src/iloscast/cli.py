@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from .dataset import WindowDataset, write_audit_csv
-from .errors import ConfigError, DataError, IloscastError, MissingArtifactError, NumericError
+from .errors import ConfigError, DataError, IloscastError, IndicatorError, MissingArtifactError, NumericError
 from .ingest import series_from_arrays, series_to_arrays
 from .container import decoding, read_container, read_json, require_keys, write_container, write_csv, write_json
 from . import metrics
@@ -44,7 +44,7 @@ from .rits import BritsModel, TrainSchedule
 from .schema import FeatureSchema
 from .synth import GenConfig, PROTOCOL_INDICATORS, generate, load_ground_truth, dataset_stats
 from .transfer import build_mega_dataset, finetune_classifier_only, finetune_entirety
-from .trees import TreeEnsemble
+from .trees import TreeEnsemble, tree_count_grid
 from .windows import TEST
 
 
@@ -240,7 +240,10 @@ def stage_ingest(cfg: RunConfig, ws: Workspace) -> None:
         if not inputs:
             raise MissingArtifactError(f"no input CSVs configured and none under {synth_dir}")
     indicators = tuple(cfg.ingest.get("protocol_indicators", PROTOCOL_INDICATORS))
-    ingested = ingest_csvs([ws.read(p) for p in inputs], indicators)
+    try:
+        ingested = ingest_csvs([ws.read(p) for p in inputs], indicators)
+    except IndicatorError as exc:
+        raise ConfigError(f"ingest.protocol_indicators: {exc}") from None
     for net, (schema, series) in ingested.items():
         arrays, meta = series_to_arrays(series)
         meta["schema"] = schema.to_dict()
@@ -317,8 +320,12 @@ def _train_options(cfg: RunConfig) -> tuple[list[str], dict]:
         raise ConfigError(
             f"train.forest_imputation must be one of {list(FOREST_IMPUTATIONS)}, not {imputation!r}"
         )
+    try:
+        grid = tree_count_grid(cfg.train.get("grid", DEFAULT_GRID))
+    except ConfigError as exc:
+        raise ConfigError(f"train.grid: {exc}") from None
     return kinds, {
-        "grid": tuple(cfg.train.get("grid", DEFAULT_GRID)),
+        "grid": grid,
         "imputation": imputation,
         "schedule": _brits_settings(cfg),
         "seed": cfg.seed,
@@ -537,21 +544,26 @@ def stage_report(cfg: RunConfig, ws: Workspace) -> None:
         per_model[report["model"]] = report
     if not per_model:
         raise MissingArtifactError(f"no evaluation outputs under {eval_dir}")
+    plt = _pyplot() if cfg.report.get("plots", False) else None
     write_json(ws.write("report", "report.json"), {"models": per_model})
-    if cfg.report.get("plots", False):
-        _render_plots(ws, eval_dir)
+    if plt is not None:
+        _render_plots(plt, ws, eval_dir)
 
 
-def _render_plots(ws: Workspace, eval_dir: Path) -> None:
+def _pyplot():
+    """matplotlib's pyplot on the file-only Agg backend; :class:`ConfigError`
+    when matplotlib is not installed."""
     try:
         import matplotlib
 
         matplotlib.use("Agg")
         import matplotlib.pyplot as plt
     except ImportError as exc:
-        raise ConfigError(
-            "report.plots requires matplotlib; install iloscast[plots]"
-        ) from exc
+        raise ConfigError("report.plots requires matplotlib; install iloscast[plots]") from exc
+    return plt
+
+
+def _render_plots(plt, ws: Workspace, eval_dir: Path) -> None:
     fig, ax = plt.subplots(figsize=(7, 5))
     for curve_path in sorted(eval_dir.glob("*/pr_curve.csv")):
         rows = np.genfromtxt(ws.read(curve_path), delimiter=",", names=True)

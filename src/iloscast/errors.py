@@ -19,6 +19,10 @@ class SchemaError(IloscastError):
     """Raised when data does not fit the feature schema it is paired with."""
 
 
+class IndicatorError(SchemaError):
+    """Raised when the numeric features lack a requested protocol indicator."""
+
+
 class SplitError(IloscastError):
     """Raised when a chronological split cannot be formed."""
 

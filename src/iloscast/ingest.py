@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import IngestError, SchemaError
-from .schema import FeatureSchema
+from .schema import HCCS, UAS, FeatureSchema
 
 CSV_HEADER = ["network_id", "port_id", "facility_type", "date", "pm_name", "pm_value"]
 
@@ -233,7 +233,7 @@ def build_schema(cols: PmColumns, protocol_indicators: Iterable[str] = ()) -> Fe
     if not len(cols):
         raise SchemaError("cannot build a schema from an empty record stream")
     pm_names = {cols.pm_names[c] for c in np.unique(cols.pm).tolist()}
-    pm_names.update(("UAS", "HCCS"))
+    pm_names.update((UAS, HCCS))
     facilities = {cols.facilities[c] for c in np.unique(cols.facility).tolist()}
     return FeatureSchema(
         numeric_features=tuple(sorted(pm_names)),

@@ -13,12 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Audit, WindowDataset, build_dataset
-from .errors import DataError
+from .errors import DataError, IndicatorError
 from .ingest import PmColumns, build_schema, merge_to_port_level, read_pm_csv
 from .metrics import pr_auc_truncated, pr_curve, weighted_average
 from .rits import BritsModel, TrainSchedule, brits_predict, init_brits, train_brits
 from .schema import FeatureSchema
-from .synth import PROTOCOL_INDICATORS
+from .synth import PROTOCOL_INDICATORS, START_DATE
 from .transfer import rits_data
 from .trees import (
     BoosterConfig,
@@ -50,6 +50,8 @@ def ingest_csvs(
     schema and max-merge its ports.
 
     Returns {network_id: (schema, port series list)} in network order.
+    :class:`IndicatorError` names a network whose PMs lack one of the
+    ``protocol_indicators``.
     """
     parts = [read_pm_csv(path) for path in paths]
     if not sum(map(len, parts)):
@@ -58,7 +60,10 @@ def ingest_csvs(
     out = {}
     for code, net in sorted(enumerate(rows.networks), key=lambda item: item[1]):
         net_rows = rows.take(rows.network == code)
-        schema = build_schema(net_rows, protocol_indicators)
+        try:
+            schema = build_schema(net_rows, protocol_indicators)
+        except IndicatorError as exc:
+            raise IndicatorError(f"network {net!r}: {exc}") from None
         out[net] = (schema, merge_to_port_level(net_rows, schema))
     return out
 
@@ -246,8 +251,6 @@ def precursor_mask(dataset: WindowDataset, events: list) -> np.ndarray:
     Evaluating on this subset excludes the intrinsically unpredictable
     positives, which is the quantity the precursor-only benchmark tracks.
     """
-    from .synth import START_DATE  # local import to keep module edges clean
-
     mask = dataset.label == 0
     pos = np.flatnonzero(~mask)
     pre = [ev for ev in events if ev.has_precursor]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import SchemaError
+from .errors import IndicatorError, SchemaError
 
 #: Label-source counters. UAS counts seconds a facility was unavailable,
 #: HCCS counts seconds where forward-error-correction activity exceeded a
@@ -25,20 +25,18 @@ class FeatureSchema:
     numeric_features: tuple[str, ...]
     onehot_features: tuple[str, ...]
     protocol_indicators: tuple[str, ...] = ()
-    uas_name: str = UAS
-    hccs_name: str = HCCS
     _numeric_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         all_names = list(self.numeric_features) + list(self.onehot_features)
         if len(set(all_names)) != len(all_names):
             raise SchemaError("feature names must be unique across all lists")
-        for name in (self.uas_name, self.hccs_name):
+        for name in (UAS, HCCS):
             if name not in self.numeric_features:
                 raise SchemaError(f"label source {name!r} missing from numeric features")
         for name in self.protocol_indicators:
             if name not in self.numeric_features:
-                raise SchemaError(f"protocol indicator {name!r} missing from numeric features")
+                raise IndicatorError(f"protocol indicator {name!r} missing from numeric features")
         object.__setattr__(
             self, "_numeric_index", {n: i for i, n in enumerate(self.numeric_features)}
         )
@@ -68,11 +66,11 @@ class FeatureSchema:
 
     @property
     def uas_index(self) -> int:
-        return self.numeric_index(self.uas_name)
+        return self.numeric_index(UAS)
 
     @property
     def hccs_index(self) -> int:
-        return self.numeric_index(self.hccs_name)
+        return self.numeric_index(HCCS)
 
     @property
     def indicator_indices(self) -> tuple[int, ...]:
@@ -90,16 +88,19 @@ class FeatureSchema:
             "numeric_features": list(self.numeric_features),
             "onehot_features": list(self.onehot_features),
             "protocol_indicators": list(self.protocol_indicators),
-            "uas_name": self.uas_name,
-            "hccs_name": self.hccs_name,
+            "uas_name": UAS,
+            "hccs_name": HCCS,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSchema":
+        """The schema that :meth:`to_dict` wrote; :class:`SchemaError` for
+        label-source names other than ``UAS`` and ``HCCS``."""
+        for key, name in (("uas_name", UAS), ("hccs_name", HCCS)):
+            if d.get(key, name) != name:
+                raise SchemaError(f"{key} must be {name!r}, not {d[key]!r}")
         return cls(
             numeric_features=tuple(d["numeric_features"]),
             onehot_features=tuple(d["onehot_features"]),
             protocol_indicators=tuple(d.get("protocol_indicators", ())),
-            uas_name=d.get("uas_name", UAS),
-            hccs_name=d.get("hccs_name", HCCS),
         )

@@ -33,16 +33,10 @@ def union_schema(schemas: list[FeatureSchema]) -> FeatureSchema:
     numeric = sorted(set().union(*(s.numeric_features for s in schemas)))
     onehot = sorted(set().union(*(s.onehot_features for s in schemas)))
     indicators = sorted(set().union(*(s.protocol_indicators for s in schemas)))
-    uas = {s.uas_name for s in schemas}
-    hccs = {s.hccs_name for s in schemas}
-    if len(uas) != 1 or len(hccs) != 1:
-        raise DataError("datasets disagree on label-source feature names")
     return FeatureSchema(
         numeric_features=tuple(numeric),
         onehot_features=tuple(onehot),
         protocol_indicators=tuple(indicators),
-        uas_name=uas.pop(),
-        hccs_name=hccs.pop(),
     )
 
 

@@ -723,6 +723,17 @@ class GridResult:
     scores: list[tuple[int, float]]
 
 
+def tree_count_grid(grid: Sequence[int]) -> list[int]:
+    """The distinct tree counts of ``grid`` in ascending order;
+    :class:`ConfigError` when it is empty or holds a count below 1."""
+    if not grid:
+        raise ConfigError("tree-count grid is empty")
+    counts = sorted(set(int(k) for k in grid))
+    if counts[0] < 1:
+        raise ConfigError("tree counts must be >= 1")
+    return counts
+
+
 def grid_search_trees(
     train: tuple[np.ndarray, np.ndarray],
     validation: tuple[np.ndarray, np.ndarray],
@@ -738,11 +749,7 @@ def grid_search_trees(
     forest tree seeds depend only on tree index). Ties break toward the
     smaller count.
     """
-    if not grid:
-        raise ConfigError("tree-count grid is empty")
-    grid = sorted(set(int(k) for k in grid))
-    if grid[0] < 1:
-        raise ConfigError("tree counts must be >= 1")
+    grid = tree_count_grid(grid)
     fit = train_gbdt if isinstance(config, BoosterConfig) else train_random_forest
     full = fit(*train, replace(config, n_trees=grid[-1]))
     rows_va, y_va = validation

@@ -26,6 +26,10 @@ REASON_LOS_TODAY = "los_today"
 REASONS = (None, REASON_EMPTY_PAST, REASON_EMPTY_FUTURE, REASON_NO_TRAFFIC, REASON_LOS_TODAY)
 
 TRAIN, VALIDATION, TEST = 0, 1, 2
+#: Target shares of the training and validation splits; the test split
+#: takes the rest (70/10/20).
+TRAIN_FRACTION = 0.7
+VALIDATION_FRACTION = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,11 +225,7 @@ def filter_defective(sample: WindowSample, schema: FeatureSchema) -> FilterDecis
     return FilterDecision(code == 0, REASONS[code])
 
 
-def chronological_split(
-    present_days: np.ndarray,
-    train_frac: float = 0.7,
-    val_frac: float = 0.1,
-) -> SplitAssignment:
+def chronological_split(present_days: np.ndarray) -> SplitAssignment:
     """Assign train/validation/test tags by snapping 70/10/20 to day edges.
 
     ``present_days`` holds each sample's present day as a date ordinal.
@@ -249,11 +249,11 @@ def chronological_split(
     # for one day of validation and one of test.
     last = unique_days.size - 1
     i1_candidates = np.arange(0, last - 1)
-    i1 = int(i1_candidates[np.argmin(np.abs(cum[i1_candidates] - train_frac * n))])
+    i1 = int(i1_candidates[np.argmin(np.abs(cum[i1_candidates] - TRAIN_FRACTION * n))])
     i2_candidates = np.arange(i1 + 1, last)
     i2 = int(
         i2_candidates[
-            np.argmin(np.abs(cum[i2_candidates] - (train_frac + val_frac) * n))
+            np.argmin(np.abs(cum[i2_candidates] - (TRAIN_FRACTION + VALIDATION_FRACTION) * n))
         ]
     )
 

@@ -13,8 +13,9 @@ from iloscast.rits import (
     CLASSIFIER_BLOCKS,
     _check_batch,
     _complement_gap,
-    _forward_pair,
     _loss_components,
+    _rits_forward,
+    backward_inputs,
     brits_loss_and_grads,
     total_loss,
 )
@@ -28,15 +29,20 @@ def finite_difference_block_errors(model, x, mask, delta, label, phase=2, eps=1e
     block, which keeps float64 roundoff on near-zero entries from
     swamping the comparison. The constrained diagonal of the
     feature-regression weight is excluded (it does not affect the loss).
-    Perturbed losses come from the forward-only pair, whose total equals
-    the training step's bit for bit.
+    Perturbed losses come from forward-only passes on the calling thread,
+    whose total equals the training step's bit for bit; a perturbation
+    reruns only the direction it touches.
     """
     _, grads = brits_loss_and_grads(model, x, mask, delta, label, phase=phase)
     x, mask, delta = _check_batch(x, mask, delta)
     y = np.asarray(label, dtype=np.float64).reshape(-1)
+    inputs = {"fwd": (x, mask, delta), "bwd": backward_inputs(x, mask)}
+    unperturbed = {d: _rits_forward(getattr(model, d), *inputs[d]) for d in inputs}
 
-    def loss() -> float:
-        fwd, bwd = _forward_pair(model, x, mask, delta)
+    def loss(dname: str) -> float:
+        out = dict(unperturbed)
+        out[dname] = _rits_forward(getattr(model, dname), *inputs[dname])
+        fwd, bwd = out["fwd"], out["bwd"]
         return total_loss(_loss_components(fwd, bwd, _complement_gap(fwd, bwd), y), phase)
 
     errors: dict[str, float] = {}
@@ -52,9 +58,9 @@ def finite_difference_block_errors(model, x, mask, delta, label, phase=2, eps=1e
                     continue
                 orig = flat[i]
                 flat[i] = orig + eps
-                lp = loss()
+                lp = loss(dname)
                 flat[i] = orig - eps
-                lm = loss()
+                lm = loss(dname)
                 flat[i] = orig
                 fd[i] = (lp - lm) / (2.0 * eps)
             g = grads[dname][name].ravel()

@@ -6,6 +6,7 @@ import json
 import shutil
 import signal
 import struct
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -606,6 +607,11 @@ def test_cli_bad_ground_truth_exits_1(pipeline_ws, tmp_path, capsys, old, new, w
     assert "Traceback" not in err
 
 
+#: Recurrent settings small enough that a stage which trained before
+#: checking its config would do so quickly.
+TINY_BRITS = {"hidden_size": 4, "max_epochs_phase1": 1, "max_epochs_phase2": 1}
+
+
 def workspace_state(root: Path) -> dict:
     """Every path under ``root``: a file's sha256 and modification time, or
     None for a directory."""
@@ -630,13 +636,45 @@ def workspace_state(root: Path) -> dict:
         ("evaluate", {"evaluate": {"facilities": ["OTM", "XYZ"]}}, "evaluate.facilities ['XYZ']"),
         ("build", {"build": {"past_days": 0}}, "past_days must be at least 1, got 0"),
         ("build", {"build": {"past_days": -2}}, "past_days must be at least 1, got -2"),
+        (
+            "train",
+            {"train": {"models": ["brits", "booster"], "grid": [], "brits": TINY_BRITS}},
+            "train.grid: tree-count grid is empty",
+        ),
+        (
+            "train",
+            {"train": {"models": ["brits", "booster"], "grid": [0, 10], "brits": TINY_BRITS}},
+            "train.grid: tree counts must be >= 1",
+        ),
+        ("report", {"report": {"plots": True}}, "report.plots requires matplotlib"),
+        (
+            "ingest",
+            {"ingest": {"protocol_indicators": ["TRAFIC"]}},
+            "ingest.protocol_indicators: network 'net1': protocol indicator 'TRAFIC' missing",
+        ),
     ],
-    ids=["train", "pretrain", "forest-imputation", "facility", "past-days-0", "past-days-negative"],
+    ids=[
+        "train",
+        "pretrain",
+        "forest-imputation",
+        "facility",
+        "past-days-0",
+        "past-days-negative",
+        "grid-empty",
+        "grid-zero",
+        "plots-without-matplotlib",
+        "protocol-indicator",
+    ],
 )
-def test_cli_unknown_model_kind_exits_2_before_training(pipeline_ws, tmp_path, capsys, stage, edit, message):
+def test_cli_unknown_model_kind_exits_2_before_training(
+    pipeline_ws, tmp_path, capsys, monkeypatch, stage, edit, message
+):
     """A bad value that a stage checks when it starts (a model kind, the
-    forest's imputation mode, a facility, the window geometry) exits 2
-    and leaves every file of the workspace as it was."""
+    forest's imputation mode, the tree-count grid, a facility, the window
+    geometry, a protocol indicator, plots without matplotlib) exits 2 and
+    leaves every file of the workspace as it was. matplotlib is made
+    unimportable, as where it is not installed."""
+    monkeypatch.setitem(sys.modules, "matplotlib", None)
     ws, args = copied_workspace(pipeline_ws, tmp_path)
     cfg = RunConfig.load(args[1])
     for section, values in edit.items():
