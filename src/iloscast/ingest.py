@@ -10,8 +10,11 @@ observation are filled with all-absent rows so every series is gap-free.
 from __future__ import annotations
 
 import csv
+import io
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
+from itertools import count, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -104,24 +107,89 @@ _ROW_FIELDS = ("network", "port", "facility", "pm", "day", "value")
 
 def _factorize(strings: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """The distinct strings in first-seen order, and each entry's code."""
-    index = {s: i for i, s in enumerate(dict.fromkeys(strings))}
+    # A string's first lookup inserts it with the next code.
+    index = defaultdict(count().__next__)
     codes = np.fromiter(map(index.__getitem__, strings), dtype=np.int64, count=len(strings))
     return tuple(index), codes
 
 
-def _read_rows(path: Path) -> list[list[str]]:
-    """Every row after the checked header; blank lines are empty rows."""
+def _plain_lines(text: str) -> list[str] | None:
+    r"""The lines of ``text`` when splitting it at line ends and commas cuts
+    it as ``csv.reader`` does, else None: a quote, a NUL, a ``\r`` outside
+    ``\r\n`` or a line longer than ``csv.field_size_limit()`` is left to
+    ``csv.reader``."""
+    if '"' in text or "\0" in text:
+        return None
+    crlf = text.count("\r\n")
+    if text.count("\r") != crlf:
+        return None
+    if crlf and crlf != text.count("\n"):
+        # Both \r\n and \n end lines.
+        text, crlf = text.replace("\r\n", "\n"), 0
+    lines = text.split("\r\n" if crlf else "\n")
+    if not lines[-1]:
+        lines.pop()  # a final line end starts no record
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    return lines
+
+
+def _read_records(path: Path) -> tuple[list, bool]:
+    """Every record after the checked header, and whether they are text
+    lines (a plain split) or ``csv.reader`` rows. Blank records are empty."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise IngestError(f"{path}: empty file")
-            if header != CSV_HEADER:
-                raise IngestError(f"{path}: bad header {header!r}, expected {CSV_HEADER!r}")
-            return list(reader)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
+    if not text:
+        raise IngestError(f"{path}: empty file")
+    lines = _plain_lines(text)
+    if lines is None:
+        try:
+            records = list(csv.reader(io.StringIO(text, newline="")))
+        except csv.Error as exc:
+            raise IngestError(f"cannot read {path}: {exc}") from exc
+        header = records[0]
+    else:
+        records = lines
+        header = lines[0].split(",") if lines[0] else []
+    if header != CSV_HEADER:
+        raise IngestError(f"{path}: bad header {header!r}, expected {CSV_HEADER!r}")
+    return records[1:], lines is not None
+
+
+def _columns(path: Path) -> tuple[np.ndarray, np.ndarray, list[list[str]]]:
+    """The line numbers and field counts of the non-blank records after the
+    header, and the six columns of the records before the first one with
+    another field count."""
+    rows, plain = _read_records(path)
+    linenos = np.arange(2, len(rows) + 2)
+    if not all(rows):
+        nonblank = np.fromiter(map(bool, rows), dtype=bool, count=len(rows))
+        linenos = linenos[nonblank]
+        rows = [row for row in rows if row]
+
+    n_fields = len(CSV_HEADER)
+    if plain:
+        widths = np.fromiter(map(str.count, rows, repeat(",")), dtype=np.int64, count=len(rows)) + 1
+    else:
+        widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    (wrong_width,) = np.nonzero(widths != n_fields)
+    if wrong_width.size:
+        rows = rows[: wrong_width[0]]
+    if not plain:
+        return linenos, widths, [list(map(itemgetter(k), rows)) for k in range(n_fields)]
+    # Every line left has n_fields fields, so field k of line j is flat[j * n_fields + k].
+    flat = ",".join(rows).split(",") if rows else []
+    return linenos, widths, [flat[k::n_fields] for k in range(n_fields)]
+
+
+def _unusable_network_id(name: str) -> bool:
+    """Whether ``name`` cannot be a network's directory in a workspace: it
+    would leave ``ingest/`` or name no directory of its own, or it is
+    ``mega``, the mega-dataset's scope."""
+    return name in ("", ".", "..", "mega") or any(c in name for c in "/\\\0")
 
 
 def _to_float(text: str) -> float | None:
@@ -145,40 +213,32 @@ def read_pm_csv(path: str | Path) -> PmColumns:
     A bad line raises :class:`IngestError` naming the file and the 1-based
     line number; the first bad line in file order is reported. Within a
     line the checks run in this order: field count, date, numeric value,
-    empty ``pm_name``, finite value. Blank lines are skipped but counted.
-    Each distinct date string is parsed once.
+    empty ``pm_name``, finite value, ``network_id`` usable as a directory
+    name. Blank lines are skipped but counted. Each distinct date string is
+    parsed once.
     """
     path = Path(path)
-    rows = _read_rows(path)
-    linenos = np.arange(2, len(rows) + 2)
-    if not all(rows):
-        nonblank = np.fromiter(map(bool, rows), dtype=bool, count=len(rows))
-        linenos = linenos[nonblank]
-        rows = [row for row in rows if row]
-
-    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    (wrong_width,) = np.nonzero(widths != len(CSV_HEADER))
-    if wrong_width.size:
-        # Only the rows before the first wrong-width one can hold an earlier error.
-        rows = rows[: wrong_width[0]]
-    network, port, facility, day_text, pm_name, value_text = (
-        list(map(itemgetter(i), rows)) for i in range(len(CSV_HEADER))
-    )
+    linenos, widths, columns = _columns(path)
+    network, port, facility, day_text, pm_name, value_text = columns
+    # Only the rows before the first wrong-width one can hold an earlier error.
+    n_rows = len(network)
 
     day_table, day_code = _factorize(day_text)
     ordinals = np.array([_ordinal(text) for text in day_table], dtype=np.int64)
     day = ordinals[day_code]
     try:
-        value = np.fromiter(map(float, value_text), dtype=np.float64, count=len(rows))
-        not_numeric = np.zeros(len(rows), dtype=bool)
+        value = np.fromiter(map(float, value_text), dtype=np.float64, count=n_rows)
+        not_numeric = np.zeros(n_rows, dtype=bool)
     except ValueError:
         parsed = [_to_float(text) for text in value_text]
         not_numeric = np.array([v is None for v in parsed], dtype=bool)
         value = np.array([np.nan if v is None else v for v in parsed], dtype=np.float64)
+    network_table, network_code = _factorize(network)
     facility_table, facility_code = _factorize(facility)
     pm_table, pm_code = _factorize(pm_name)
 
     empty_pm = np.array([not name for name in pm_table], dtype=bool)[pm_code]
+    bad_network = np.array([_unusable_network_id(name) for name in network_table], dtype=bool)[network_code]
 
     # (failing rows, message) per check, in the order a line is checked.
     checks = [
@@ -189,19 +249,18 @@ def read_pm_csv(path: str | Path) -> PmColumns:
             ~np.isfinite(value),
             lambda i: f"pm_value for {pm_name[i]} on {date.fromordinal(int(day[i]))} is not finite",
         ),
+        (bad_network, lambda i: f"network_id {network[i]!r} cannot name a workspace directory"),
     ]
     (bad,) = np.nonzero(np.logical_or.reduce([failing for failing, _ in checks]))
     if bad.size:
         i = bad[0]
         message = next(explain(i) for failing, explain in checks if failing[i])
         raise IngestError(f"{path}:{linenos[i]}: {message}")
-    if wrong_width.size:
-        i = wrong_width[0]
+    if n_rows < len(widths):
         raise IngestError(
-            f"{path}:{linenos[i]}: expected {len(CSV_HEADER)} fields, got {widths[i]}"
+            f"{path}:{linenos[n_rows]}: expected {len(CSV_HEADER)} fields, got {widths[n_rows]}"
         )
 
-    network_table, network_code = _factorize(network)
     port_table, port_code = _factorize(port)
     return PmColumns(
         networks=network_table,

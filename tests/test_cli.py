@@ -533,6 +533,33 @@ def test_reingest_of_fewer_networks_drops_the_others_downstream(pipeline_ws, tmp
     assert sorted(p.name for p in (ws / "models").iterdir()) == ["booster_net1", "booster_net2"]
 
 
+@pytest.mark.parametrize(
+    "network_id",
+    ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b", "mega"],
+    ids=["empty", "dot", "dot-dot", "escaping", "slash", "backslash", "nul", "mega"],
+)
+def test_cli_network_id_that_is_no_directory_name_exits_1(tmp_path, capsys, network_id):
+    """A network_id that would write outside ``ingest/``, into ``ingest/``
+    itself, or as the mega scope exits 1 naming its line, and the ingest
+    stage writes nothing."""
+    pm = tmp_path / "pm.csv"
+    pm.write_text(
+        "network_id,port_id,facility_type,date,pm_name,pm_value\n"
+        "net1,p1,OTM,2020-01-01,UAS,0\n"
+        f"{network_id},p1,OTM,2020-01-01,UAS,0\n",
+        encoding="utf-8",
+    )
+    config = tmp_path / "run.yaml"
+    section = {"inputs": [str(pm)], "protocol_indicators": []}
+    RunConfig(seed=1, workspace=str(tmp_path / "ws"), ingest=section).dump(config)
+    before = workspace_state(tmp_path)
+    assert cli_entry(["ingest", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"{pm}:3: network_id {network_id!r} cannot name a workspace directory" in err
+    assert "Traceback" not in err
+    assert workspace_state(tmp_path) == before
+
+
 def test_cli_unknown_train_network_exits_3_before_training(pipeline_ws, tmp_path, capsys):
     ws, args = copied_workspace(pipeline_ws, tmp_path)
     shutil.rmtree(ws / "models")

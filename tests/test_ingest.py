@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import csv
 import math
 from datetime import date, timedelta
 from typing import NamedTuple
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iloscast import ingest
 from iloscast.errors import IngestError, SchemaError
 from iloscast.ingest import PmColumns, build_schema, merge_to_port_level, read_pm_csv
 from iloscast.schema import FeatureSchema
@@ -396,6 +399,19 @@ BAD_CSV_CASES = {
     "crlf_blank_line_before_bad": (GOOD + "\n" + "net1,p1,OTM,20x0-01-03,QAVG,1\n").replace("\n", "\r\n"),
     "crlf_field_count": (GOOD + "net1,p1,OTM\n").replace("\n", "\r\n"),
     "bad_header": "",
+    "quoted_field_with_comma": GOOD + 'net1,p1,"OTM,ETH",2020-01-02,QAVG,abc\n',
+    "lone_cr": GOOD + "net1,p1,OTM,2020-01-02,QAVG,1\rnet1,p1,OTM,2020-01-03,QAVG,x\n",
+    "nul_byte": GOOD + "net1,p1,OTM,2020-01-02,QAVG,1\0\n",
+    "bom_before_header": GOOD,
+    "blank_first_line": GOOD,
+    "last_bad_line_without_final_newline": GOOD + "net1,p1,OTM,2020-01-02,QAVG,abc",
+}
+
+#: The header line of a case that does not start with HEADER.
+CASE_HEADERS = {
+    "bad_header": "network_id,port_id,facility_type,date\n",
+    "bom_before_header": "\ufeff" + HEADER,
+    "blank_first_line": "\n" + HEADER,
 }
 
 
@@ -405,7 +421,7 @@ def test_bad_csv_messages_match_reference(tmp_path, case):
 
     body = BAD_CSV_CASES[case]
     path = tmp_path / "pm.csv"
-    header = "network_id,port_id,facility_type,date\n" if case == "bad_header" else HEADER
+    header = CASE_HEADERS.get(case, HEADER)
     path.write_bytes((header + body).encode("utf-8"))
     with pytest.raises(IngestError) as expected:
         reference_parse(path)
@@ -431,14 +447,14 @@ def test_empty_and_missing_files_match_reference(tmp_path):
 
 
 def test_ingest_csvs_matches_reference_records(tmp_path):
-    """Two files, blank lines and CRLF: same schema and series as merging
-    the reference parser's records."""
+    """Three files, blank lines, CRLF, quoted fields and no final newline:
+    same schema and series as merging the reference parser's records."""
     from iloscast.pipeline import ingest_csvs
 
     rng = np.random.default_rng(5)
     paths = []
     all_records = []
-    for f in range(2):
+    for f in range(3):
         lines = []
         for _ in range(300):
             net = f"net{rng.integers(1, 3)}"
@@ -449,8 +465,14 @@ def test_ingest_csvs_matches_reference_records(tmp_path):
             )
             if rng.random() < 0.05:
                 lines.append("")
+        text = HEADER + "\n".join(lines) + "\n"
+        if f == 1:
+            text = text.replace("\n", "\r\n")
+        if f == 2:
+            # Quoted fields, a comma inside one, and no final newline.
+            text = text.replace(",p1,", ',"p1",').replace(",ETH,", ',"ETH,2",').rstrip("\n")
         path = tmp_path / f"pm{f}.csv"
-        path.write_bytes((HEADER + "\n".join(lines) + "\n").replace("\n", "\r\n" if f else "\n").encode())
+        path.write_bytes(text.encode())
         paths.append(path)
         all_records += reference_parse(path)
 
@@ -472,3 +494,80 @@ def test_undecodable_file_is_an_ingest_error(tmp_path):
     path.write_bytes(HEADER.encode() + b"net1,p1,OTM,2020-01-01,QAVG,\xff\xfe\n")
     with pytest.raises(IngestError, match="cannot read .*pm.csv"):
         read_pm_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# Plain split against csv.reader
+
+
+def cut_or_message(path):
+    """``_columns`` of ``path`` as lists, or its IngestError message."""
+    try:
+        linenos, widths, columns = ingest._columns(path)
+    except IngestError as exc:
+        return str(exc)
+    return linenos.tolist(), widths.tolist(), columns
+
+
+def parse_or_message(path):
+    try:
+        return to_records(read_pm_csv(path))
+    except IngestError as exc:
+        return str(exc)
+
+
+def csv_reader_only():
+    """Within the block every text goes to csv.reader."""
+    return patch.object(ingest, "_plain_lines", lambda text: None)
+
+
+#: Pieces of CSV text, each made of , \n \r " a 0 space and NUL.
+ANY_PIECES = [",", "\n", "\r", "\r\n", '"', "a", "0", " ", "\0", "a,0, ,a,0,a"]
+#: The pieces that a plain split cuts as csv.reader does.
+PLAIN_PIECES = [",", "\n", "\r\n", "a", "0", " ", "a,0, ,a,0,a"]
+
+
+@given(
+    header=st.sampled_from(["", HEADER, HEADER.replace("\n", "\r\n")]),
+    body=st.one_of(
+        st.lists(st.sampled_from(ANY_PIECES), max_size=40),
+        st.lists(st.sampled_from(PLAIN_PIECES), max_size=40),
+    ).map("".join),
+)
+@settings(max_examples=400, deadline=None)
+def test_plain_split_cuts_as_csv_reader(tmp_path_factory, header, body):
+    """Same line numbers, field counts and columns, or the same message,
+    whichever path a text takes; a text without a quote, a NUL or a \\r
+    outside \\r\\n takes the plain split."""
+    text = header + body
+    path = tmp_path_factory.getbasetemp() / "split_vs_csv.csv"
+    path.write_bytes(text.encode())
+    with csv_reader_only():
+        expected_cut, expected_parse = cut_or_message(path), parse_or_message(path)
+    assert cut_or_message(path) == expected_cut
+    assert parse_or_message(path) == expected_parse
+    if text:
+        plain = '"' not in text and "\0" not in text and "\r" not in text.replace("\r\n", "")
+        assert (ingest._plain_lines(text) is not None) == plain
+
+
+def test_line_longer_than_field_size_limit_goes_to_csv_reader(tmp_path):
+    limit = csv.field_size_limit()
+    too_long = "net1,p1,OTM,2020-01-01,QAVG," + "1" * (limit + 1) + "\n"
+    path = write_csv(tmp_path, GOOD + too_long)
+    assert ingest._plain_lines(path.read_text()) is None
+    with pytest.raises(IngestError, match=rf"cannot read .*pm.csv: field larger than field limit \({limit}\)"):
+        read_pm_csv(path)
+
+    # Under a lower limit, a line longer than it whose fields fit parses as
+    # csv.reader parses it, and one that fits takes the plain split.
+    csv.field_size_limit(len(HEADER))
+    try:
+        long_line = "net1,p1,OTM,2020-01-01,QAVG," + "1" * 40 + "\n"
+        path = write_csv(tmp_path, GOOD + long_line)
+        assert ingest._plain_lines(path.read_text()) is None
+        assert to_records(read_pm_csv(path)) == reference_parse(path)
+        path = write_csv(tmp_path, GOOD)
+        assert ingest._plain_lines(path.read_text()) is not None
+    finally:
+        csv.field_size_limit(limit)
