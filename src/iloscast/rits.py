@@ -43,6 +43,7 @@ import numpy as np
 
 from .activation import sigmoid
 from .container import read_container, require_keys, write_container
+from .cpus import usable_cpus
 from .errors import ConfigError, DataError, NumericError
 from .missing import compute_time_gaps
 
@@ -492,11 +493,7 @@ def step_threads() -> int:
     ``OMP_NUM_THREADS``, is ``1``); 1 otherwise, where a second thread
     would compete with BLAS's own."""
     blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return 2 if blas == "1" and cpus >= 2 else 1
+    return 2 if blas == "1" and usable_cpus() >= 2 else 1
 
 
 def _both_directions(run_fwd: Callable, run_bwd: Callable) -> tuple:

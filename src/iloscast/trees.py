@@ -33,11 +33,22 @@ only. The small-node kernel sums observed gradients and hessians in one
 contiguous block per group of columns with equal observed counts
 (``_observed_sums``). ``train_gbdt`` updates the margin from the leaf each
 row reached while the tree grew instead of routing the rows again.
+
+With two usable CPUs, a large fit searches each large node's columns in
+two halves, one in a forked worker process (``_SplitSearch``), and keeps
+the better half's split by the same rule, so the trees do not change.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import mmap
+import os
+import pickle
+import signal
+import socket
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -46,6 +57,7 @@ import numpy as np
 
 from .activation import sigmoid
 from .container import atomic_write, decoding, read_json, require_keys
+from .cpus import usable_cpus
 from .errors import ConfigError, DataError
 
 _LEAF = -1
@@ -185,6 +197,8 @@ class TreeEnsemble:
                 base_score=float(payload["base_score"]),
                 train_loss=list(payload.get("train_loss", [])),
             )
+        if not math.isfinite(model.base_score):
+            raise DataError(f"{path}: base_score {model.base_score} is not finite")
         for i, tree in enumerate(model.trees):
             problem = _tree_defect(tree, model.n_columns)
             if problem:
@@ -193,17 +207,23 @@ class TreeEnsemble:
 
 
 def _tree_defect(tree: Tree, n_columns: int) -> str | None:
-    """Why ``tree`` cannot be traversed over ``n_columns`` columns, or None.
+    """Why ``tree`` cannot be traversed or scored over ``n_columns``
+    columns, or None.
 
     Every node array has one entry per node, features lie in
-    [-1, n_columns), and each split node's children have larger ids than
-    the node, so every traversal ends at a leaf.
+    [-1, n_columns), each split node's children have larger ids than the
+    node, so every traversal ends at a leaf, values and gains are finite
+    and no threshold is NaN.
     """
     n = tree.n_nodes
     if n == 0 or any(getattr(tree, key).shape != (n,) for key in TREE_KEYS):
         return "has node arrays of unequal or zero length"
     if ((tree.feature < _LEAF) | (tree.feature >= n_columns)).any():
         return f"has a feature outside [-1, {n_columns})"
+    if not (np.isfinite(tree.value).all() and np.isfinite(tree.gain).all()):
+        return "has a value or gain that is not finite"
+    if np.isnan(tree.threshold).any():
+        return "has a NaN threshold"
     split = np.flatnonzero(tree.feature >= 0)
     for child in (tree.left[split], tree.right[split]):
         if ((child <= split) | (child >= n)).any():
@@ -328,6 +348,29 @@ class _SortedColumns:
                 values.append(v)
                 root_cut.append(cut)
         return cls(columns, np.asarray(searched, dtype=np.int64), order, values, root_cut)
+
+    def halves(self) -> tuple["_SortedColumns", "_SortedColumns"]:
+        """The searched columns in two shares of about equal observed
+        count, each ascending: the presorted kernel's work on a column grows
+        with it. Columns go largest first to the lighter share."""
+        picks: tuple[list[int], list[int]] = ([], [])
+        load = [0, 0]
+        for i in sorted(range(len(self.order)), key=lambda i: -self.order[i].size):
+            share = int(load[1] < load[0])
+            picks[share].append(i)
+            load[share] += self.order[i].size
+
+        def share_of(picked: list[int]) -> "_SortedColumns":
+            picked = sorted(picked)
+            return replace(
+                self,
+                searched=self.searched[picked],
+                order=[self.order[i] for i in picked],
+                values=[self.values[i] for i in picked],
+                root_cut=[self.root_cut[i] for i in picked],
+            )
+
+        return share_of(picks[0]), share_of(picks[1])
 
 
 def _midpoint(v: np.ndarray, cut: int) -> float:
@@ -539,6 +582,127 @@ def _best_split_booster(
     return kernel(cols, idx, g, h, reg_lambda, min_child_hessian)
 
 
+#: A node is searched on two processes when its rows times searched
+#: columns reach this; below it the round trip to the worker costs more
+#: than searching half the columns saves (timings per node size in
+#: BENCH_booster_processes.json).
+SPLIT_WORKER_MIN_CELLS = 10_000
+
+#: A fit forks the split worker only when its rows times searched columns
+#: times rounds reach this; smaller fits do not win back the fork.
+SPLIT_WORKER_MIN_FIT_CELLS = 1_000_000
+
+
+def _better(
+    a: tuple[float, int, float, bool] | None, b: tuple[float, int, float, bool] | None
+) -> tuple[float, int, float, bool] | None:
+    """The better of two shares' splits by ``_score_candidates``' rule: the
+    higher gain, and on equal gains the lower feature."""
+    if a is None or b is None:
+        return a if b is None else b
+    return a if (a[0], -a[1]) >= (b[0], -b[1]) else b
+
+
+class _SplitSearch:
+    """The booster's split finder for one fit, ``find(idx)``, over the
+    gradients ``g`` and hessians ``h`` that the caller rewrites each round.
+
+    Used as a context manager. With two or more usable CPUs, ``os.fork``,
+    two or more searched columns and a fit of at least
+    ``SPLIT_WORKER_MIN_FIT_CELLS``, entering forks one worker process that
+    inherits the presorted columns. ``g``, ``h`` and a node's row ids live
+    in one shared anonymous ``mmap``. At a node of at least
+    ``SPLIT_WORKER_MIN_CELLS``, this process writes the row ids, sends
+    their count over a socket, searches one half of the columns
+    (``_SortedColumns.halves``) while the worker searches the other, and
+    keeps the better reply (``_better``). Each column's candidates get the
+    same operations on either side, so the splits equal a search of every
+    column in one process to the bit. The worker only runs kernels and
+    leaves on end of file; leaving the context closes the socket and reaps
+    it, after killing it if the fit failed.
+    """
+
+    def __init__(
+        self, cols: _SortedColumns, rounds: int, reg_lambda: float, min_child_hessian: float
+    ):
+        self.cols = cols
+        self.args = (reg_lambda, min_child_hessian)
+        n = cols.columns.shape[1]
+        self.forks = (
+            cols.searched.size >= 2
+            and n * cols.searched.size * rounds >= SPLIT_WORKER_MIN_FIT_CELLS
+            and hasattr(os, "fork")
+            and usable_cpus() >= 2
+        )
+        self.pid = 0
+        if self.forks:
+            self.shared = mmap.mmap(-1, 3 * 8 * n)
+            self.g, self.h = np.frombuffer(self.shared, np.float64, 2 * n).reshape(2, n)
+            self.idx = np.frombuffer(self.shared, np.int64, n, 16 * n)
+        else:
+            self.g, self.h = np.empty((2, n))
+
+    def __enter__(self) -> "_SplitSearch":
+        if not self.forks:
+            return self
+        self.mine, theirs = self.cols.halves()
+        self.sock, child = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads running
+            pid = os.fork()
+        if pid == 0:
+            try:
+                self.sock.close()
+                self._serve(child, theirs)
+            finally:
+                os._exit(0)
+        child.close()
+        self.pid = pid
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        if not self.pid:
+            return
+        try:
+            self.sock.close()
+            if exc_type is not None:
+                os.kill(self.pid, signal.SIGKILL)
+        finally:
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+
+    def _serve(self, sock: socket.socket, share: _SortedColumns) -> None:
+        """The worker's loop: search ``share`` at each node whose row count
+        arrives, and reply ``(True, split)`` or ``(False, error)``."""
+        while True:
+            count = sock.recv(8)
+            if not count:
+                return
+            idx = self.idx[: int.from_bytes(count, "little")]
+            try:
+                reply = (True, _best_split_booster(share, idx, self.g, self.h, *self.args))
+            except Exception as exc:  # reported to the fitting process
+                reply = (False, f"{type(exc).__name__}: {exc}")
+            sock.send(pickle.dumps(reply))
+
+    def find(self, idx: np.ndarray) -> tuple[float, int, float, bool] | None:
+        if not self.pid or idx.size * self.cols.searched.size < SPLIT_WORKER_MIN_CELLS:
+            return _best_split_booster(self.cols, idx, self.g, self.h, *self.args)
+        self.idx[: idx.size] = idx
+        try:
+            self.sock.send(idx.size.to_bytes(8, "little"))
+            mine = _best_split_booster(self.mine, idx, self.g, self.h, *self.args)
+            reply = self.sock.recv(4096)
+        except ConnectionError:  # the worker is gone: send or receive fails
+            reply = b""
+        if not reply:
+            raise RuntimeError(f"booster split worker (pid {self.pid}) exited during a split search")
+        ok, theirs = pickle.loads(reply)
+        if not ok:
+            raise RuntimeError(f"booster split worker (pid {self.pid}) failed: {theirs}")
+        return _better(mine, theirs)
+
+
 def _grow_tree(
     columns: np.ndarray,
     root: np.ndarray,
@@ -598,10 +762,8 @@ def train_gbdt(
     step = np.empty_like(margin)
     trees: list[Tree] = []
     loss_history: list[float] = []
-    for _ in range(config.n_trees):
-        p = sigmoid(margin)
-        g = p - y
-        h = p * (1.0 - p)
+    with _SplitSearch(cols, config.n_trees, config.reg_lambda, config.min_child_hessian) as search:
+        g, h = search.g, search.h  # rewritten in place each round
 
         def leaf(idx: np.ndarray) -> float:
             # Every row reaches exactly one leaf while the tree grows, and
@@ -610,18 +772,20 @@ def train_gbdt(
             step[idx] = value
             return value
 
-        tree = _grow_tree(
-            cols.columns,
-            np.arange(rows.shape[0], dtype=np.int64),
-            config.max_depth,
-            lambda idx: _best_split_booster(
-                cols, idx, g, h, config.reg_lambda, config.min_child_hessian
-            ),
-            leaf,
-        )
-        trees.append(tree)
-        margin += step
-        loss_history.append(_logloss(y, margin))
+        for _ in range(config.n_trees):
+            p = sigmoid(margin)
+            np.subtract(p, y, out=g)
+            np.multiply(p, 1.0 - p, out=h)
+            tree = _grow_tree(
+                cols.columns,
+                np.arange(rows.shape[0], dtype=np.int64),
+                config.max_depth,
+                search.find,
+                leaf,
+            )
+            trees.append(tree)
+            margin += step
+            loss_history.append(_logloss(y, margin))
     return TreeEnsemble(
         kind="booster",
         trees=trees,

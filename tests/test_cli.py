@@ -426,8 +426,13 @@ def set_tree_array(key, value):
         (set_tree_array("feature", lambda tree: 10**6), "feature outside"),
         (set_tree_array("right", lambda tree: len(tree["feature"])), "child id"),
         (set_tree_array("left", first_split), "child id"),  # a self-loop
+        (lambda p: p["trees"][0]["value"].__setitem__(-1, float("nan")), "tree 0 has a value or gain"),
+        (lambda p: p.update(base_score=float("inf")), "base_score inf is not finite"),
     ],
-    ids=["kind", "config-type", "config-range", "ragged", "feature", "child-range", "self-loop"],
+    ids=[
+        "kind", "config-type", "config-range", "ragged", "feature", "child-range", "self-loop",
+        "nan-value", "inf-base-score",
+    ],
 )
 def test_cli_corrupt_tree_model_exits_1(pipeline_ws, tmp_path, capsys, edit, message):
     ws, args = copied_workspace(pipeline_ws, tmp_path)

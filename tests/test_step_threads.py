@@ -16,7 +16,8 @@ import warnings
 import numpy as np
 import pytest
 
-from iloscast import rits
+from iloscast import rits, trees
+from iloscast.cpus import usable_cpus
 from iloscast.missing import compute_time_gaps
 from iloscast.rits import (
     RitsData,
@@ -36,6 +37,7 @@ from iloscast.rits import (
     _rits_backward,
     _rits_forward,
 )
+from iloscast.trees import BoosterConfig, train_gbdt
 
 
 def make_batch(seed, batch, steps, features, missing=0.5):
@@ -241,6 +243,39 @@ def test_step_threads_follow_the_environment(monkeypatch, openblas, omp, cpus, w
             monkeypatch.setenv(name, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     assert rits.step_threads() == want
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cpus() == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_booster_fit_beside_a_live_step_thread_saves_the_same_bytes(two_threads, monkeypatch, tmp_path):
+    """The booster's split worker is forked while the step worker thread
+    lives; the trees equal those of a fit with one usable CPU."""
+    rng = np.random.default_rng(41)
+    rows = rng.normal(size=(1300, 6))
+    rows[rng.random(rows.shape) < 0.3] = np.nan
+    labels = (np.nan_to_num(rows[:, 0]) + rng.normal(size=1300) > 0.5).astype(float)
+    config = BoosterConfig(n_trees=3, max_depth=4)
+    monkeypatch.setattr(trees, "SPLIT_WORKER_MIN_FIT_CELLS", 0)
+    monkeypatch.setattr(trees, "SPLIT_WORKER_MIN_CELLS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    train_gbdt(rows, labels, config).save(tmp_path / "one.json")
+
+    brits_loss_and_grads(jittered_model(5, 8, seed=6), *make_batch(6, 5, 7, 5))
+    assert any(t.name.startswith("iloscast-bwd") for t in threading.enumerate())
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    train_gbdt(rows, labels, config).save(tmp_path / "two.json")
+    assert forks
+    assert (tmp_path / "two.json").read_bytes() == (tmp_path / "one.json").read_bytes()
 
 
 def test_sequential_step_starts_no_thread(monkeypatch):

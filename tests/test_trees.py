@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import os
+import re
+import signal
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from iloscast import trees
 from iloscast.errors import ConfigError, DataError
 from iloscast.trees import (
     PRESORT_MIN_ROWS,
+    SPLIT_WORKER_MIN_CELLS,
+    SPLIT_WORKER_MIN_FIT_CELLS,
     TREE_KEYS,
     BoosterConfig,
     ForestConfig,
@@ -18,11 +26,13 @@ from iloscast.trees import (
     train_random_forest,
     tree_values,
     route_leaf_ids,
+    _LEAF,
     _SortedColumns,
     _logloss,
     _split_node_sorted,
     _split_presorted,
 )
+from test_cli import deadline
 
 
 
@@ -421,6 +431,239 @@ def test_probabilities_bounded():
 
 
 # ---------------------------------------------------------------------------
+# Split search on two processes
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    """Two usable CPUs whatever the machine has, a split worker for every
+    fit of two or more searched columns, and the pid of every worker
+    forked; each must be reaped when the test ends."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(trees, "SPLIT_WORKER_MIN_FIT_CELLS", 0)
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    yield pids
+    assert_reaped(pids)
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def saved_bytes(model, path) -> bytes:
+    model.save(path)
+    return path.read_bytes()
+
+
+def in_process_bytes(monkeypatch, rows, labels, cfg, path) -> bytes:
+    """The fit with one usable CPU, which must start no worker."""
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        one_cpu.setattr(os, "fork", lambda: pytest.fail("forked with one usable CPU"))
+        return saved_bytes(train_gbdt(rows, labels, cfg), path)
+
+
+def record_searches(monkeypatch):
+    """(node rows, columns searched) of every kernel call in this process."""
+    calls = []
+    search = trees._best_split_booster
+
+    def recording(cols, idx, *args):
+        calls.append((idx.size, cols.searched.size))
+        return search(cols, idx, *args)
+
+    monkeypatch.setattr(trees, "_best_split_booster", recording)
+    return calls
+
+
+def duplicate_columns(rng, n):
+    """Bitwise copies of earlier columns, which are not searched."""
+    rows, labels = mixed_rows(rng, n)
+    return np.column_stack([rows, rows[:, [4, 0]], rows[:, 1:2]]), labels
+
+
+def two_searched_columns(rng, n):
+    """Each share holds a single column."""
+    rows, labels = mixed_rows(rng, n)
+    return rows[:, [0, 2, 3, 4]], labels
+
+
+def nan_heavy(rng, n):
+    rows, labels = mixed_rows(rng, n)
+    rows[rng.random(rows.shape) < 0.6] = np.nan
+    return rows, labels
+
+
+@pytest.mark.parametrize("make", [mixed_rows, nan_heavy, duplicate_columns, two_searched_columns])
+@pytest.mark.parametrize("min_rows", [2, PRESORT_MIN_ROWS // 2, PRESORT_MIN_ROWS + 1])
+def test_worker_fit_saves_the_in_process_bytes(worker, monkeypatch, tmp_path, make, min_rows):
+    """Nodes of at least ``min_rows`` rows are searched in two shares, the
+    others in-process; the saved ensemble equals that of a fit with one
+    usable CPU byte for byte."""
+    rows, labels = make(np.random.default_rng(35), 1300)
+    cfg = BoosterConfig(n_trees=3, max_depth=4, min_child_hessian=0.5)
+    want = in_process_bytes(monkeypatch, rows, labels, cfg, tmp_path / "one.json")
+    searched = _SortedColumns.of(rows).searched.size
+    monkeypatch.setattr(trees, "SPLIT_WORKER_MIN_CELLS", min_rows * searched)
+    calls = record_searches(monkeypatch)
+    assert saved_bytes(train_gbdt(rows, labels, cfg), tmp_path / "two.json") == want
+    assert len(worker) == 1
+    shared = {size for size, cols in calls if cols < searched}
+    alone = {size for size, cols in calls if cols == searched}
+    assert shared and min(shared) >= min_rows
+    assert all(size < min_rows for size in alone)
+
+
+def test_worker_splits_equal_one_process_at_every_threshold(worker, monkeypatch):
+    """Nodes either side of each size threshold give the split of one
+    search over every column: around ``PRESORT_MIN_ROWS`` in two shares,
+    and around ``SPLIT_WORKER_MIN_CELLS`` in one and in two."""
+    rng = np.random.default_rng(40)
+    n = 3000
+    rows, labels = nan_heavy(rng, n)
+    cols = _SortedColumns.of(rows)
+    first = -(-SPLIT_WORKER_MIN_CELLS // cols.searched.size)  # fewest rows for two shares
+    assert PRESORT_MIN_ROWS < first < n
+    p = np.clip(sigmoid(rng.normal(size=n)), 0.05, 0.95)
+    one_process = trees._best_split_booster
+    calls = record_searches(monkeypatch)
+    with trees._SplitSearch(cols, 1, 1.0, 0.5) as search:
+        assert worker
+        np.subtract(p, labels, out=search.g)
+        np.multiply(p, 1.0 - p, out=search.h)
+        for min_cells, sizes in (
+            (0, [2, 3, PRESORT_MIN_ROWS - 1, PRESORT_MIN_ROWS, PRESORT_MIN_ROWS + 1, n]),
+            (SPLIT_WORKER_MIN_CELLS, [first - 1, first]),
+        ):
+            monkeypatch.setattr(trees, "SPLIT_WORKER_MIN_CELLS", min_cells)
+            for size in sizes:
+                idx = np.sort(rng.choice(n, size=size, replace=False))
+                assert search.find(idx) == one_process(cols, idx, search.g, search.h, 1.0, 0.5)
+    full = cols.searched.size
+    assert [size for size, searched in calls if searched == full] == [first - 1]
+
+
+def test_small_fit_or_one_searched_column_starts_no_worker(monkeypatch):
+    """A fit forks from ``SPLIT_WORKER_MIN_FIT_CELLS`` rows times searched
+    columns times rounds, and never with one searched column."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    rows, labels = mixed_rows(np.random.default_rng(36), 6000)
+    searched, rounds = _SortedColumns.of(rows).searched.size, 50
+    n = -(-SPLIT_WORKER_MIN_FIT_CELLS // (searched * rounds))
+    assert n <= rows.shape[0] and _SortedColumns.of(rows[: n - 1]).searched.size == searched
+    cfg = BoosterConfig(n_trees=rounds, max_depth=1)
+    train_gbdt(rows[: n - 1], labels[: n - 1], cfg)
+    assert not forks
+    train_gbdt(rows[:n], labels[:n], cfg)
+    assert len(forks) == 1
+    model = train_gbdt(rows[:, [0, 2, 3]], labels, replace(cfg, n_trees=2 * rounds))
+    assert len(forks) == 1
+    assert {int(f) for t in model.trees for f in t.feature} == {_LEAF, 0}
+
+
+def test_equal_gains_in_two_shares_go_to_the_lower_feature(worker, monkeypatch, tmp_path):
+    """Columns 2 and 3 order the rows alike, so every candidate of theirs
+    has the same gain to the bit. The worker's share holds the lower of
+    them and this process's the higher; the lower wins at every node, as in
+    one process."""
+    rng = np.random.default_rng(37)
+    n = 1200
+    x = rng.normal(size=n)
+    x[rng.random(n) < 0.2] = np.nan
+    noise = rng.normal(size=(n, 2))
+    noise[rng.random(n) < 0.1, 1] = np.nan
+    rows = np.column_stack([noise, x, 2.0 * x])
+    labels = (np.nan_to_num(x, nan=0.5) + 0.3 * rng.normal(size=n) > 0.2).astype(float)
+    mine, theirs = _SortedColumns.of(rows).halves()
+    assert mine.searched.tolist() == [0, 3] and theirs.searched.tolist() == [1, 2]
+    p = np.full(n, labels.mean())
+    args = (np.arange(n), p - labels, p * (1.0 - p), 1.0, 1.0)
+    gain, feature, _, _ = _split_presorted(theirs, *args)
+    assert feature == 2 and _split_presorted(mine, *args)[:2] == (gain, 3)
+
+    cfg = BoosterConfig(n_trees=2, max_depth=3)
+    want = in_process_bytes(monkeypatch, rows, labels, cfg, tmp_path / "one.json")
+    monkeypatch.setattr(trees, "SPLIT_WORKER_MIN_CELLS", 0)
+    got = train_gbdt(rows, labels, cfg)
+    assert len(worker) == 1
+    assert got.trees[0].feature[0] == 2
+    assert 3 not in {int(f) for t in got.trees for f in t.feature}
+    assert saved_bytes(got, tmp_path / "two.json") == want
+
+
+def fail_in_worker(monkeypatch, how):
+    """Make the worker's kernel ``how`` = "die" or "raise"; this process's
+    kernel still runs."""
+    parent = os.getpid()
+    search = trees._best_split_booster
+
+    def failing(*args):
+        if os.getpid() != parent:
+            if how == "die":
+                os._exit(3)
+            raise ValueError("kernel broke")
+        return search(*args)
+
+    monkeypatch.setattr(trees, "_best_split_booster", failing)
+
+
+@pytest.mark.parametrize(
+    "how, message",
+    [("die", "exited during a split search"), ("raise", "failed: ValueError: kernel broke")],
+)
+def test_failed_worker_fails_the_fit_and_is_reaped(worker, monkeypatch, how, message):
+    rows, labels = mixed_rows(np.random.default_rng(38), 1300)
+    monkeypatch.setattr(trees, "SPLIT_WORKER_MIN_CELLS", 0)
+    fail_in_worker(monkeypatch, how)
+    with deadline(60), pytest.raises(RuntimeError, match=f"booster split worker \\(pid \\d+\\) {message}"):
+        train_gbdt(rows, labels, BoosterConfig(n_trees=2, max_depth=3))
+    assert len(worker) == 1
+    assert_reaped(worker)
+
+
+def test_worker_killed_between_nodes_fails_the_fit(worker, monkeypatch):
+    """A worker that is gone before a node's row count is sent."""
+    rows, labels = mixed_rows(np.random.default_rng(42), 1300)
+    monkeypatch.setattr(trees, "SPLIT_WORKER_MIN_CELLS", 0)
+    better = trees._better
+
+    def kill_worker(a, b):
+        os.kill(worker[0], signal.SIGKILL)
+        os.waitid(os.P_PID, worker[0], os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+        return better(a, b)
+
+    monkeypatch.setattr(trees, "_better", kill_worker)
+    with deadline(60), pytest.raises(RuntimeError, match="exited during a split search"):
+        train_gbdt(rows, labels, BoosterConfig(n_trees=2, max_depth=3))
+    assert len(worker) == 1
+    assert_reaped(worker)
+
+
+def test_fit_that_fails_in_process_reaps_the_worker(worker, monkeypatch):
+    rows, labels = mixed_rows(np.random.default_rng(39), 1300)
+    monkeypatch.setattr(trees, "SPLIT_WORKER_MIN_CELLS", 0)
+    monkeypatch.setattr(trees, "_better", lambda a, b: 1 / 0)
+    with deadline(60), pytest.raises(ZeroDivisionError):
+        train_gbdt(rows, labels, BoosterConfig(n_trees=2, max_depth=3))
+    assert len(worker) == 1
+    assert_reaped(worker)
+
+
+# ---------------------------------------------------------------------------
 # Forest
 
 
@@ -567,6 +810,43 @@ def test_ensemble_json_round_trip(tmp_path):
     payload["config"]["seed"] = 0
     path.write_text(json.dumps(payload))
     assert TreeEnsemble.load(path).config == model.config
+
+
+def nan_at_first_split(key):
+    def edit(payload):
+        tree = payload["trees"][0]
+        tree[key][next(i for i, f in enumerate(tree["feature"]) if f >= 0)] = float("nan")
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p["trees"][1]["value"].__setitem__(-1, float("nan")), "tree 1 has a value or gain that is not finite"),
+        (lambda p: p["trees"][0]["value"].__setitem__(-1, float("-inf")), "tree 0 has a value or gain that is not finite"),
+        (nan_at_first_split("gain"), "tree 0 has a value or gain that is not finite"),
+        (nan_at_first_split("threshold"), "tree 0 has a NaN threshold"),
+        (lambda p: p.update(base_score=float("inf")), "base_score inf is not finite"),
+        (lambda p: p.update(base_score=float("nan")), "base_score nan is not finite"),
+    ],
+    ids=["nan-value", "inf-value", "nan-gain", "nan-threshold", "inf-base-score", "nan-base-score"],
+)
+def test_load_rejects_non_finite_numbers(tmp_path, edit, message):
+    """Python's json reads NaN and Infinity; a model holding them could not
+    have been trained, and loading names the file."""
+    import json
+
+    rng = np.random.default_rng(26)
+    rows = rng.normal(size=(80, 3))
+    labels = (rows[:, 0] + rng.normal(size=80) > 0.3).astype(float)
+    path = tmp_path / "model.json"
+    train_gbdt(rows, labels, BoosterConfig(n_trees=2, max_depth=2)).save(path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}"):
+        TreeEnsemble.load(path)
 
 
 #: Config keys that files of the older format carry, with the values the
