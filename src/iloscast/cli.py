@@ -17,6 +17,7 @@ import shutil
 import sys
 import time
 from dataclasses import dataclass, field
+from datetime import date
 from pathlib import Path
 
 import click
@@ -25,8 +26,10 @@ import yaml
 
 from .dataset import WindowDataset, write_audit_csv
 from .errors import ConfigError, DataError, IloscastError, IndicatorError, MissingArtifactError, NumericError
-from .ingest import series_from_arrays, series_to_arrays
-from .container import decoding, read_container, read_json, require_keys, write_container, write_csv, write_json
+from .ingest import PortSeries
+# read_container and write_container are not called here; they stay bound
+# in this module, where perfbench's tracer looks them up.
+from .container import read_container, read_json, write_container, write_csv, write_json  # noqa: F401
 from . import metrics
 from .pipeline import (
     DEFAULT_GRID,
@@ -245,31 +248,23 @@ def stage_ingest(cfg: RunConfig, ws: Workspace) -> None:
     except IndicatorError as exc:
         raise ConfigError(f"ingest.protocol_indicators: {exc}") from None
     for net, (schema, series) in ingested.items():
-        arrays, meta = series_to_arrays(series)
-        meta["schema"] = schema.to_dict()
-        write_container(ws.write("ingest", net, "series.ilos"), arrays, meta)
-        start = min(s.start_day for s in series)
-        end = max(s.day(s.n_days - 1) for s in series)
+        series.save(ws.write("ingest", net, "series.ilos"), schema)
+        span = (series.start_day.min(), (series.start_day + series.n_days).max() - 1)
         manifest = {
             "network_id": net,
             "schema": schema.to_dict(),
-            "ports": sorted(s.port_id for s in series),
-            "date_span": [start.isoformat(), end.isoformat()],
+            "ports": sorted(series.port_id.tolist()),
+            "date_span": [date.fromordinal(int(day)).isoformat() for day in span],
         }
         write_json(ws.write("ingest", net, "manifest.json"), manifest)
     _remove_unwritten(ws, "ingest")
 
 
-def _load_ingested(ws: Workspace) -> dict[str, tuple[FeatureSchema, list]]:
+def _load_ingested(ws: Workspace) -> dict[str, tuple[FeatureSchema, PortSeries]]:
     ingest_dir = ws.require("ingest", "ingest")
     out = {}
     for net_dir in sorted(p for p in ingest_dir.iterdir() if p.is_dir()):
-        path = ws.read(net_dir / "series.ilos")
-        arrays, meta = read_container(path)
-        require_keys(meta, ("schema", "ports"), path, "metadata")
-        with decoding(path, "series container"):
-            schema = FeatureSchema.from_dict(meta["schema"])
-            out[net_dir.name] = (schema, series_from_arrays(arrays, meta))
+        out[net_dir.name] = PortSeries.load(ws.read(net_dir / "series.ilos"))
     if not out:
         raise MissingArtifactError(f"no ingested networks under {ingest_dir}")
     return out

@@ -107,10 +107,11 @@ def write_container(
 
 
 def _read_exact(fh, n: int, path: Path, what: str) -> bytes:
-    blob = fh.read(n)
-    if len(blob) != n:
+    # A length past the end of the file is checked before reading, so a
+    # corrupt length never asks for a buffer of that size.
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise DataError(f"{path}: truncated {what}")
-    return blob
+    return fh.read(n)
 
 
 def _read_json_block(fh, path: Path, what: str, kind: type):

@@ -24,7 +24,9 @@ from .schema import FeatureSchema
 from .windows import (
     REASONS,
     NormStats,
+    TEST,
     TRAIN,
+    VALIDATION,
     chronological_split,
     filter_defective,
     filter_reasons,
@@ -188,7 +190,7 @@ class WindowDataset:
             for key, names in (("network_code", nets), ("port_code", ports)):
                 if ((arrays[key] < 0) | (arrays[key] >= names.size)).any():
                     raise DataError(f"{path}: {key} holds a code outside [0, {names.size})")
-            return cls(
+            dataset = cls(
                 schema=FeatureSchema.from_dict(meta["schema"]),
                 x=arrays["x"],
                 label=arrays["label"].astype(np.int8),
@@ -201,25 +203,39 @@ class WindowDataset:
                 past_days=int(meta.get("past_days", 7)),
                 future_days=int(meta.get("future_days", 7)),
             )
+        x, k = dataset.x, dataset.schema.n_numeric
+        if x.ndim != 3 or x.shape[1:] != (dataset.past_days, dataset.schema.width):
+            raise DataError(f"{path}: x has shape {x.shape}, not (N, past_days, schema width)")
+        for name in _ARRAYS[1:]:
+            if arrays[name].shape != x.shape[:1]:
+                raise DataError(f"{path}: {name} has shape {arrays[name].shape}, not {x.shape[:1]} as x")
+        if not np.isin(arrays["split"], (TRAIN, VALIDATION, TEST)).all():
+            raise DataError(f"{path}: split holds a tag other than TRAIN, VALIDATION and TEST")
+        if not np.isin(arrays["label"], (0, 1)).all():
+            raise DataError(f"{path}: label holds a value other than 0 and 1")
+        norm = dataset.norm
+        if norm.n_numeric != k or norm.mean.shape != (k,) or norm.std.shape != (k,):
+            raise DataError(f"{path}: norm does not hold {k} means and stds")
+        return dataset
 
 
 def build_dataset(
-    series_list: list[PortSeries],
+    series: PortSeries,
     schema: FeatureSchema,
     past_days: int = 7,
     future_days: int = 7,
 ) -> tuple[WindowDataset, Audit]:
-    """Window, label, filter, split, and fit normalization, each over all
-    windows at once.
+    """Window a series block, then label, filter, split, and fit
+    normalization, each over all windows at once.
 
     Returns the dataset of kept samples plus an audit row per emitted
     window (kept or dropped).
     """
-    windows = stack_windows(series_list, schema, past_days, future_days)
+    windows = stack_windows(series, schema, past_days, future_days)
     label = window_labels(windows.future_uas, windows.future_hccs)
     reason = filter_reasons(windows.x, windows.future_observed, schema)
-    network = np.array([s.network_id for s in series_list], dtype=object)[windows.series]
-    port = np.array([s.port_id for s in series_list], dtype=object)[windows.series]
+    network = series.network_id[windows.port]
+    port = series.port_id[windows.port]
     audit = Audit(network, port, windows.present_day, label, reason)
 
     keep = reason == 0

@@ -13,7 +13,7 @@ import csv
 import io
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from datetime import date, timedelta
+from datetime import date
 from itertools import count, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -21,33 +21,79 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import IngestError, SchemaError
+from .container import decoding, read_container, require_keys, write_container
+from .errors import DataError, IngestError, SchemaError
 from .schema import HCCS, UAS, FeatureSchema
 
 CSV_HEADER = ["network_id", "port_id", "facility_type", "date", "pm_name", "pm_value"]
 
 
+#: The arrays a saved series block holds; its metadata holds the schema
+#: and the network and port ids.
+_SERIES_ARRAYS = ("start_day", "n_days", "values", "onehot")
+
+
 @dataclass(frozen=True)
 class PortSeries:
-    """Gap-free daily rows for one port.
+    """Gap-free daily rows of every port of one network, as one block.
 
-    ``values`` is (n_days, n_numeric) float64 with NaN marking absent
-    entries; ``onehot`` is the port's constant facility flags (1.0 where the
-    facility reported on any day of the ingest window).
+    Ports are in (network_id, port_id) order. ``network_id``/``port_id``
+    are (P,) object arrays, ``start_day`` (P,) int64 date ordinals and
+    ``n_days`` (P,) int64 day counts, each at least 1. ``values`` is
+    (sum of n_days, n_numeric) float64 holding each port's rows in turn,
+    with NaN marking absent entries; ``onehot`` is (P, n_onehot), each
+    port's facility flags (1.0 where the facility reported on any day).
     """
 
-    network_id: str
-    port_id: str
-    start_day: date
+    network_id: np.ndarray
+    port_id: np.ndarray
+    start_day: np.ndarray
+    n_days: np.ndarray
     values: np.ndarray
     onehot: np.ndarray
 
-    @property
-    def n_days(self) -> int:
-        return self.values.shape[0]
+    def __len__(self) -> int:
+        return self.n_days.size
 
-    def day(self, row: int) -> date:
-        return self.start_day + timedelta(days=row)
+    def save(self, path: str | Path, schema: FeatureSchema) -> None:
+        ids = {"networks": self.network_id.tolist(), "ports": self.port_id.tolist()}
+        arrays = {name: getattr(self, name) for name in _SERIES_ARRAYS}
+        write_container(path, arrays, {"schema": schema.to_dict(), **ids})
+
+    @classmethod
+    def load(cls, path: str | Path) -> tuple[FeatureSchema, "PortSeries"]:
+        """The schema and block saved at ``path``; :class:`DataError` naming
+        the file when its arrays disagree or it holds an older layout."""
+        arrays, meta = read_container(path)
+        if "values_00000" in arrays:
+            raise DataError(f"{path}: per-port series layout of an older version; re-run ingest")
+        require_keys(meta, ("schema", "networks", "ports"), path, "metadata")
+        with decoding(path, "series container"):
+            schema = FeatureSchema.from_dict(meta["schema"])
+            ids = (np.array(meta[key], dtype=object) for key in ("networks", "ports"))
+            series = cls(*ids, *(arrays[name] for name in _SERIES_ARRAYS))
+        n_days, start_day = series.n_days, series.start_day
+        if n_days.ndim != 1 or {n_days.dtype.kind, start_day.dtype.kind} != {"i"}:
+            raise DataError(f"{path}: n_days and start_day are not 1-D integer arrays")
+        if (n_days < 1).any():
+            raise DataError(f"{path}: n_days holds a count below 1")
+        ports = (n_days.size,)
+        shapes = {
+            "network_id": ports,
+            "port_id": ports,
+            "start_day": ports,
+            "values": (int(n_days.sum()), schema.n_numeric),
+            "onehot": (*ports, schema.n_onehot),
+        }
+        for name, expected in shapes.items():
+            shape = getattr(series, name).shape
+            if shape != expected:
+                raise DataError(f"{path}: {name} has shape {shape}, not {expected}")
+        if not all(isinstance(i, str) for i in [*series.network_id.tolist(), *series.port_id.tolist()]):
+            raise DataError(f"{path}: a network or port id is not a string")
+        if ((start_day < 1) | (start_day > date.max.toordinal() - n_days + 1)).any():
+            raise DataError(f"{path}: start_day holds a day outside the calendar")
+        return schema, series
 
 
 @dataclass(frozen=True)
@@ -301,17 +347,15 @@ def build_schema(cols: PmColumns, protocol_indicators: Iterable[str] = ()) -> Fe
     )
 
 
-def merge_to_port_level(cols: PmColumns, schema: FeatureSchema) -> list[PortSeries]:
-    """Max-merge facility rows into gap-free per-port daily series.
+def merge_to_port_level(cols: PmColumns, schema: FeatureSchema) -> PortSeries:
+    """Max-merge facility rows into one block of gap-free per-port daily series.
 
     Per (port, day, feature) the merged value is the maximum over all
     facility instances reporting it that day; among equal maxima (0.0 and
     -0.0 compare equal) the first row wins. Entries nobody reported stay
     absent (NaN). Merging is total: duplicates and conflicts never error.
-    Output is sorted by (network_id, port_id).
+    Ports are sorted by (network_id, port_id).
     """
-    if not len(cols):
-        return []
     n_numeric = schema.n_numeric
     column_of = np.zeros(len(cols.pm_names), dtype=np.int64)
     for code in _first_seen(cols.pm):
@@ -355,48 +399,11 @@ def merge_to_port_level(cols: PmColumns, schema: FeatureSchema) -> list[PortSeri
     onehot = np.zeros((len(names), schema.n_onehot), dtype=np.float64)
     onehot[port_of_row, onehot_of[cols.facility]] = 1.0
 
-    return [
-        PortSeries(
-            network_id,
-            port_id,
-            date.fromordinal(int(start[p])),
-            values[offset[p] : offset[p + 1]].reshape(int(n_days[p]), n_numeric),
-            onehot[p],
-        )
-        for p, (network_id, port_id) in enumerate(names)
-    ]
-
-
-def series_to_arrays(series: list[PortSeries]) -> tuple[dict[str, np.ndarray], dict]:
-    """Pack series into container arrays plus a manifest dict."""
-    arrays: dict[str, np.ndarray] = {}
-    manifest_ports = []
-    for i, s in enumerate(series):
-        arrays[f"values_{i:05d}"] = s.values
-        arrays[f"onehot_{i:05d}"] = s.onehot
-        manifest_ports.append(
-            {
-                "network_id": s.network_id,
-                "port_id": s.port_id,
-                "start_day": s.start_day.isoformat(),
-                "n_days": s.n_days,
-            }
-        )
-    return arrays, {"ports": manifest_ports}
-
-
-def series_from_arrays(
-    arrays: dict[str, np.ndarray], meta: dict
-) -> list[PortSeries]:
-    out = []
-    for i, p in enumerate(meta["ports"]):
-        out.append(
-            PortSeries(
-                network_id=p["network_id"],
-                port_id=p["port_id"],
-                start_day=date.fromisoformat(p["start_day"]),
-                values=arrays[f"values_{i:05d}"],
-                onehot=arrays[f"onehot_{i:05d}"],
-            )
-        )
-    return out
+    return PortSeries(
+        network_id=np.array([network_id for network_id, _ in names], dtype=object),
+        port_id=np.array([port_id for _, port_id in names], dtype=object),
+        start_day=start,
+        n_days=n_days,
+        values=values.reshape(-1, n_numeric),
+        onehot=onehot,
+    )

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import Audit, WindowDataset, build_dataset
 from .errors import DataError, IndicatorError
-from .ingest import PmColumns, build_schema, merge_to_port_level, read_pm_csv
+from .ingest import PmColumns, PortSeries, build_schema, merge_to_port_level, read_pm_csv
 from .metrics import pr_auc_truncated, pr_curve, weighted_average
 from .rits import BritsModel, TrainSchedule, brits_predict, init_brits, train_brits
 from .schema import FeatureSchema
@@ -45,11 +45,11 @@ def truncated_auc_metric(scores: np.ndarray, labels: np.ndarray) -> float:
 
 def ingest_csvs(
     paths: list[str | Path], protocol_indicators: tuple[str, ...] = PROTOCOL_INDICATORS
-) -> dict[str, tuple[FeatureSchema, list]]:
+) -> dict[str, tuple[FeatureSchema, PortSeries]]:
     """Parse every file once into columns, then derive each network's
     schema and max-merge its ports.
 
-    Returns {network_id: (schema, port series list)} in network order.
+    Returns {network_id: (schema, series block)} in network order.
     :class:`IndicatorError` names a network whose PMs lack one of the
     ``protocol_indicators``.
     """
@@ -69,7 +69,7 @@ def ingest_csvs(
 
 
 def build_network_datasets(
-    ingested: dict[str, tuple[FeatureSchema, list]],
+    ingested: dict[str, tuple[FeatureSchema, PortSeries]],
     past_days: int = 7,
     future_days: int = 7,
 ) -> tuple[dict[str, WindowDataset], dict[str, Audit]]:

@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 from datetime import date
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, SplitError
 from .ingest import PortSeries
@@ -97,13 +96,13 @@ class NormStats:
 
 @dataclass(frozen=True)
 class WindowBatch:
-    """Every fully contained window of a list of series, as stacked arrays.
+    """Every fully contained window of a series block, as stacked arrays.
 
-    Windows are ordered by series, then by start day. ``x`` is
+    Windows are ordered by port, then by start day. ``x`` is
     (W, past_days, F); ``future_uas``/``future_hccs`` are (W, future_days);
     ``future_observed`` is whether any numeric entry of the future days was
-    observed; ``present_day`` holds date ordinals and ``series`` the index
-    of each window's series in the input list.
+    observed; ``present_day`` holds date ordinals and ``port`` the index of
+    each window's port in the block.
     """
 
     x: np.ndarray
@@ -111,52 +110,43 @@ class WindowBatch:
     future_hccs: np.ndarray
     future_observed: np.ndarray
     present_day: np.ndarray
-    series: np.ndarray
+    port: np.ndarray
 
 
 def stack_windows(
-    series_list: list[PortSeries],
+    series: PortSeries,
     schema: FeatureSchema,
     past_days: int = 7,
     future_days: int = 7,
 ) -> WindowBatch:
     """Slide a (past + future)-day window over gap-free series, stride 1.
 
-    Only fully contained windows are emitted; a series shorter than the
-    window yields none. The present day is the last past row. All series
-    are windowed at once over their stacked rows.
+    Only fully contained windows are emitted; a port with fewer days than
+    the window yields none. The present day is the last past row. All ports
+    are windowed at once over the block's stacked rows.
     """
     for name, days in (("past_days", past_days), ("future_days", future_days)):
         if days < 1:
             raise ConfigError(f"{name} must be at least 1, got {days}")
     span = past_days + future_days
     k = schema.n_numeric
-    n_days = np.array([s.n_days for s in series_list], dtype=np.int64)
-    counts = np.maximum(n_days - span + 1, 0)
-    series = np.repeat(np.arange(len(series_list)), counts)
+    counts = np.maximum(series.n_days - span + 1, 0)
+    port = np.repeat(np.arange(len(series)), counts)
     local_start = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    w = series.size
-    x = np.empty((w, past_days, schema.width), dtype=np.float64)
-    if w == 0:
-        empty = np.empty((0, future_days), dtype=np.float64)
-        return WindowBatch(x, empty, empty, np.empty(0, dtype=bool), local_start, series)
-
-    # (rows - span + 1, k, span) view of the stacked rows; each window is
-    # selected by its first row.
-    values = np.concatenate([s.values for s in series_list])
-    start = (np.cumsum(n_days) - n_days)[series] + local_start
-    windows = sliding_window_view(values, span, axis=0)[start]
-    x[:, :, :k] = windows[:, :, :past_days].transpose(0, 2, 1)
-    x[:, :, k:] = np.stack([s.onehot for s in series_list])[series][:, None, :]
-    future = windows[:, :, past_days:]
-    start_day = np.array([s.start_day.toordinal() for s in series_list], dtype=np.int64)
+    # (W, span, k): the rows of each window, gathered from the block.
+    first_row = (np.cumsum(series.n_days) - series.n_days)[port] + local_start
+    windows = series.values[first_row[:, None] + np.arange(span)]
+    x = np.empty((port.size, past_days, schema.width), dtype=np.float64)
+    x[:, :, :k] = windows[:, :past_days]
+    x[:, :, k:] = series.onehot[port][:, None, :]
+    future = windows[:, past_days:]
     return WindowBatch(
         x=x,
-        future_uas=future[:, schema.uas_index],
-        future_hccs=future[:, schema.hccs_index],
+        future_uas=future[:, :, schema.uas_index],
+        future_hccs=future[:, :, schema.hccs_index],
         future_observed=~np.isnan(future).all(axis=(1, 2)),
-        present_day=start_day[series] + local_start + past_days - 1,
-        series=series,
+        present_day=series.start_day[port] + local_start + past_days - 1,
+        port=port,
     )
 
 
@@ -196,19 +186,19 @@ def slide_windows(
     past_days: int = 7,
     future_days: int = 7,
 ) -> list[WindowSample]:
-    """The windows of one series as samples: a view of :func:`stack_windows`."""
-    batch = stack_windows([series], schema, past_days, future_days)
+    """The windows of a series block as samples: a view of :func:`stack_windows`."""
+    batch = stack_windows(series, schema, past_days, future_days)
     return [
         WindowSample(
-            network_id=series.network_id,
-            port_id=series.port_id,
+            network_id=series.network_id[p],
+            port_id=series.port_id[p],
             present_day=date.fromordinal(day),
             x=batch.x[i],
             future_uas=batch.future_uas[i],
             future_hccs=batch.future_hccs[i],
             future_observed_any=bool(batch.future_observed[i]),
         )
-        for i, day in enumerate(batch.present_day.tolist())
+        for i, (p, day) in enumerate(zip(batch.port.tolist(), batch.present_day.tolist()))
     ]
 
 

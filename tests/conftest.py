@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import fields
 from datetime import date
 
 import numpy as np
@@ -29,7 +30,7 @@ def make_series(
     fill: dict[str, list[float | None]] | None = None,
     onehot: tuple[float, ...] | None = None,
 ) -> PortSeries:
-    """Build a PortSeries from per-feature day lists (None = absent).
+    """A one-port series block from per-feature day lists (None = absent).
 
     Features not named in ``fill`` stay absent everywhere.
     """
@@ -40,7 +41,37 @@ def make_series(
             if v is not None:
                 values[day, j] = v
     oh = np.asarray(onehot if onehot is not None else (0.0, 1.0), dtype=np.float64)
-    return PortSeries(network_id, port_id, start, values, oh)
+    return one_port(network_id, port_id, start, values, oh)
+
+
+def one_port(
+    network_id: str, port_id: str, start: date, values: np.ndarray, onehot: np.ndarray
+) -> PortSeries:
+    """The block of one port with (n_days, n_numeric) ``values``."""
+    return PortSeries(
+        network_id=np.array([network_id], dtype=object),
+        port_id=np.array([port_id], dtype=object),
+        start_day=np.array([start.toordinal()], dtype=np.int64),
+        n_days=np.array([len(values)], dtype=np.int64),
+        values=values,
+        onehot=np.asarray(onehot, dtype=np.float64)[None],
+    )
+
+
+def stack_series(blocks: list[PortSeries]) -> PortSeries:
+    """The ports of ``blocks`` in turn, as one block."""
+    return PortSeries(*(np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(PortSeries)))
+
+
+def port_rows(series: PortSeries, p: int) -> np.ndarray:
+    """The (n_days, n_numeric) rows of port ``p`` of a block."""
+    first = int(series.n_days[:p].sum())
+    return series.values[first : first + int(series.n_days[p])]
+
+
+def start_date(series: PortSeries, p: int = 0) -> date:
+    """The first day of port ``p`` of a block."""
+    return date.fromordinal(int(series.start_day[p]))
 
 
 def healthy_fill(schema: FeatureSchema, n_days: int) -> dict[str, list[float]]:

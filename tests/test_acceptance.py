@@ -23,7 +23,7 @@ from iloscast.synth import GenConfig, generate
 from iloscast.trees import BoosterConfig, train_gbdt
 from iloscast.windows import TRAIN, label_window, slide_windows
 
-from conftest import make_series
+from conftest import make_series, start_date
 from rits_reference import finite_difference_block_errors
 from test_metrics import oracle_truncated_area
 from test_trees import audit_booster_splits
@@ -61,7 +61,7 @@ def test_criterion_1_labeling_oracle():
         for w in slide_windows(series, schema):
             got = label_window(w).label
             # independent oracle: scan the raw future-day table directly
-            p = (w.present_day - series.start_day).days
+            p = (w.present_day - start_date(series)).days
             expect = 0
             for day in range(p + 1, p + 8):
                 for name in ("UAS", "HCCS"):

@@ -315,20 +315,51 @@ SERIES = "ingest/net1/series.ilos"
 WINDOWS = "build/net1/windows.ilos"
 
 
+def per_port_layout(arrays, meta):
+    """Rewrite a series block in place into the per-port layout of older
+    versions: two arrays per port, and the ids, start day and day count of
+    each port in the metadata."""
+    from datetime import date
+
+    first = np.cumsum(arrays["n_days"]) - arrays["n_days"]
+    ports = []
+    for i, (network_id, port_id) in enumerate(zip(meta.pop("networks"), meta["ports"])):
+        n_days = int(arrays["n_days"][i])
+        arrays[f"values_{i:05d}"] = arrays["values"][first[i] : first[i] + n_days]
+        arrays[f"onehot_{i:05d}"] = arrays["onehot"][i]
+        start = date.fromordinal(int(arrays["start_day"][i])).isoformat()
+        ports.append({"network_id": network_id, "port_id": port_id, "start_day": start, "n_days": n_days})
+    meta["ports"] = ports
+    for name in ("start_day", "n_days", "values", "onehot"):
+        del arrays[name]
+
+
+def shift_one_day(arrays, meta):
+    """Move a day from the second port to the first: the rows still add up."""
+    arrays["n_days"][0] = 0
+    arrays["n_days"][1] += 1
+
+
 @pytest.mark.parametrize(
     "stage, artifact, edit, message",
     [
-        ("build", SERIES, lambda a, m: m["ports"][0].pop("start_day"), "missing key 'start_day'"),
-        ("build", SERIES, lambda a, m: m["ports"][0].update(start_day="x"), "isoformat"),
-        ("build", SERIES, lambda a, m: a.pop("values_00000"), "missing key 'values_00000'"),
-        ("build", SERIES, lambda a, m: m.update(ports=5), "not iterable"),
+        ("build", SERIES, lambda a, m: a.pop("start_day"), "missing key 'start_day'"),
+        ("build", SERIES, lambda a, m: a["start_day"].__setitem__(0, 0), "start_day holds a day outside"),
+        ("build", SERIES, lambda a, m: a.pop("values"), "missing key 'values'"),
+        ("build", SERIES, lambda a, m: m.update(ports=5), "port_id has shape (), not (20,)"),
         ("build", SERIES, lambda a, m: m["schema"].pop("numeric_features"), "missing key 'numeric_features'"),
+        ("build", SERIES, lambda a, m: a.update(values=a["values"][:, 1:]), "values has shape"),
+        ("build", SERIES, lambda a, m: a["n_days"].__setitem__(0, a["n_days"][0] + 1), "values has shape"),
+        ("build", SERIES, lambda a, m: a.update(onehot=a["onehot"][1:]), "onehot has shape"),
+        ("build", SERIES, shift_one_day, "n_days holds a count below 1"),
+        ("build", SERIES, per_port_layout, "per-port series layout of an older version; re-run ingest"),
         ("evaluate", WINDOWS, lambda a, m: m["norm"].pop("mean"), "missing key 'mean'"),
         ("evaluate", WINDOWS, lambda a, m: a["network_code"].fill(1), "network_code holds a code outside [0, 1)"),
         ("evaluate", WINDOWS, lambda a, m: a["port_code"].fill(-1), "port_code holds a code outside"),
     ],
-    ids=["start-day-missing", "start-day-bad", "values-missing", "ports-int", "schema", "norm",
-         "network-code", "port-code-negative"],
+    ids=["start-day-missing", "start-day-bad", "values-missing", "ports-int", "schema",
+         "values-width", "n-days-sum", "onehot-rows", "n-days-zero", "old-layout",
+         "norm", "network-code", "port-code-negative"],
 )
 def test_cli_corrupt_container_content_exits_1(pipeline_ws, tmp_path, capsys, stage, artifact, edit, message):
     from iloscast.container import read_container, write_container
@@ -340,6 +371,40 @@ def test_cli_corrupt_container_content_exits_1(pipeline_ws, tmp_path, capsys, st
     assert cli_entry([stage] + args) == 1
     err = capsys.readouterr().err
     assert f"{ws / artifact}: " in err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def first_test_window_tag(arrays, tag):
+    from iloscast.windows import TEST
+
+    arrays["split"][np.flatnonzero(arrays["split"] == TEST)[0]] = tag
+
+
+@pytest.mark.parametrize("stage", ["train", "evaluate"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda a, m: a.update(label=a["label"][:-3]), "label has shape"),
+        (lambda a, m: a.update(port_code=a["port_code"][:-3]), "port_code has shape"),
+        (lambda a, m: m["norm"].update(mean=m["norm"]["mean"][:-1]), "norm does not hold"),
+        (lambda a, m: first_test_window_tag(a, 7), "split holds a tag other than"),
+        (lambda a, m: a["label"].__setitem__(0, 2), "label holds a value other than"),
+        (lambda a, m: a.update(x=np.concatenate([a["x"], a["x"][:, :, :1]], axis=2)), "x has shape"),
+        (lambda a, m: a.update(x=np.concatenate([a["x"], a["x"][:, :1]], axis=1)), "x has shape"),
+    ],
+    ids=["label-short", "port-code-short", "norm-mean-short", "split-tag", "label-value", "x-wider", "x-deeper"],
+)
+def test_cli_inconsistent_window_arrays_exit_1(pipeline_ws, tmp_path, capsys, stage, edit, message):
+    from iloscast.container import read_container, write_container
+
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    arrays, meta = read_container(ws / WINDOWS)
+    edit(arrays, meta)
+    write_container(ws / WINDOWS, arrays, meta)
+    assert cli_entry([stage] + args) == 1
+    err = capsys.readouterr().err
+    assert f"{ws / WINDOWS}: " in err
     assert message in err
     assert "Traceback" not in err
 

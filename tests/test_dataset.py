@@ -7,12 +7,11 @@ import pytest
 
 from iloscast.dataset import build_dataset, write_audit_csv, WindowDataset
 from iloscast.errors import DataError
-from iloscast.ingest import PortSeries
 from iloscast.missing import compute_time_gaps
 from iloscast.schema import FeatureSchema
 from iloscast.windows import REASONS, TRAIN, VALIDATION, TEST
 
-from conftest import healthy_fill, make_series
+from conftest import healthy_fill, make_series, one_port, stack_series, start_date
 
 
 def build_fixture(schema, n_ports=4, n_days=40):
@@ -26,7 +25,7 @@ def build_fixture(schema, n_ports=4, n_days=40):
         series.append(
             make_series(schema, n_days, port_id=f"p{p}", fill=fill, onehot=(float(p % 2), 1.0))
         )
-    return build_dataset(series, schema)
+    return build_dataset(stack_series(series), schema)
 
 
 def test_build_dataset_shapes_and_split(schema):
@@ -106,7 +105,7 @@ def test_audit_csv(tmp_path, schema):
 
 def test_no_samples_survive_raises(schema):
     # all ports traffic-free: every window drops
-    series = [make_series(schema, 20, fill={"QAVG": [1.0] * 20})]
+    series = make_series(schema, 20, fill={"QAVG": [1.0] * 20})
     with pytest.raises(DataError, match="survived"):
         build_dataset(series, schema)
 
@@ -126,7 +125,7 @@ def test_median_provenance_guard(schema):
         if p == 0:
             fill["UAS"] = [None] * (n_days - 5) + [10.0] + [None] * 4
         series.append(make_series(schema, n_days, port_id=f"p{p}", fill=fill))
-    ds, _ = build_dataset(series, schema)
+    ds, _ = build_dataset(stack_series(series), schema)
 
     train_meds, _ = ds.train_medians()
     # shift every non-train sample's observed raw values far away: the
@@ -148,8 +147,9 @@ def test_median_provenance_guard(schema):
 
 
 def reference_build(series_list, schema, past_days=7, future_days=7):
-    """The per-window loop the array kernels replaced: (dataset arrays,
-    audit rows), or the exception it raised."""
+    """The per-window loop the array kernels replaced, over a list of
+    one-port blocks: (dataset arrays, audit rows), or the exception it
+    raised."""
     from datetime import timedelta
 
     from iloscast.windows import chronological_split, zscore_fit
@@ -157,10 +157,11 @@ def reference_build(series_list, schema, past_days=7, future_days=7):
     audit, kept = [], []
     for series in series_list:
         span = past_days + future_days
-        for start in range(series.n_days - span + 1):
+        network_id, port_id = series.network_id[0], series.port_id[0]
+        for start in range(int(series.n_days[0]) - span + 1):
             past = series.values[start : start + past_days]
             future = series.values[start + past_days : start + span]
-            x = np.concatenate([past, np.tile(series.onehot, (past_days, 1))], axis=1)
+            x = np.concatenate([past, np.tile(series.onehot[0], (past_days, 1))], axis=1)
             label = int(
                 np.any(np.nan_to_num(future[:, schema.uas_index]) > 0)
                 or np.any(np.nan_to_num(future[:, schema.hccs_index]) > 0)
@@ -181,10 +182,10 @@ def reference_build(series_list, schema, past_days=7, future_days=7):
                 reason = "los_today"
             else:
                 reason = None
-            day = series.start_day + timedelta(days=start + past_days - 1)
-            audit.append((series.network_id, series.port_id, day.toordinal(), label, reason))
+            day = start_date(series) + timedelta(days=start + past_days - 1)
+            audit.append((network_id, port_id, day.toordinal(), label, reason))
             if reason is None:
-                kept.append((x, label, series.network_id, series.port_id, day.toordinal()))
+                kept.append((x, label, network_id, port_id, day.toordinal()))
     if not kept:
         return DataError("no samples survived filtering"), audit
     days = np.array([k[4] for k in kept], dtype=np.int64)
@@ -219,7 +220,7 @@ def random_series(rng, schema, n_days, port_id):
         values[gap : gap + 7] = np.nan  # an all-absent past or future week
     onehot = (rng.random(schema.n_onehot) < 0.6).astype(np.float64)
     start = date(2024, 1, 1) + timedelta(days=int(rng.integers(0, 5)))
-    return PortSeries("net1", port_id, start, values, onehot)
+    return one_port("net1", port_id, start, values, onehot)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in zscore_fit
@@ -240,9 +241,9 @@ def test_build_matches_reference_loop(schema, indicators):
         reasons_seen |= {row[4] for row in expected_audit}
         if isinstance(expected, Exception):
             with pytest.raises(type(expected), match=str(expected)):
-                build_dataset(series, schema)
+                build_dataset(stack_series(series), schema)
             continue
-        ds, audit = build_dataset(series, schema)
+        ds, audit = build_dataset(stack_series(series), schema)
         built += 1
         np.testing.assert_array_equal(ds.x.view(np.uint64), expected["x"].view(np.uint64))
         for key in ("label", "present_day", "split"):

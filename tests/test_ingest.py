@@ -16,6 +16,8 @@ from iloscast.errors import IngestError, SchemaError
 from iloscast.ingest import PmColumns, build_schema, merge_to_port_level, read_pm_csv
 from iloscast.schema import FeatureSchema
 
+from conftest import port_rows, start_date
+
 HEADER = "network_id,port_id,facility_type,date,pm_name,pm_value\n"
 
 
@@ -168,29 +170,31 @@ def merge(records, schema=None):
 
 def test_merge_keeps_maximum():
     records = [rec("UAS", fac="OTM", value=3.0), rec("UAS", fac="ETH", value=10.0)]
-    schema, (series,) = merge(records)
+    schema, series = merge(records)
+    assert len(series) == 1
     assert series.values[0, schema.uas_index] == 10.0
 
 
 def test_merge_fills_missing_days():
     schema = build_schema(to_columns([rec("QAVG")]))
     records = [rec("QAVG", day=1, value=5.0), rec("QAVG", day=3, value=6.0)]
-    _, (series,) = merge(records, schema)
-    assert series.n_days == 3
+    _, series = merge(records, schema)
+    assert series.n_days.tolist() == [3]
     assert np.isnan(series.values[1, schema.numeric_index("QAVG")])
 
 
 def test_merge_single_reporter_is_kept():
     records = [rec("QAVG", fac="OTM", value=12.0), rec("UAS", fac="ETH", value=1.0)]
-    schema, (series,) = merge(records)
+    schema, series = merge(records)
+    assert len(series) == 1
     assert series.values[0, schema.numeric_index("QAVG")] == 12.0
 
 
 def test_merge_onehot_is_port_level_or():
     schema = build_schema(to_columns([rec("QAVG"), rec("UAS", fac="ETH", day=2)]))
     records = [rec("QAVG", fac="OTM", day=1), rec("UAS", fac="ETH", day=2)]
-    _, (series,) = merge(records, schema)
-    np.testing.assert_array_equal(series.onehot, [1.0, 1.0])
+    _, series = merge(records, schema)
+    np.testing.assert_array_equal(series.onehot, [[1.0, 1.0]])
 
 
 def test_merge_unknown_pm_rejected():
@@ -201,15 +205,17 @@ def test_merge_unknown_pm_rejected():
 
 def _series_to_records(series, schema):
     out = []
-    for row in range(series.n_days):
-        day = series.start_day + timedelta(days=row)
-        for j, name in enumerate(schema.numeric_features):
-            v = series.values[row, j]
-            if not np.isnan(v):
-                for fac_j, fac in enumerate(schema.onehot_features):
-                    if series.onehot[fac_j] == 1.0:
-                        out.append(Rec(series.network_id, series.port_id, fac, day, name, float(v)))
-                        break
+    for p in range(len(series)):
+        values = port_rows(series, p)
+        for row in range(series.n_days[p]):
+            day = start_date(series, p) + timedelta(days=row)
+            for j, name in enumerate(schema.numeric_features):
+                v = values[row, j]
+                if not np.isnan(v):
+                    for fac_j, fac in enumerate(schema.onehot_features):
+                        if series.onehot[p, fac_j] == 1.0:
+                            out.append(Rec(series.network_id[p], series.port_id[p], fac, day, name, float(v)))
+                            break
     return out
 
 
@@ -228,11 +234,12 @@ def _series_to_records(series, schema):
 @settings(max_examples=60, deadline=None)
 def test_merge_max_dominance_bruteforce(data):
     records = [rec(pm, fac=fac, day=day, value=val) for pm, fac, day, val in data]
-    schema, (series,) = merge(records)
+    schema, series = merge(records)
+    assert len(series) == 1
 
     # Brute force: per (day, pm), merged value equals max of contributions.
-    for row in range(series.n_days):
-        day = series.start_day + timedelta(days=row)
+    for row in range(series.n_days[0]):
+        day = start_date(series) + timedelta(days=row)
         for j, name in enumerate(schema.numeric_features):
             contributions = [r.pm_value for r in records if r.day == day and r.pm_name == name]
             merged = series.values[row, j]
@@ -252,19 +259,20 @@ def test_merge_max_dominance_bruteforce(data):
 @settings(max_examples=40, deadline=None)
 def test_merge_idempotence(days):
     records = [rec("QAVG", day=d, value=v) for d, v in days]
-    schema, (series,) = merge(records)
-    _, (again,) = merge(_series_to_records(series, schema), schema)
+    schema, series = merge(records)
+    _, again = merge(_series_to_records(series, schema), schema)
     np.testing.assert_array_equal(series.values, again.values)
-    assert series.start_day == again.start_day
+    np.testing.assert_array_equal(series.start_day, again.start_day)
 
 
 def test_day_continuity():
     schema = build_schema(to_columns([rec("QAVG")]))
     records = [rec("QAVG", day=d, value=float(d)) for d in (2, 5, 9)]
-    _, (series,) = merge(records, schema)
-    assert series.n_days == 8
-    deltas = [(series.day(i + 1) - series.day(i)).days for i in range(series.n_days - 1)]
-    assert set(deltas) == {1}
+    _, series = merge(records, schema)
+    assert series.n_days.tolist() == [8]
+    assert series.values.shape[0] == 8
+    assert start_date(series) == date(2020, 1, 2)
+    np.testing.assert_array_equal(series.values[:, schema.numeric_index("QAVG")], [2, *[np.nan] * 2, 5, *[np.nan] * 3, 9])
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +374,19 @@ def test_columnar_merge_matches_reference_bit_for_bit(data):
     ]
     schema, got = merge(records)
     expected = reference_merge(records, schema)
-    assert [(s.network_id, s.port_id) for s in got] == [key for key, *_ in expected]
-    for series, (_, start, values, onehot) in zip(got, expected):
-        assert series.start_day == start
+    assert list(zip(got.network_id.tolist(), got.port_id.tolist())) == [key for key, *_ in expected]
+    assert got.values.shape[0] == got.n_days.sum()
+    for p, (_, start, values, onehot) in enumerate(expected):
+        assert start_date(got, p) == start
         # Compare bit patterns, so the sign of a zero counts.
-        np.testing.assert_array_equal(series.values.view(np.uint64), values.view(np.uint64))
-        np.testing.assert_array_equal(series.onehot, onehot)
+        np.testing.assert_array_equal(port_rows(got, p).view(np.uint64), values.view(np.uint64))
+        np.testing.assert_array_equal(got.onehot[p], onehot)
 
 
 def test_merge_tie_keeps_first_seen_signed_zero():
     for first, second in ((0.0, -0.0), (-0.0, 0.0)):
         records = [rec("QAVG", fac="OTM", value=first), rec("QAVG", fac="ETH", value=second)]
-        schema, (series,) = merge(records)
+        schema, series = merge(records)
         assert np.signbit(series.values[0, schema.numeric_index("QAVG")]) == np.signbit(first)
 
 
@@ -483,10 +492,11 @@ def test_ingest_csvs_matches_reference_records(tmp_path):
         assert schema == build_schema(to_columns(records), ("TRAFFIC",))
         expected = reference_merge(records, schema)
         assert len(series) == len(expected)
-        for s, (_, start, values, onehot) in zip(series, expected):
-            assert s.start_day == start
-            np.testing.assert_array_equal(s.values.view(np.uint64), values.view(np.uint64))
-            np.testing.assert_array_equal(s.onehot, onehot)
+        assert series.values.shape[0] == series.n_days.sum()
+        for p, (_, start, values, onehot) in enumerate(expected):
+            assert start_date(series, p) == start
+            np.testing.assert_array_equal(port_rows(series, p).view(np.uint64), values.view(np.uint64))
+            np.testing.assert_array_equal(series.onehot[p], onehot)
 
 
 def test_undecodable_file_is_an_ingest_error(tmp_path):

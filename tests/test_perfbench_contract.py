@@ -61,7 +61,7 @@ def test_traced_data_path_counters(perfbench, tmp_path):
         ingested = pipeline.ingest_csvs(paths)
         datasets, audits = pipeline.build_network_datasets(ingested)
         schema, series = ingested["net1"]
-        samples = dataset.slide_windows(series[0], schema)
+        samples = dataset.slide_windows(series, schema)
         decisions = [
             dataset.filter_defective(dataset.label_window(s), schema) for s in samples
         ]

@@ -24,7 +24,7 @@ from iloscast.windows import (
     zscore_fit,
 )
 
-from conftest import healthy_fill, make_series
+from conftest import healthy_fill, make_series, start_date
 
 
 def observed_series(schema, n_days, **kwargs):
@@ -48,7 +48,7 @@ def test_no_windows_for_13_days(schema):
 def test_present_day_is_seventh_row(schema):
     series = observed_series(schema, 14)
     (w,) = slide_windows(series, schema)
-    assert w.present_day == series.start_day + timedelta(days=6)
+    assert w.present_day == start_date(series) + timedelta(days=6)
     assert w.x.shape == (7, schema.width)
     # one-hot columns ride along every row
     np.testing.assert_array_equal(w.x[:, schema.n_numeric :], np.tile(series.onehot, (7, 1)))
