@@ -98,7 +98,7 @@ def _check_config(where: str, value, spec) -> None:
     if isinstance(spec, dict):
         if not isinstance(value, dict):
             raise ConfigError(f"{where} must be a mapping, not {type(value).__name__}")
-        unknown = sorted(set(value) - set(spec))
+        unknown = sorted(set(value) - set(spec), key=str)  # keys of YAML may mix types
         if unknown:
             raise ConfigError(f"unknown {where or 'config'} key(s) {unknown}")
         for key, item in value.items():
@@ -143,7 +143,7 @@ class RunConfig:
     def load(cls, path: str | Path) -> "RunConfig":
         try:
             raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc

@@ -14,7 +14,7 @@ import io
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from datetime import date
-from itertools import count, repeat
+from itertools import count
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -151,7 +151,7 @@ _CODED_FIELDS = (
 _ROW_FIELDS = ("network", "port", "facility", "pm", "day", "value")
 
 
-def _factorize(strings: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+def _factorize(strings: Sequence) -> tuple[tuple, np.ndarray]:
     """The distinct strings in first-seen order, and each entry's code."""
     # A string's first lookup inserts it with the next code.
     index = defaultdict(count().__next__)
@@ -159,76 +159,146 @@ def _factorize(strings: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(index), codes
 
 
-def _plain_lines(text: str) -> list[str] | None:
-    r"""The lines of ``text`` when splitting it at line ends and commas cuts
-    it as ``csv.reader`` does, else None: a quote, a NUL, a ``\r`` outside
-    ``\r\n`` or a line longer than ``csv.field_size_limit()`` is left to
-    ``csv.reader``."""
-    if '"' in text or "\0" in text:
-        return None
-    crlf = text.count("\r\n")
-    if text.count("\r") != crlf:
-        return None
-    if crlf and crlf != text.count("\n"):
-        # Both \r\n and \n end lines.
-        text, crlf = text.replace("\r\n", "\n"), 0
-    lines = text.split("\r\n" if crlf else "\n")
-    if not lines[-1]:
-        lines.pop()  # a final line end starts no record
-    if max(map(len, lines)) > csv.field_size_limit():
-        return None
-    return lines
+#: The header line as bytes.
+_HEADER_LINE = ",".join(CSV_HEADER).encode()
+#: ``_WORD_MASK[n]`` keeps the first n bytes of a little-endian 8-byte word.
+_WORD_MASK = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+
+#: One string column: its name table and each row's code.
+_Coded = tuple[tuple[str, ...], np.ndarray]
+#: What :func:`_columns` returns.
+_Columns = tuple[np.ndarray, np.ndarray, list[_Coded], list[str]]
 
 
-def _read_records(path: Path) -> tuple[list, bool]:
-    """Every record after the checked header, and whether they are text
-    lines (a plain split) or ``csv.reader`` rows. Blank records are empty."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
-    if not text:
-        raise IngestError(f"{path}: empty file")
-    lines = _plain_lines(text)
-    if lines is None:
-        try:
-            records = list(csv.reader(io.StringIO(text, newline="")))
-        except csv.Error as exc:
-            raise IngestError(f"cannot read {path}: {exc}") from exc
-        header = records[0]
+def _line_bounds(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    r"""The start and end offsets in ``data`` of each line, its line end
+    left out, when cutting ``data`` at line ends and commas cuts it as
+    ``csv.reader`` does, else None: a quote, a NUL, a ``\r`` outside
+    ``\r\n`` or a line longer than ``csv.field_size_limit()`` bytes is left
+    to ``csv.reader``."""
+    if b'"' in data or b"\0" in data:
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    line_end = np.flatnonzero(buf == ord("\n"))
+    # The byte before each \n; clipped, a \n at offset 0 reads itself.
+    crlf = np.take(buf, line_end - 1, mode="clip") == ord("\r")
+    if np.count_nonzero(buf == ord("\r")) != np.count_nonzero(crlf):
+        return None
+    starts = np.append(0, line_end + 1)
+    ends = np.append(line_end - crlf, len(data))
+    if starts[-1] == len(data):
+        starts, ends = starts[:-1], ends[:-1]  # a final line end starts no record
+    if (ends - starts).max() > csv.field_size_limit():
+        return None
+    return starts, ends
+
+
+def _bad_header(path: Path, header: list[str]) -> IngestError:
+    return IngestError(f"{path}: bad header {header!r}, expected {CSV_HEADER!r}")
+
+
+def _code_fields(data: bytes, words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> _Coded:
+    """The distinct fields ``data[starts[i]:ends[i]]``, decoded in
+    first-seen order, and each field's code.
+
+    ``words[j]`` is the little-endian word of the 8 bytes at offset j of
+    ``data`` padded with zero bytes, and ``data`` holds no NUL. A field of
+    at most 16 bytes is then keyed by its one or two words masked to its
+    length: a shorter field ends in a zero byte where a longer one has a
+    nonzero byte, so equal keys mean equal fields. A column with a longer
+    field is coded by a dict over its byte slices.
+    """
+    lengths = ends - starts
+    longest = lengths.max(initial=0)
+    if longest > 16:
+        table, codes = _factorize([data[s:e] for s, e in zip(starts.tolist(), ends.tolist())])
+        return tuple(name.decode() for name in table), codes
+    key = words[starts] & _WORD_MASK[np.minimum(lengths, 8)]
+    if longest > 8:
+        # Code each word on its own, then key the field by the pair of codes.
+        _, low = np.unique(key, return_inverse=True)
+        high_words = words[starts + 8] & _WORD_MASK[np.clip(lengths - 8, 0, 8)]
+        high_table, high = np.unique(high_words, return_inverse=True)
+        key = low * high_table.size + high
+    # return_index sorts stably, so it gives each key's first row.
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    first = first[order]
+    names = tuple(data[s:e].decode() for s, e in zip(starts[first].tolist(), ends[first].tolist()))
+    return names, rank[inverse]
+
+
+def _byte_columns(path: Path, data: bytes, text: str, starts: np.ndarray, ends: np.ndarray) -> _Columns:
+    """:func:`_columns` of the lines of ``data`` (decoded: ``text``) at
+    ``starts``/``ends``, cut at the commas found in one pass."""
+    header = data[starts[0] : ends[0]]
+    if header != _HEADER_LINE:
+        raise _bad_header(path, header.decode().split(",") if header else [])
+    buf = np.frombuffer(data, dtype=np.uint8)
+    commas = np.flatnonzero(buf == ord(","))
+    # A line's commas lie before the next line's start.
+    widths = np.diff(np.searchsorted(commas, np.append(starts[1:], len(data)))) + 1
+    linenos = np.arange(2, starts.size + 1)
+    nonblank = ends[1:] > starts[1:]
+    linenos, widths, starts, ends = (a[nonblank] for a in (linenos, widths, starts[1:], ends[1:]))
+    (wrong_width,) = np.nonzero(widths != len(CSV_HEADER))
+    n_rows = wrong_width[0] if wrong_width.size else widths.size
+    # The header's five commas come first, then five of each line kept.
+    cuts = commas[5 : 5 * (n_rows + 1)].reshape(n_rows, 5)
+    field_starts = [starts[:n_rows], *(cuts + 1).T]
+    field_ends = [*cuts.T, ends[:n_rows]]
+
+    padded = data + bytes(16)
+    words = np.ndarray((len(data) + 9,), dtype="<u8", buffer=padded, strides=(1,))
+    coded = [_code_fields(data, words, *bounds) for bounds in zip(field_starts[:5], field_ends[:5])]
+    # float() takes text that float() on bytes rejects, such as "\u0661".
+    value_fields = zip(field_starts[5].tolist(), field_ends[5].tolist())
+    if len(text) == len(data):  # ASCII: a byte offset is a character offset
+        value_text = [text[s:e] for s, e in value_fields]
     else:
-        records = lines
-        header = lines[0].split(",") if lines[0] else []
-    if header != CSV_HEADER:
-        raise IngestError(f"{path}: bad header {header!r}, expected {CSV_HEADER!r}")
-    return records[1:], lines is not None
+        value_text = [data[s:e].decode() for s, e in value_fields]
+    return linenos, widths, coded, value_text
 
 
-def _columns(path: Path) -> tuple[np.ndarray, np.ndarray, list[list[str]]]:
-    """The line numbers and field counts of the non-blank records after the
-    header, and the six columns of the records before the first one with
-    another field count."""
-    rows, plain = _read_records(path)
+def _reader_columns(path: Path, text: str) -> _Columns:
+    """:func:`_columns` of ``text`` cut by ``csv.reader``."""
+    try:
+        records = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise IngestError(f"cannot read {path}: {exc}") from exc
+    if records[0] != CSV_HEADER:
+        raise _bad_header(path, records[0])
+    rows = records[1:]
     linenos = np.arange(2, len(rows) + 2)
     if not all(rows):
-        nonblank = np.fromiter(map(bool, rows), dtype=bool, count=len(rows))
-        linenos = linenos[nonblank]
+        linenos = linenos[np.fromiter(map(bool, rows), dtype=bool, count=len(rows))]
         rows = [row for row in rows if row]
-
-    n_fields = len(CSV_HEADER)
-    if plain:
-        widths = np.fromiter(map(str.count, rows, repeat(",")), dtype=np.int64, count=len(rows)) + 1
-    else:
-        widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    (wrong_width,) = np.nonzero(widths != n_fields)
+    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    (wrong_width,) = np.nonzero(widths != len(CSV_HEADER))
     if wrong_width.size:
         rows = rows[: wrong_width[0]]
-    if not plain:
-        return linenos, widths, [list(map(itemgetter(k), rows)) for k in range(n_fields)]
-    # Every line left has n_fields fields, so field k of line j is flat[j * n_fields + k].
-    flat = ",".join(rows).split(",") if rows else []
-    return linenos, widths, [flat[k::n_fields] for k in range(n_fields)]
+    columns = [list(map(itemgetter(k), rows)) for k in range(len(CSV_HEADER))]
+    return linenos, widths, [_factorize(column) for column in columns[:5]], columns[5]
+
+
+def _columns(path: Path) -> _Columns:
+    """The line numbers and field counts of the non-blank records after the
+    checked header; and, of the records before the first one with another
+    field count, the five string columns coded in first-seen order and the
+    value texts."""
+    try:
+        data = path.read_bytes()
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestError(f"cannot read {path}: {exc}") from exc
+    if not data:
+        raise IngestError(f"{path}: empty file")
+    bounds = _line_bounds(data)
+    if bounds is None:
+        return _reader_columns(path, text)
+    return _byte_columns(path, data, text, *bounds)
 
 
 def _unusable_network_id(name: str) -> bool:
@@ -264,14 +334,12 @@ def read_pm_csv(path: str | Path) -> PmColumns:
     parsed once.
     """
     path = Path(path)
-    linenos, widths, columns = _columns(path)
-    network, port, facility, day_text, pm_name, value_text = columns
+    linenos, widths, coded, value_text = _columns(path)
+    (networks, network), (ports, port), (facilities, facility), (day_table, day_code), (pm_names, pm) = coded
     # Only the rows before the first wrong-width one can hold an earlier error.
-    n_rows = len(network)
+    n_rows = len(value_text)
 
-    day_table, day_code = _factorize(day_text)
-    ordinals = np.array([_ordinal(text) for text in day_table], dtype=np.int64)
-    day = ordinals[day_code]
+    day = np.array([_ordinal(text) for text in day_table], dtype=np.int64)[day_code]
     try:
         value = np.fromiter(map(float, value_text), dtype=np.float64, count=n_rows)
         not_numeric = np.zeros(n_rows, dtype=bool)
@@ -279,23 +347,19 @@ def read_pm_csv(path: str | Path) -> PmColumns:
         parsed = [_to_float(text) for text in value_text]
         not_numeric = np.array([v is None for v in parsed], dtype=bool)
         value = np.array([np.nan if v is None else v for v in parsed], dtype=np.float64)
-    network_table, network_code = _factorize(network)
-    facility_table, facility_code = _factorize(facility)
-    pm_table, pm_code = _factorize(pm_name)
-
-    empty_pm = np.array([not name for name in pm_table], dtype=bool)[pm_code]
-    bad_network = np.array([_unusable_network_id(name) for name in network_table], dtype=bool)[network_code]
+    empty_pm = np.array([not name for name in pm_names], dtype=bool)[pm]
+    bad_network = np.array([_unusable_network_id(name) for name in networks], dtype=bool)[network]
 
     # (failing rows, message) per check, in the order a line is checked.
     checks = [
-        (day < 0, lambda i: f"malformed date {day_text[i]!r}"),
-        (not_numeric, lambda i: f"non-numeric value {value_text[i]!r} for {pm_name[i]}"),
+        (day < 0, lambda i: f"malformed date {day_table[day_code[i]]!r}"),
+        (not_numeric, lambda i: f"non-numeric value {value_text[i]!r} for {pm_names[pm[i]]}"),
         (empty_pm, lambda i: "pm_name must be non-empty"),
         (
             ~np.isfinite(value),
-            lambda i: f"pm_value for {pm_name[i]} on {date.fromordinal(int(day[i]))} is not finite",
+            lambda i: f"pm_value for {pm_names[pm[i]]} on {date.fromordinal(int(day[i]))} is not finite",
         ),
-        (bad_network, lambda i: f"network_id {network[i]!r} cannot name a workspace directory"),
+        (bad_network, lambda i: f"network_id {networks[network[i]]!r} cannot name a workspace directory"),
     ]
     (bad,) = np.nonzero(np.logical_or.reduce([failing for failing, _ in checks]))
     if bad.size:
@@ -307,16 +371,15 @@ def read_pm_csv(path: str | Path) -> PmColumns:
             f"{path}:{linenos[n_rows]}: expected {len(CSV_HEADER)} fields, got {widths[n_rows]}"
         )
 
-    port_table, port_code = _factorize(port)
     return PmColumns(
-        networks=network_table,
-        ports=port_table,
-        facilities=facility_table,
-        pm_names=pm_table,
-        network=network_code,
-        port=port_code,
-        facility=facility_code,
-        pm=pm_code,
+        networks=networks,
+        ports=ports,
+        facilities=facilities,
+        pm_names=pm_names,
+        network=network,
+        port=port,
+        facility=facility,
+        pm=pm,
         day=day,
         value=value,
     )

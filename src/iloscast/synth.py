@@ -327,33 +327,40 @@ def generate(cfg: GenConfig, out_dir: str | Path) -> GenResult:
 
 
 def load_ground_truth(path: str | Path) -> list[OutageEvent]:
-    """Read ``ground_truth.csv``; :class:`DataError` names the path, and
-    the line of a bad header, date or precursor flag."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
+    """Read ``ground_truth.csv``; :class:`DataError` names the path of a
+    file that cannot be read, and the line of a bad header, date, precursor
+    flag or unreadable field."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:  # a directory in its place, say
+        raise DataError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     reader = csv.DictReader(lines)
-    if tuple(reader.fieldnames or ()) != TRUTH_HEADER:
-        raise DataError(f"{path}:1: header {reader.fieldnames} is not {list(TRUTH_HEADER)}")
-    events = []
-    for row in reader:
-        where = f"{path}:{reader.line_num}"
-        try:
-            outage = date.fromisoformat(row["outage_date"])
-        except (TypeError, ValueError):
-            raise DataError(f"{where}: bad outage_date {row['outage_date']!r}") from None
-        if row["has_precursor"] not in ("0", "1"):
-            raise DataError(f"{where}: has_precursor {row['has_precursor']!r} is not 0 or 1")
-        events.append(
-            OutageEvent(
-                network_id=row["network_id"],
-                port_id=row["port_id"],
-                outage_day=(outage - START_DATE).days,
-                has_precursor=row["has_precursor"] == "1",
+    try:
+        if tuple(reader.fieldnames or ()) != TRUTH_HEADER:
+            raise DataError(f"{path}:1: header {reader.fieldnames} is not {list(TRUTH_HEADER)}")
+        events = []
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            try:
+                outage = date.fromisoformat(row["outage_date"])
+            except (TypeError, ValueError):
+                raise DataError(f"{where}: bad outage_date {row['outage_date']!r}") from None
+            if row["has_precursor"] not in ("0", "1"):
+                raise DataError(f"{where}: has_precursor {row['has_precursor']!r} is not 0 or 1")
+            events.append(
+                OutageEvent(
+                    network_id=row["network_id"],
+                    port_id=row["port_id"],
+                    outage_day=(outage - START_DATE).days,
+                    has_precursor=row["has_precursor"] == "1",
+                )
             )
-        )
+    except csv.Error as exc:  # a field longer than csv.field_size_limit(), say
+        # DictReader.line_num is the last row read; its reader's counts the failing one.
+        raise DataError(f"{path}:{reader.reader.line_num}: {exc}") from None
     return events
 
 

@@ -103,6 +103,26 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, stage, key, value, message):
     assert not (tmp_path / "ws").exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"seed: 1\nworkspace: ws\xff\n", "config error: cannot read config "),
+        (b"seed: 1\n1: a\nnull: b\n", "config error: unknown config key(s) [1, None]"),
+        (b"seed: 1\ntrain:\n  1: a\n  null: b\n", "config error: unknown train key(s) [1, None]"),
+    ],
+    ids=["not-utf8", "mixed-keys", "mixed-section-keys"],
+)
+def test_cli_unreadable_config_exits_2(tmp_path, capsys, monkeypatch, text, message):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "run.yaml"
+    path.write_bytes(text)
+    assert cli_entry(["synth", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_config_keys_match_the_settings_they_fill():
     """Every key of the config table reaches a field of the object it fills."""
     from dataclasses import fields

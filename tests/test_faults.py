@@ -1,5 +1,5 @@
-"""Damaged stage containers end in their documented exit code, never in a
-traceback.
+"""Damaged stage containers and bad PM CSVs end in their documented exit
+code, never in a traceback.
 
 Each case damages one container of a small built workspace, runs the stage
 that reads it and puts the original bytes back. ``series.ilos`` is read by
@@ -8,10 +8,15 @@ container before they compute or write anything. Damage is deterministic:
 seeded cut points, and every byte of the container header and seeded bytes
 of its metadata and index blocks flipped (XOR 0xFF). Flips of payload bytes
 are not covered: the container holds no checksum, so they go undetected.
+
+The PM CSV cases ingest edited lines of the workspace's generated CSV into
+a workspace of their own, and a ``ground_truth.csv`` field longer than
+``csv.field_size_limit()`` is read by ``evaluate``.
 """
 
 from __future__ import annotations
 
+import csv
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -28,7 +33,8 @@ STAGES = {"ingest/net1/series.ilos": "build", "build/net1/windows.ilos": "train"
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """A workspace built up to windows, and the CLI arguments that name it."""
+    """A workspace built up to trained models, and the CLI arguments that
+    name it."""
     tmp = tmp_path_factory.mktemp("faults")
     cfg = RunConfig(
         seed=3,
@@ -36,7 +42,7 @@ def workspace(tmp_path_factory):
         synth={"ports_per_network": [20, 15], "days": 60},
         train={"models": ["booster"], "grid": [2]},
     )
-    for stage in ("synth", "ingest", "build"):
+    for stage in ("synth", "ingest", "build", "train"):
         run_stage(stage, cfg)
     config = tmp / "run.yaml"
     cfg.dump(config)
@@ -157,3 +163,92 @@ def test_inconsistent_container_exits_1(workspace, capsys, artifact):
         code, err = run_damaged(workspace, capsys, artifact, rewritten(path, edit))
         assert code == 1, f"{name}: {err}"
         assert f"{path}: " in err, name
+
+
+def ingest_text(tmp_path, capsys, text: str, name: str = "case") -> tuple[int, str, Path]:
+    """Exit code and stderr of ``ingest`` of one CSV holding ``text``, and
+    the workspace it wrote."""
+    csv_path = tmp_path / f"{name}.csv"
+    csv_path.write_bytes(text.encode("utf-8"))
+    cfg = RunConfig(seed=3, workspace=str(tmp_path / f"{name}-ws"), ingest={"inputs": [str(csv_path)]})
+    config = tmp_path / f"{name}.yaml"
+    cfg.dump(config)
+    code = cli_entry(["ingest", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err, Path(cfg.workspace)
+
+
+@pytest.fixture(scope="module")
+def pm_lines(workspace):
+    """The header and the first 400 data lines of the generated net1.csv."""
+    return (workspace[0] / "synth" / "net1.csv").read_text(encoding="utf-8").splitlines()[:401]
+
+
+def set_value(lines: list[str], row: int, value: str) -> list[str]:
+    """``lines`` with the pm_value of data line ``row`` replaced."""
+    fields = lines[row + 1].split(",")
+    return [*lines[: row + 1], ",".join([*fields[:5], value]), *lines[row + 2 :]]
+
+
+#: (edit of the lines to the CSV text, README exit code, stderr part) per case.
+INGEST_CASES = {
+    "crlf": (lambda lines: "\r\n".join(lines) + "\r\n", 0, ""),
+    "bom": (lambda lines: "\ufeff" + "\n".join(lines) + "\n", 1, "case.csv: bad header ['\\ufeffnetwork_id'"),
+    "inf": (lambda lines: "\n".join(set_value(lines, 7, "inf")) + "\n", 1, "case.csv:9: pm_value for"),
+    "nan": (lambda lines: "\n".join(set_value(lines, 7, "nan")) + "\n", 1, "case.csv:9: pm_value for"),
+    "empty": (lambda lines: "", 1, "case.csv: empty file"),
+    "header-only": (lambda lines: lines[0] + "\n", 1, "no records found in the input files"),
+    "non-ascii-port": (lambda lines: "\n".join(lines).replace(",p0000,", ",p\u00e9,") + "\n", 0, ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INGEST_CASES))
+def test_ingest_csv_case_exit_code(tmp_path, capsys, pm_lines, case):
+    edit, expected, message = INGEST_CASES[case]
+    code, err, ws = ingest_text(tmp_path, capsys, edit(pm_lines))
+    assert code == expected, err
+    assert message in err
+    if not expected:
+        assert (ws / "ingest" / "net1" / "series.ilos").is_file()
+
+
+def test_ingest_non_ascii_digit_reads_as_its_digit(tmp_path, capsys, pm_lines):
+    """A value written with ARABIC-INDIC DIGIT ONE ingests to the same
+    series bytes as one written with 1: values pass through float() as text."""
+    blobs = []
+    for name, digit in (("ascii", "1"), ("arabic", "\u0661")):
+        code, err, ws = ingest_text(tmp_path, capsys, "\n".join(set_value(pm_lines, 7, digit)) + "\n", name)
+        assert code == 0, err
+        blobs.append((ws / "ingest" / "net1" / "series.ilos").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+def test_ground_truth_field_over_limit_exits_1(workspace, capsys):
+    root, args = workspace
+    truth = root / "synth" / "ground_truth.csv"
+    lines = truth.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[3] = "net1,p0002," + "x" * (csv.field_size_limit() + 1) + ",1\n"
+    with replaced(truth, "".join(lines).encode()):
+        code = cli_entry(["evaluate", *args])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"{truth}:4: field larger than field limit" in err
+    assert "Traceback" not in err
+
+
+def test_ground_truth_directory_exits_1(workspace, capsys):
+    root, args = workspace
+    truth = root / "synth" / "ground_truth.csv"
+    original = truth.read_bytes()
+    truth.unlink()
+    truth.mkdir()
+    try:
+        code = cli_entry(["evaluate", *args])
+    finally:
+        truth.rmdir()
+        truth.write_bytes(original)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"cannot read {truth}" in err
+    assert "Traceback" not in err

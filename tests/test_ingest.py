@@ -507,16 +507,16 @@ def test_undecodable_file_is_an_ingest_error(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Plain split against csv.reader
+# Byte path against csv.reader
 
 
 def cut_or_message(path):
     """``_columns`` of ``path`` as lists, or its IngestError message."""
     try:
-        linenos, widths, columns = ingest._columns(path)
+        linenos, widths, coded, value_text = ingest._columns(path)
     except IngestError as exc:
         return str(exc)
-    return linenos.tolist(), widths.tolist(), columns
+    return linenos.tolist(), widths.tolist(), [(table, codes.tolist()) for table, codes in coded], value_text
 
 
 def parse_or_message(path):
@@ -528,27 +528,45 @@ def parse_or_message(path):
 
 def csv_reader_only():
     """Within the block every text goes to csv.reader."""
-    return patch.object(ingest, "_plain_lines", lambda text: None)
+    return patch.object(ingest, "_line_bounds", lambda data: None)
 
 
-#: Pieces of CSV text, each made of , \n \r " a 0 space and NUL.
-ANY_PIECES = [",", "\n", "\r", "\r\n", '"', "a", "0", " ", "\0", "a,0, ,a,0,a"]
-#: The pieces that a plain split cuts as csv.reader does.
-PLAIN_PIECES = [",", "\n", "\r\n", "a", "0", " ", "a,0, ,a,0,a"]
+#: A field longer than 16 bytes, which the byte path codes by a dict.
+LONG = "abcdefghijklmnopq"
+#: Pieces of CSV text, each made of , \n \r " a 0 space NUL, a non-ASCII
+#: letter and digit and a field of 9-16 bytes or longer.
+ANY_PIECES = [",", "\n", "\r", "\r\n", '"', "a", "0", " ", "\0", "a,0, ,a,0,a", "\u00e9", "\u0661", "2020-01-02", LONG]
+#: The pieces that the byte path cuts as csv.reader does.
+PLAIN_PIECES = [",", "\n", "\r\n", "a", "0", " ", "a,0, ,a,0,a", "\u00e9", "\u0661", "2020-01-02", LONG]
+#: Fields of six-field lines that parse, so that coded columns and values
+#: are compared too: one and two words, longer than 16 bytes, non-ASCII.
+FIELD_CHOICES = [
+    ["net1", "n\u00e9t", "net1" + LONG, "net1" + LONG + "2"],
+    ["p1", "p\u00e9", "p0000000012", "p0000000013", LONG + LONG, ""],
+    ["OTM", "ETH", ""],
+    ["2020-01-02", "2020-01-03"],
+    ["QAVG", "UAS", "QSTDEVIATION", LONG],
+    ["1", "-0", "\u0661", "\u0663.\u0665", "1.5e3", " 2 ", "1_0", "0.000001234567890123"],
+]
+ROWS = st.lists(
+    st.tuples(*(st.sampled_from(choices) for choices in FIELD_CHOICES), st.sampled_from(["\n", "\r\n", "\n\n"])),
+    max_size=8,
+).map(lambda rows: "".join(",".join(row[:6]) + row[6] for row in rows))
 
 
 @given(
     header=st.sampled_from(["", HEADER, HEADER.replace("\n", "\r\n")]),
     body=st.one_of(
-        st.lists(st.sampled_from(ANY_PIECES), max_size=40),
-        st.lists(st.sampled_from(PLAIN_PIECES), max_size=40),
-    ).map("".join),
+        st.lists(st.sampled_from(ANY_PIECES), max_size=40).map("".join),
+        st.lists(st.sampled_from(PLAIN_PIECES), max_size=40).map("".join),
+        ROWS,
+    ),
 )
-@settings(max_examples=400, deadline=None)
-def test_plain_split_cuts_as_csv_reader(tmp_path_factory, header, body):
-    """Same line numbers, field counts and columns, or the same message,
-    whichever path a text takes; a text without a quote, a NUL or a \\r
-    outside \\r\\n takes the plain split."""
+@settings(max_examples=600, deadline=None)
+def test_byte_path_cuts_as_csv_reader(tmp_path_factory, header, body):
+    """Same line numbers, field counts, coded columns and value texts, or
+    the same message, whichever path a text takes; a text without a quote,
+    a NUL or a \\r outside \\r\\n takes the byte path."""
     text = header + body
     path = tmp_path_factory.getbasetemp() / "split_vs_csv.csv"
     path.write_bytes(text.encode())
@@ -558,26 +576,44 @@ def test_plain_split_cuts_as_csv_reader(tmp_path_factory, header, body):
     assert parse_or_message(path) == expected_parse
     if text:
         plain = '"' not in text and "\0" not in text and "\r" not in text.replace("\r\n", "")
-        assert (ingest._plain_lines(text) is not None) == plain
+        assert (ingest._line_bounds(text.encode()) is not None) == plain
+
+
+def test_byte_path_columns_equal_csv_reader_on_generated_files(tmp_path):
+    """The generator's files at BENCH_SEED parse to the same PmColumns on
+    both paths, to the bit."""
+    from iloscast.benchmark import BENCH_SEED
+    from iloscast.synth import GenConfig, generate
+
+    for path in generate(GenConfig(seed=BENCH_SEED), tmp_path).csv_paths:
+        assert ingest._line_bounds(path.read_bytes()) is not None
+        got = read_pm_csv(path)
+        with csv_reader_only():
+            expected = read_pm_csv(path)
+        for table, code, _ in CODED:
+            assert getattr(got, table) == getattr(expected, table)
+            assert getattr(got, code).dtype == getattr(expected, code).dtype
+        for name in ("network", "port", "facility", "pm", "day", "value"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
 
 
 def test_line_longer_than_field_size_limit_goes_to_csv_reader(tmp_path):
     limit = csv.field_size_limit()
     too_long = "net1,p1,OTM,2020-01-01,QAVG," + "1" * (limit + 1) + "\n"
     path = write_csv(tmp_path, GOOD + too_long)
-    assert ingest._plain_lines(path.read_text()) is None
+    assert ingest._line_bounds(path.read_bytes()) is None
     with pytest.raises(IngestError, match=rf"cannot read .*pm.csv: field larger than field limit \({limit}\)"):
         read_pm_csv(path)
 
     # Under a lower limit, a line longer than it whose fields fit parses as
-    # csv.reader parses it, and one that fits takes the plain split.
+    # csv.reader parses it, and one that fits takes the byte path.
     csv.field_size_limit(len(HEADER))
     try:
         long_line = "net1,p1,OTM,2020-01-01,QAVG," + "1" * 40 + "\n"
         path = write_csv(tmp_path, GOOD + long_line)
-        assert ingest._plain_lines(path.read_text()) is None
+        assert ingest._line_bounds(path.read_bytes()) is None
         assert to_records(read_pm_csv(path)) == reference_parse(path)
         path = write_csv(tmp_path, GOOD)
-        assert ingest._plain_lines(path.read_text()) is not None
+        assert ingest._line_bounds(path.read_bytes()) is not None
     finally:
         csv.field_size_limit(limit)
