@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
+from typing import Iterator
 
 import click
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import ConfigError, DataError, IloscastError, IndicatorError, Missi
 from .ingest import PortSeries
 # read_container and write_container are not called here; they stay bound
 # in this module, where perfbench's tracer looks them up.
-from .container import read_container, read_json, write_container, write_csv, write_json  # noqa: F401
+from .container import read_container, read_json, text_cells, write_container, write_csv, write_json  # noqa: F401
 from . import metrics
 from .pipeline import (
     DEFAULT_GRID,
@@ -349,11 +350,11 @@ def _save_model(
     write_json(ws.write("models", trained.name, "meta.json"), meta)
     if trained.history:
         keys = list(trained.history[0])
-        rows = (
-            [repr(row[k]) if isinstance(row[k], float) else str(row[k]) for k in keys]
+        lines = (
+            ",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k]) for k in keys)
             for row in trained.history
         )
-        write_csv(ws.write("models", trained.name, "history.csv"), keys, rows, lineterminator="\n")
+        write_csv(ws.write("models", trained.name, "history.csv"), keys, lines, lineterminator="\n")
 
 
 def stage_train(cfg: RunConfig, ws: Workspace) -> None:
@@ -521,12 +522,24 @@ def stage_evaluate(cfg: RunConfig, ws: Workspace) -> None:
         # tracer counts every ``pr_curve`` call.
         curve = metrics.pr_curve(scores, ds.label[idx])
         metrics.write_curve_csv(ws.write("eval", trained.name, "pr_curve.csv"), curve)
-        rows = (
-            [f"{ds.network[i]}:{ds.port[i]}:{int(ds.present_day[i])}", repr(float(s))]
-            for i, s in zip(idx, scores)
-        )
         pred_path = ws.write("eval", trained.name, "predictions.csv")
-        write_csv(pred_path, ["sample_id", "score"], rows, lineterminator="\n")
+        write_csv(pred_path, ["sample_id", "score"], _prediction_lines(ds, idx, scores), lineterminator="\n")
+
+
+def _prediction_lines(ds: WindowDataset, idx: np.ndarray, scores: np.ndarray) -> Iterator[str]:
+    """predictions.csv lines ``network:port:day,score`` of samples ``idx``;
+    the id prefix is rendered once per run of samples of one port."""
+    network, port = ds.network[idx], ds.port[idx]
+    new_run = np.ones(idx.size, dtype=bool)
+    new_run[1:] = (network[1:] != network[:-1]) | (port[1:] != port[:-1])
+    starts = np.flatnonzero(new_run)
+    cells = text_cells((f"{n}:{p}:" for n, p in zip(network[starts], port[starts])), "\n")
+    # csv.writer quotes the whole sample id, so a quoted prefix closes after the day.
+    heads = [c[:-1] if c[:1] == '"' else c for c in cells]
+    tails = ['",' if c[:1] == '"' else "," for c in cells]
+    runs = (np.cumsum(new_run) - 1).tolist()
+    columns = (runs, ds.present_day[idx].tolist(), scores.tolist())
+    return (f"{heads[r]}{d}{tails[r]}{s!r}" for r, d, s in zip(*columns))
 
 
 def stage_report(cfg: RunConfig, ws: Workspace) -> None:

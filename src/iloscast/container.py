@@ -16,7 +16,8 @@ temporary file beside the target and moves it into place only once it is
 complete, so an interrupted write leaves the previous artifact intact.
 ``read_json`` reads the JSON artifacts that sit beside containers (model
 metadata, tree ensembles, scores) with the same error mapping, and
-``write_json`` writes them; ``write_csv`` writes every CSV artifact.
+``write_json`` writes them; ``write_csv`` writes every CSV artifact from
+lines its callers build, with the cells of names from ``text_cells``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ import os
 import secrets
 import struct
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -39,6 +42,9 @@ VERSION = 1
 
 # dtypes allowed in the payload; anything else must be stored in metadata
 _ALLOWED_DTYPES = {"float64", "float32", "int64", "int32", "int8", "uint8", "bool"}
+
+#: CSV lines joined into one write by :func:`write_csv`.
+_CSV_BLOCK = 1024
 
 
 @contextmanager
@@ -66,17 +72,38 @@ def write_json(path: str | Path, obj) -> None:
         fh.write(json.dumps(obj, sort_keys=True, indent=2))
 
 
+def text_cells(names: Iterable[str], lineterminator: str = "\r\n") -> list[str]:
+    """Each of ``names`` as ``csv.writer`` writes it as one cell of a row of
+    two or more cells in a file with ``lineterminator`` line ends.
+
+    ``csv.writer`` renders each name itself, as the first cell of a row
+    ``[name, ""]``, so quoting follows it exactly on every Python version.
+    """
+    rows: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator=lineterminator)
+    writer.writerows((name, "") for name in names)
+    cut = len(lineterminator) + 1  # the "," before the empty cell, and the line end
+    return [row[:-cut] for row in rows]
+
+
 def write_csv(
     path: str | Path,
     header: Sequence[str],
-    rows: Iterable[Sequence],
+    lines: Iterable[str],
     lineterminator: str = "\r\n",
 ) -> None:
-    """Write a header row and ``rows`` as UTF-8 CSV atomically."""
+    """Write ``header`` and ``lines``, records already formatted without
+    their line ends, as UTF-8 CSV atomically.
+
+    Lines go out in blocks of ``_CSV_BLOCK``, so no string of the whole
+    file is ever built.
+    """
+    records = iter(lines)
     with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator=lineterminator)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(text_cells(header, lineterminator)) + lineterminator)
+        while block := list(islice(records, _CSV_BLOCK)):
+            fh.write(lineterminator.join(block))
+            fh.write(lineterminator)
 
 
 def write_container(

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import decoding, read_container, require_keys, write_container, write_csv
+from .container import decoding, read_container, require_keys, text_cells, write_container, write_csv
 from .errors import DataError
 from .ingest import PortSeries
 from .missing import compute_mask, compute_time_gaps, flatten_for_trees, impute_median, impute_zero, train_medians
@@ -43,12 +43,15 @@ from .windows import (
 class Audit:
     """One row per emitted window, kept or dropped, as columns.
 
-    ``present_day`` holds date ordinals; ``reason`` holds codes into
-    :data:`~iloscast.windows.REASONS`, 0 for a kept window.
+    ``port`` holds each window's index into the block's ``network_ids``
+    and ``port_ids`` tables; ``present_day`` holds date ordinals;
+    ``reason`` holds codes into :data:`~iloscast.windows.REASONS`, 0 for a
+    kept window.
     """
 
-    network_id: np.ndarray
-    port_id: np.ndarray
+    network_ids: np.ndarray
+    port_ids: np.ndarray
+    port: np.ndarray
     present_day: np.ndarray
     label: np.ndarray
     reason: np.ndarray
@@ -234,9 +237,7 @@ def build_dataset(
     windows = stack_windows(series, schema, past_days, future_days)
     label = window_labels(windows.future_uas, windows.future_hccs)
     reason = filter_reasons(windows.x, windows.future_observed, schema)
-    network = series.network_id[windows.port]
-    port = series.port_id[windows.port]
-    audit = Audit(network, port, windows.present_day, label, reason)
+    audit = Audit(series.network_id, series.port_id, windows.port, windows.present_day, label, reason)
 
     keep = reason == 0
     if not keep.any():
@@ -250,8 +251,8 @@ def build_dataset(
         schema=schema,
         x=x,
         label=label[keep],
-        network=network[keep],
-        port=port[keep],
+        network=series.network_id[windows.port[keep]],
+        port=series.port_id[windows.port[keep]],
         present_day=days,
         split=assignment.tags,
         norm=norm,
@@ -263,15 +264,14 @@ def build_dataset(
 
 
 def write_audit_csv(path: str | Path, audit: Audit) -> None:
+    """Write one line per window, joined from three tables: a prefix per
+    port, a date per day and a tail per (label, reason) pair."""
+    net, port = text_cells(audit.network_ids.tolist()), text_cells(audit.port_ids.tolist())
+    prefix = [f"{n},{p}," for n, p in zip(net, port)]
     days, day_index = np.unique(audit.present_day, return_inverse=True)
-    iso = np.array([date.fromordinal(d).isoformat() for d in days.tolist()], dtype=object)
-    reason = np.array([r or "" for r in REASONS], dtype=object)[audit.reason]
-    rows = zip(
-        audit.network_id.tolist(),
-        audit.port_id.tolist(),
-        iso[day_index].tolist(),
-        audit.label.tolist(),
-        audit.kept.astype(int).tolist(),
-        reason.tolist(),
-    )
-    write_csv(path, ["network_id", "port_id", "present_day", "label", "kept", "reason"], rows)
+    iso = [f"{date.fromordinal(d).isoformat()}," for d in days.tolist()]
+    reasons = text_cells(r or "" for r in REASONS)
+    tail = [f"{label},{int(code == 0)},{r}" for label in (0, 1) for code, r in enumerate(reasons)]
+    codes = zip(audit.port.tolist(), day_index.tolist(), (audit.label * len(REASONS) + audit.reason).tolist())
+    lines = (f"{prefix[p]}{iso[d]}{tail[t]}" for p, d, t in codes)
+    write_csv(path, ["network_id", "port_id", "present_day", "label", "kept", "reason"], lines)

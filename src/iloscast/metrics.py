@@ -103,6 +103,5 @@ def weighted_average(scores: list[float], sizes: list[int]) -> float:
 
 
 def write_curve_csv(path: str | Path, curve: PrCurve) -> None:
-    columns = zip(curve.thresholds, curve.precisions, curve.recalls)
-    rows = ([repr(float(v)) for v in row] for row in columns)
-    write_csv(path, ["threshold", "precision", "recall"], rows)
+    columns = (curve.thresholds.tolist(), curve.precisions.tolist(), curve.recalls.tolist())
+    write_csv(path, ["threshold", "precision", "recall"], (f"{t!r},{p!r},{r!r}" for t, p, r in zip(*columns)))

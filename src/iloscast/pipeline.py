@@ -55,7 +55,7 @@ def ingest_csvs(
     """
     parts = [read_pm_csv(path) for path in paths]
     if not sum(map(len, parts)):
-        raise DataError("no records found in the input files")
+        raise DataError(f"no records found in the input files: {', '.join(map(str, paths))}")
     rows = PmColumns.concat(parts)
     out = {}
     for code, net in sorted(enumerate(rows.networks), key=lambda item: item[1]):

@@ -14,12 +14,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import date, timedelta
+from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .container import write_csv
+from .container import text_cells, write_csv
 from .errors import ConfigError, DataError
 
 START_DATE = date(2024, 1, 1)
@@ -262,12 +263,16 @@ PM_HEADER = ("network_id", "port_id", "facility_type", "date", "pm_name", "pm_va
 TRUTH_HEADER = ("network_id", "port_id", "outage_date", "has_precursor")
 
 
-def _pm_rows(
+def _pm_lines(
     cfg: GenConfig, net_drafts: list[_PortDraft], vocab: tuple[str, ...]
-) -> Iterator[list]:
-    """One network's PM CSV rows: per port, the observed cells in
+) -> Iterator[list[str]]:
+    """One network's PM CSV lines, a list per port: the observed cells in
     day × facility × PM order."""
+    # Each line joins a "network,port,facility," head, a "date,pm," middle
+    # and the value; heads and middles are built once.
     dates = [(START_DATE + timedelta(days=day)).isoformat() for day in range(cfg.days)]
+    pm_cells = text_cells(vocab)
+    middles = np.array([f"{d},{pm}," for d in dates for pm in pm_cells], dtype=object).reshape(cfg.days, -1)
     # Row f is added to facility f's values. The primary's 0.0 also turns
     # a -0.0 into 0.0, which would otherwise print as "-0".
     offsets = np.zeros((len(FACILITY_MIX), len(vocab)))
@@ -277,8 +282,10 @@ def _pm_rows(
         emit[:, 1:, _COUNTER_COLS] = False
         day, fac, pm = np.nonzero(emit)
         values = draft.values[day, pm] + offsets[fac, pm]
-        for d, f, p, v in zip(day.tolist(), fac.tolist(), pm.tolist(), values.tolist()):
-            yield [draft.network_id, draft.port_id, draft.facilities[f], dates[d], vocab[p], f"{v:.6g}"]
+        net, port, *facilities = text_cells([draft.network_id, draft.port_id, *draft.facilities])
+        heads = np.array([f"{net},{port},{f}," for f in facilities], dtype=object)
+        columns = (heads[fac].tolist(), middles[day, pm].tolist(), values.tolist())
+        yield [f"{h}{m}{v:.6g}" for h, m, v in zip(*columns)]
 
 
 def generate(cfg: GenConfig, out_dir: str | Path) -> GenResult:
@@ -302,16 +309,18 @@ def generate(cfg: GenConfig, out_dir: str | Path) -> GenResult:
     csv_paths: list[Path] = []
     for net_idx, (net_drafts, vocab) in enumerate(zip(drafts, vocabs)):
         path = out_dir / f"net{net_idx + 1}.csv"
-        write_csv(path, PM_HEADER, _pm_rows(cfg, net_drafts, vocab))
+        write_csv(path, PM_HEADER, chain.from_iterable(_pm_lines(cfg, net_drafts, vocab)))
         csv_paths.append(path)
 
     truth_path = out_dir / "ground_truth.csv"
+    truth = sorted(events, key=lambda e: (e.network_id, e.port_id))
+    ids = text_cells(name for ev in truth for name in (ev.network_id, ev.port_id))
     write_csv(
         truth_path,
         TRUTH_HEADER,
         (
-            [ev.network_id, ev.port_id, ev.outage_date().isoformat(), int(ev.has_precursor)]
-            for ev in sorted(events, key=lambda e: (e.network_id, e.port_id))
+            f"{net},{port},{ev.outage_date().isoformat()},{int(ev.has_precursor)}"
+            for ev, net, port in zip(truth, ids[0::2], ids[1::2])
         ),
     )
 

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iloscast import container
-from iloscast.container import MAGIC, read_container, read_json, write_container, write_csv, write_json
+from iloscast.container import MAGIC, read_container, read_json, text_cells, write_container, write_csv, write_json
 from iloscast.errors import DataError
 
 
@@ -114,8 +119,9 @@ def _write_audit(path, n):
     write_audit_csv(
         path,
         Audit(
-            network_id=np.array(["net1"] * n, dtype=object),
-            port_id=np.array(["p1"] * n, dtype=object),
+            network_ids=np.array(["net1"], dtype=object),
+            port_ids=np.array(["p1"], dtype=object),
+            port=np.zeros(n, dtype=np.int64),
             present_day=np.arange(n, dtype=np.int64) + 738000,
             label=np.zeros(n, dtype=np.int8),
             reason=np.zeros(n, dtype=np.int8),
@@ -143,7 +149,7 @@ WRITERS = {
     "tree_model": _write_tree_model,
     "curve_csv": _write_curve,
     # history.csv, predictions.csv, the synth CSVs and ground_truth.csv
-    "csv": lambda path, n: write_csv(path, ["i", "square"], ([i, i * i] for i in range(n)), "\n"),
+    "csv": lambda path, n: write_csv(path, ["i", "square"], (f"{i},{i * i}" for i in range(n)), "\n"),
 }
 
 
@@ -166,6 +172,25 @@ def test_interrupted_write_keeps_previous_artifact(tmp_path, monkeypatch, kind):
     WRITERS[kind](path, 500)
     assert path.read_bytes() != before
     assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+#: Names built from the characters that make csv.writer quote a cell, and
+#: from characters that do not.
+NAMES = st.one_of(st.just(""), st.text(alphabet=[",", '"', "\r", "\n", ":", " ", "\u00e9", "\u0416", "\u00df"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=st.lists(st.lists(NAMES, min_size=2, max_size=4), min_size=1, max_size=5))
+def test_written_name_cells_equal_csv_writer(tmp_path_factory, rows):
+    """Lines joined from text_cells, header included, are the bytes
+    csv.writer writes for the same rows, under either line end."""
+    path = tmp_path_factory.getbasetemp() / "names.csv"
+    for lineterminator in ("\r\n", "\n"):
+        lines = (",".join(text_cells(row, lineterminator)) for row in rows[1:])
+        write_csv(path, rows[0], lines, lineterminator)
+        expected = io.StringIO(newline="")
+        csv.writer(expected, lineterminator=lineterminator).writerows(rows)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_read_json_names_missing_keys(tmp_path):

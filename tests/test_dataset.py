@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 from datetime import date, timedelta
 
 import numpy as np
@@ -94,13 +96,28 @@ def test_save_load_round_trip(tmp_path, schema):
     assert loaded.split_bounds == ds.split_bounds
 
 
+def audit_columns(audit):
+    """Per-window network ids, port ids, days, labels and reason codes."""
+    return (
+        audit.network_ids[audit.port].tolist(),
+        audit.port_ids[audit.port].tolist(),
+        audit.present_day.tolist(),
+        audit.label.tolist(),
+        audit.reason.tolist(),
+    )
+
+
 def test_audit_csv(tmp_path, schema):
+    """audit.csv holds the bytes csv.writer writes for the audit's rows."""
     ds, audit = build_fixture(schema)
     path = tmp_path / "audit.csv"
     write_audit_csv(path, audit)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "network_id,port_id,present_day,label,kept,reason"
-    assert len(lines) == 1 + len(audit)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["network_id", "port_id", "present_day", "label", "kept", "reason"])
+    for net, port, day, label, code in zip(*audit_columns(audit)):
+        writer.writerow([net, port, date.fromordinal(day).isoformat(), label, int(code == 0), REASONS[code] or ""])
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 def test_no_samples_survive_raises(schema):
@@ -255,15 +272,8 @@ def test_build_matches_reference_loop(schema, indicators):
         np.testing.assert_array_equal(ds.norm.mean.view(np.uint64), expected["norm"].mean.view(np.uint64))
         np.testing.assert_array_equal(ds.norm.std.view(np.uint64), expected["norm"].std.view(np.uint64))
         assert ds.norm.unobserved == expected["norm"].unobserved
-        rows = list(
-            zip(
-                audit.network_id.tolist(),
-                audit.port_id.tolist(),
-                audit.present_day.tolist(),
-                audit.label.tolist(),
-                [REASONS[c] for c in audit.reason.tolist()],
-            )
-        )
+        net, port, day, label, code = audit_columns(audit)
+        rows = list(zip(net, port, day, label, [REASONS[c] for c in code]))
         assert rows == expected_audit
     assert built >= (20 if indicators else 0)
     expected_reasons = {None, "empty_past", "empty_future", "no_traffic", "los_today"}
@@ -275,9 +285,7 @@ def test_audit_csv_matches_reference_rows(tmp_path, schema):
     path = tmp_path / "audit.csv"
     write_audit_csv(path, audit)
     expected = ["network_id,port_id,present_day,label,kept,reason"]
-    for net, port, day, label, code in zip(
-        audit.network_id, audit.port_id, audit.present_day, audit.label, audit.reason
-    ):
+    for net, port, day, label, code in zip(*audit_columns(audit)):
         reason = REASONS[code] or ""
-        expected.append(f"{net},{port},{date.fromordinal(int(day)).isoformat()},{label},{int(code == 0)},{reason}")
+        expected.append(f"{net},{port},{date.fromordinal(day).isoformat()},{label},{int(code == 0)},{reason}")
     assert path.read_bytes() == ("\r\n".join(expected) + "\r\n").encode()

@@ -17,6 +17,7 @@ a workspace of their own, and a ``ground_truth.csv`` field longer than
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -211,6 +212,58 @@ def test_ingest_csv_case_exit_code(tmp_path, capsys, pm_lines, case):
     assert message in err
     if not expected:
         assert (ws / "ingest" / "net1" / "series.ilos").is_file()
+
+
+def test_ingest_header_only_inputs_names_each_file(tmp_path, capsys, pm_lines):
+    paths = [tmp_path / f"{name}.csv" for name in ("first", "second")]
+    for path in paths:
+        path.write_text(pm_lines[0] + "\n", encoding="utf-8")
+    cfg = RunConfig(seed=3, workspace=str(tmp_path / "ws"), ingest={"inputs": [str(p) for p in paths]})
+    config = tmp_path / "run.yaml"
+    cfg.dump(config)
+    code = cli_entry(["ingest", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert f"no records found in the input files: {paths[0]}, {paths[1]}" in err
+    assert "Traceback" not in err
+
+
+def test_quoted_ids_reach_csv_artifacts_as_csv_writer_writes_them(workspace, tmp_path, capsys):
+    """A port_id holding a comma and a double quote goes through ingest,
+    build, train and evaluate; audit.csv and predictions.csv read back to
+    the original id and hold the bytes csv.writer writes for their rows."""
+    odd = 'p,"0001'
+    inputs = []
+    for name in ("net1.csv", "net2.csv"):
+        with open(workspace[0] / "synth" / name, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows:
+            row[1] = odd if row[1] == "p0001" and row[0] == "net1" else row[1]
+        inputs.append(tmp_path / name)
+        with open(inputs[-1], "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    cfg = RunConfig(
+        seed=3,
+        workspace=str(tmp_path / "ws"),
+        ingest={"inputs": [str(p) for p in inputs]},
+        train={"models": ["booster"], "grid": [2]},
+    )
+    config = tmp_path / "run.yaml"
+    cfg.dump(config)
+    for stage in ("ingest", "build", "train", "evaluate"):
+        code = cli_entry([stage, "--config", str(config)])
+        assert code == 0, capsys.readouterr().err
+    root = Path(cfg.workspace)
+    for path, lineterminator, column, prefix in (
+        (root / "build" / "net1" / "audit.csv", "\r\n", 1, odd),
+        (root / "eval" / "booster_net1" / "predictions.csv", "\n", 0, f"net1:{odd}:"),
+    ):
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert any(row[column].startswith(prefix) for row in rows[1:]), path
+        expected = io.StringIO(newline="")
+        csv.writer(expected, lineterminator=lineterminator).writerows(rows)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8"), path
 
 
 def test_ingest_non_ascii_digit_reads_as_its_digit(tmp_path, capsys, pm_lines):
