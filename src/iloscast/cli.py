@@ -28,9 +28,7 @@ import yaml
 from .dataset import WindowDataset, write_audit_csv
 from .errors import ConfigError, DataError, IloscastError, IndicatorError, MissingArtifactError, NumericError
 from .ingest import PortSeries
-# read_container and write_container are not called here; they stay bound
-# in this module, where perfbench's tracer looks them up.
-from .container import read_container, read_json, text_cells, write_container, write_csv, write_json  # noqa: F401
+from .container import decoding, read_container, read_json, require_keys, text_cells, write_container, write_csv, write_json
 from . import metrics
 from .pipeline import (
     DEFAULT_GRID,
@@ -328,26 +326,23 @@ def _train_options(cfg: RunConfig) -> tuple[list[str], dict]:
     }
 
 
-def _model_file(kind: str) -> str:
-    """The parameter file name of a model of ``kind``."""
-    return "model.ilos" if kind == "brits" else "model.json"
-
-
 def _save_model(
     ws: Workspace, trained: TrainedModel, dataset_scope: str, parent_hash: str | None = None
 ) -> None:
-    trained.model.save(ws.write("models", trained.name, _model_file(trained.kind)))
-    meta = {
-        "name": trained.name,
-        "kind": trained.kind,
-        "scope": trained.scope,
-        "dataset": dataset_scope,
-        "imputation": trained.imputation,
-        "grid_scores": trained.grid_scores,
-    }
+    """Write ``models/<name>/model.ilos``, the model's parameters and
+    settings with its identity in one container, and its ``history.csv``."""
+    arrays, meta = trained.model.to_container()
+    meta.update(
+        name=trained.name,
+        kind=trained.kind,
+        scope=trained.scope,
+        dataset=dataset_scope,
+        imputation=trained.imputation,
+        grid_scores=trained.grid_scores,
+    )
     if parent_hash is not None:
         meta["pretrained_parent_sha256"] = parent_hash
-    write_json(ws.write("models", trained.name, "meta.json"), meta)
+    write_container(ws.write("models", trained.name, "model.ilos"), arrays, meta)
     if trained.history:
         keys = list(trained.history[0])
         lines = (
@@ -391,17 +386,19 @@ def stage_finetune(cfg: RunConfig, ws: Workspace) -> None:
             f"unknown fine-tune strategies {unknown}; expected any of {list(FINETUNERS)}"
         )
     schedule = _brits_settings(cfg)
-    model_path = ws.read(ws.require("models/brits_mega/model.ilos", "pretrain"))
+    model_path = ws.require("models/brits_mega/model.ilos", "pretrain")
     mega = build_mega_dataset(list(_load_datasets(ws).values()))
     networks = cfg.transfer.get("networks") or list(mega.networks)
     missing = [net for net in networks if net not in mega.networks]
     if missing:
         raise MissingArtifactError(f"the mega dataset has no network(s) {missing}")
-    pretrained = BritsModel.load(model_path)
+    pretrained, _ = _load_model(ws, model_path.parent)
+    if pretrained.kind != "brits":
+        raise DataError(f"{model_path}: 'kind' {pretrained.kind!r} is not 'brits'")
     parent_hash = _sha256(model_path)
     for net in networks:
         for strategy in strategies:
-            model, history = FINETUNERS[strategy](pretrained, mega, net, schedule)
+            model, history = FINETUNERS[strategy](pretrained.model, mega, net, schedule)
             trained = TrainedModel(
                 name=f"brits_mega_ft-{strategy}_{net}",
                 kind="brits",
@@ -422,27 +419,52 @@ def _is_grid_score(item) -> bool:
     )
 
 
-def _read_model_meta(path: Path) -> dict:
-    """A model's ``meta.json``; :class:`DataError` unless each value has the
+#: The identity of a model in its container's metadata: five strings, then
+#: the grid scores.
+IDENTITY_KEYS = ("name", "kind", "scope", "dataset", "imputation", "grid_scores")
+
+
+def _check_identity(meta: dict, path: Path) -> None:
+    """:class:`DataError` unless ``meta`` holds each identity value with the
     type ``_save_model`` writes."""
-    meta = read_json(path, required=("name", "kind", "scope"))
-    for key in ("name", "kind", "scope", "dataset", "imputation"):
-        if key in meta and not isinstance(meta[key], str):
+    require_keys(meta, IDENTITY_KEYS, path, "metadata")
+    for key in IDENTITY_KEYS[:-1]:
+        if not isinstance(meta[key], str):
             raise DataError(f"{path}: {key!r} is not a string")
-    scores = meta.get("grid_scores", [])
-    if not isinstance(scores, list) or not all(map(_is_grid_score, scores)):
+    if not isinstance(meta["grid_scores"], list) or not all(map(_is_grid_score, meta["grid_scores"])):
         raise DataError(f"{path}: 'grid_scores' is not a list of [int, number] pairs")
     kind = meta["kind"]
     if kind not in MODEL_KINDS:
         raise DataError(f"{path}: 'kind' {kind!r} is not one of {list(MODEL_KINDS)}")
-    meta.setdefault("imputation", "none")
     allowed = FOREST_IMPUTATIONS if kind == "forest" else ("none",)
     if meta["imputation"] not in allowed:
         raise DataError(
             f"{path}: 'imputation' {meta['imputation']!r} is not one of {list(allowed)} "
             f"for 'kind' {kind!r}"
         )
-    return meta
+
+
+def _load_model(ws: Workspace, model_dir: Path) -> tuple[TrainedModel, str]:
+    """The trained model of ``model_dir`` and the dataset scope it was
+    trained on, from its one container."""
+    for old in ("meta.json", "model.json"):
+        if (model_dir / old).exists():
+            mega = model_dir.name.split("_")[1:2] == ["mega"]
+            stage = "finetune" if "_ft-" in model_dir.name else "pretrain" if mega else "train"
+            raise DataError(f"{model_dir}: holds the {old} of an older model layout; re-run the '{stage}' stage")
+    path = ws.read(model_dir / "model.ilos")
+    arrays, meta = read_container(path)
+    _check_identity(meta, path)
+    model_cls = BritsModel if meta["kind"] == "brits" else TreeEnsemble
+    trained = TrainedModel(
+        name=meta["name"],
+        kind=meta["kind"],
+        scope=meta["scope"],
+        model=model_cls.from_container(path, arrays, meta),
+        imputation=meta["imputation"],
+        grid_scores=[tuple(x) for x in meta["grid_scores"]],
+    )
+    return trained, meta["dataset"]
 
 
 def _load_models(ws: Workspace, names: list[str] | None) -> list[tuple[TrainedModel, str]]:
@@ -455,28 +477,7 @@ def _load_models(ws: Workspace, names: list[str] | None) -> list[tuple[TrainedMo
         missing = wanted - {p.name for p in dirs}
         if missing:
             raise MissingArtifactError(f"no trained model artifacts for {sorted(missing)}")
-    out = []
-    for model_dir in dirs:
-        meta_path = ws.read(model_dir / "meta.json")
-        meta = _read_model_meta(meta_path)
-        model_path = ws.read(model_dir / _model_file(meta["kind"]))
-        if meta["kind"] == "brits":
-            model = BritsModel.load(model_path)
-        else:
-            model = TreeEnsemble.load(model_path)
-            if model.kind != meta["kind"]:
-                raise DataError(
-                    f"{model_path}: 'kind' {model.kind!r} differs from {meta['kind']!r} in {meta_path}"
-                )
-        trained = TrainedModel(
-            name=meta["name"],
-            kind=meta["kind"],
-            scope=meta["scope"],
-            model=model,
-            imputation=meta["imputation"],
-            grid_scores=[tuple(x) for x in meta.get("grid_scores", [])],
-        )
-        out.append((trained, meta.get("dataset", trained.scope)))
+    out = [_load_model(ws, model_dir) for model_dir in dirs]
     if not out:
         raise MissingArtifactError(f"no trained models under {models_dir}")
     return out
@@ -552,10 +553,13 @@ def stage_report(cfg: RunConfig, ws: Workspace) -> None:
         per_model[report["model"]] = report
     if not per_model:
         raise MissingArtifactError(f"no evaluation outputs under {eval_dir}")
-    plt = _pyplot() if cfg.report.get("plots", False) else None
+    plt = curves = None
+    if cfg.report.get("plots", False):
+        plt = _pyplot()
+        curves = {path.parent.name: _read_curve(ws.read(path)) for path in sorted(eval_dir.glob("*/pr_curve.csv"))}
     write_json(ws.write("report", "report.json"), {"models": per_model})
     if plt is not None:
-        _render_plots(plt, ws, eval_dir)
+        _render_plots(plt, ws, curves)
 
 
 def _pyplot():
@@ -571,11 +575,21 @@ def _pyplot():
     return plt
 
 
-def _render_plots(plt, ws: Workspace, eval_dir: Path) -> None:
+def _read_curve(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The recall and precision columns of a ``pr_curve.csv``;
+    :class:`DataError` naming ``path`` unless both are there and finite."""
+    with decoding(path, "PR curve"):
+        rows = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
+        recall, precision = rows["recall"], rows["precision"]
+    if not (np.isfinite(recall).all() and np.isfinite(precision).all()):
+        raise DataError(f"{path}: a recall or precision that is not a finite number")
+    return recall, precision
+
+
+def _render_plots(plt, ws: Workspace, curves: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
     fig, ax = plt.subplots(figsize=(7, 5))
-    for curve_path in sorted(eval_dir.glob("*/pr_curve.csv")):
-        rows = np.genfromtxt(ws.read(curve_path), delimiter=",", names=True)
-        ax.plot(rows["recall"], rows["precision"], label=curve_path.parent.name)
+    for name, (recall, precision) in curves.items():
+        ax.plot(recall, precision, label=name)
     ax.set_xscale("log")
     ax.set_xlabel("recall (log scale)")
     ax.set_ylabel("precision")

@@ -14,9 +14,8 @@ Writes are byte-deterministic for identical inputs, which the
 reproducibility checks rely on, and atomic: :func:`atomic_write` fills a
 temporary file beside the target and moves it into place only once it is
 complete, so an interrupted write leaves the previous artifact intact.
-``read_json`` reads the JSON artifacts that sit beside containers (model
-metadata, tree ensembles, scores) with the same error mapping, and
-``write_json`` writes them; ``write_csv`` writes every CSV artifact from
+``read_json`` reads the JSON artifacts that sit beside containers (the
+scores) with the same error mapping, and ``write_json`` writes them; ``write_csv`` writes every CSV artifact from
 lines its callers build, with the cells of names from ``text_cells``.
 """
 

@@ -42,7 +42,9 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .activation import sigmoid
-from .container import read_container, require_keys, write_container
+# read_container and write_container are not called here; they stay bound
+# in this module, where perfbench's tracer looks them up.
+from .container import read_container, require_keys, write_container  # noqa: F401
 from .cpus import usable_cpus
 from .errors import ConfigError, DataError, NumericError
 from .missing import compute_time_gaps
@@ -112,26 +114,22 @@ class BritsModel:
             hidden_size=self.hidden_size,
         )
 
-    def save(self, path: str | Path) -> None:
-        arrays = {}
-        for tag, params in (("fwd", self.fwd), ("bwd", self.bwd)):
-            for name, arr in params.items():
-                arrays[f"{tag}.{name}"] = arr
-        meta = {
-            "format": "iloscast-brits",
-            "version": 1,
-            "n_features": self.n_features,
-            "hidden_size": self.hidden_size,
+    def to_container(self) -> tuple[dict[str, np.ndarray], dict]:
+        """The arrays and metadata of a model container holding the model:
+        each parameter block as ``fwd.<name>`` or ``bwd.<name>``, and the
+        feature count and hidden size."""
+        arrays = {
+            f"{tag}.{name}": block
+            for tag, params in (("fwd", self.fwd), ("bwd", self.bwd))
+            for name, block in params.items()
         }
-        write_container(path, arrays, meta)
+        return arrays, {"n_features": self.n_features, "hidden_size": self.hidden_size}
 
     @classmethod
-    def load(cls, path: str | Path) -> "BritsModel":
-        arrays, meta = read_container(path)
-        if meta.get("format") != "iloscast-brits" or meta.get("version") != 1:
-            raise DataError(f"{path}: not a version-1 model file")
-        # Other keys are ignored: older files also hold the unit loss weights
-        # that are now constants.
+    def from_container(cls, path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> "BritsModel":
+        """The model of the container at ``path`` that held ``arrays`` and
+        ``meta``; :class:`DataError` for a block that is missing, of another
+        shape than ``n_features`` and ``hidden_size`` give, or not finite."""
         require_keys(meta, ("n_features", "hidden_size"), path, "metadata")
         try:
             n_features, hidden_size = int(meta["n_features"]), int(meta["hidden_size"])
@@ -140,21 +138,17 @@ class BritsModel:
         shapes = rits_param_shapes(n_features, hidden_size)
         params = {}
         for tag in ("fwd", "bwd"):
-            params[tag] = {k.split(".", 1)[1]: v for k, v in arrays.items() if k.startswith(f"{tag}.")}
-            for name in PARAM_BLOCKS:
-                block = params[tag].get(name)
+            params[tag] = {name: arrays.get(f"{tag}.{name}") for name in PARAM_BLOCKS}
+            for name, block in params[tag].items():
                 if block is None or block.shape != shapes[name]:
                     got = "missing" if block is None else f"shape {block.shape}"
                     raise DataError(
                         f"{path}: block {tag}.{name} is {got}, expected shape {shapes[name]} "
                         f"for n_features={n_features}, hidden_size={hidden_size}"
                     )
-        return cls(
-            fwd=params["fwd"],
-            bwd=params["bwd"],
-            n_features=n_features,
-            hidden_size=hidden_size,
-        )
+                if not np.isfinite(block).all():
+                    raise DataError(f"{path}: block {tag}.{name} holds a value that is not finite")
+        return cls(fwd=params["fwd"], bwd=params["bwd"], n_features=n_features, hidden_size=hidden_size)
 
 
 def init_brits(n_features: int, hidden_size: int, seed: int = 0) -> BritsModel:

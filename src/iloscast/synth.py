@@ -22,6 +22,7 @@ import numpy as np
 
 from .container import text_cells, write_csv
 from .errors import ConfigError, DataError
+from .ingest import CSV_HEADER
 
 START_DATE = date(2024, 1, 1)
 
@@ -259,7 +260,6 @@ def _apply_day_drops(cfg: GenConfig, drafts: list[list[_PortDraft]]) -> float:
     return drop_p
 
 
-PM_HEADER = ("network_id", "port_id", "facility_type", "date", "pm_name", "pm_value")
 TRUTH_HEADER = ("network_id", "port_id", "outage_date", "has_precursor")
 
 
@@ -309,7 +309,7 @@ def generate(cfg: GenConfig, out_dir: str | Path) -> GenResult:
     csv_paths: list[Path] = []
     for net_idx, (net_drafts, vocab) in enumerate(zip(drafts, vocabs)):
         path = out_dir / f"net{net_idx + 1}.csv"
-        write_csv(path, PM_HEADER, chain.from_iterable(_pm_lines(cfg, net_drafts, vocab)))
+        write_csv(path, CSV_HEADER, chain.from_iterable(_pm_lines(cfg, net_drafts, vocab)))
         csv_paths.append(path)
 
     truth_path = out_dir / "ground_truth.csv"

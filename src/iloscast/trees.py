@@ -41,7 +41,6 @@ the better half's split by the same rule, so the trees do not change.
 
 from __future__ import annotations
 
-import json
 import math
 import mmap
 import os
@@ -56,7 +55,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .activation import sigmoid
-from .container import atomic_write, decoding, read_json, require_keys
+from .container import decoding, require_keys
 from .cpus import usable_cpus
 from .errors import ConfigError, DataError
 
@@ -79,32 +78,12 @@ class Tree:
     def n_nodes(self) -> int:
         return self.feature.size
 
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "default_left": self.default_left.astype(int).tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-            "gain": self.gain.tolist(),
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        return cls(
-            feature=np.asarray(d["feature"], dtype=np.int32),
-            threshold=np.asarray(d["threshold"], dtype=np.float64),
-            default_left=np.asarray(d["default_left"], dtype=bool),
-            left=np.asarray(d["left"], dtype=np.int32),
-            right=np.asarray(d["right"], dtype=np.int32),
-            value=np.asarray(d["value"], dtype=np.float64),
-            gain=np.asarray(d["gain"], dtype=np.float64),
-        )
-
-
-#: The node arrays a saved tree must hold.
+#: The node arrays of a tree, in field order.
 TREE_KEYS = tuple(Tree.__dataclass_fields__)
+
+#: The dtype of each node array, in field order.
+NODE_DTYPES = dict(zip(TREE_KEYS, (np.int32, np.float64, np.bool_, np.int32, np.int32, np.float64, np.float64)))
 
 
 FOREST_MAX_DEPTH = 12
@@ -137,13 +116,6 @@ class BoosterConfig:
             raise ConfigError("reg_lambda must be >= 0")
 
 
-#: Config keys of older files that loading drops: no fit reads them.
-RETIRED_CONFIG_KEYS = {
-    "booster": ("seed",),
-    "forest": ("max_depth", "features_per_split", "bootstrap", "min_samples_split"),
-}
-
-
 @dataclass
 class TreeEnsemble:
     """A trained forest or booster; immutable once built."""
@@ -155,47 +127,58 @@ class TreeEnsemble:
     base_score: float = 0.0  # booster prior logit
     train_loss: list[float] = field(default_factory=list)
 
-    def save(self, path: str | Path) -> None:
-        payload = {
-            "format": "iloscast-tree-ensemble",
-            "version": 1,
+    def to_container(self) -> tuple[dict[str, np.ndarray], dict]:
+        """The arrays and metadata of a model container holding the ensemble:
+        the node arrays of all trees concatenated, one per :class:`Tree`
+        field, each tree's node count (``n_nodes``), and the settings."""
+        arrays = {
+            key: np.concatenate([np.empty(0, dtype), *(getattr(tree, key) for tree in self.trees)])
+            for key, dtype in NODE_DTYPES.items()
+        }
+        arrays["n_nodes"] = np.array([tree.n_nodes for tree in self.trees], dtype=np.int64)
+        meta = {
             "kind": self.kind,
             "n_columns": self.n_columns,
             "base_score": self.base_score,
             "config": self.config.__dict__,
             "train_loss": self.train_loss,
-            "trees": [t.to_dict() for t in self.trees],
         }
-        with atomic_write(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True))
+        return arrays, meta
 
     @classmethod
-    def load(cls, path: str | Path) -> "TreeEnsemble":
-        """Read a saved ensemble; :class:`DataError` for any file that could
-        not have been saved, including trees whose traversal would not end."""
-        payload = read_json(path)
-        if payload.get("format") != "iloscast-tree-ensemble" or payload.get("version") != 1:
-            raise DataError(f"{path}: not a version-1 tree ensemble file")
-        require_keys(payload, ("kind", "trees", "config", "n_columns", "base_score"), path)
-        if payload["kind"] not in ("booster", "forest"):
-            raise DataError(f"{path}: unknown ensemble kind {payload['kind']!r}")
-        cfg_cls = ForestConfig if payload["kind"] == "forest" else BoosterConfig
-        config = payload["config"]
+    def from_container(cls, path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> "TreeEnsemble":
+        """The ensemble of the container at ``path`` that held ``arrays`` and
+        ``meta``; :class:`DataError` for any content that could not have been
+        saved, including trees whose traversal would not end."""
+        require_keys(meta, ("kind", "config", "n_columns", "base_score", "train_loss"), path, "metadata")
+        require_keys(arrays, (*TREE_KEYS, "n_nodes"), path, "container")
+        cfg_cls = ForestConfig if meta["kind"] == "forest" else BoosterConfig
+        config = meta["config"]
         if not isinstance(config, dict):
             raise DataError(f"{path}: config is not a JSON object")
-        retired = RETIRED_CONFIG_KEYS[payload["kind"]]
-        config = {key: value for key, value in config.items() if key not in retired}
         unknown = sorted(set(config) - set(cfg_cls.__dataclass_fields__))
         if unknown:
             raise DataError(f"{path}: config has unknown key(s) {unknown} for {cfg_cls.__name__}")
+        counts = arrays["n_nodes"]
+        total = int(counts.sum()) if counts.ndim == 1 else -1
+        unfit = [k for k, dtype in NODE_DTYPES.items() if arrays[k].shape != (total,) or arrays[k].dtype != dtype]
+        if (counts < 1).any() or unfit:
+            raise DataError(
+                f"{path}: n_nodes and the node arrays disagree: every count must be >= 1 "
+                f"and every node array of its dtype with sum(n_nodes) entries"
+            )
+        ends = np.cumsum(counts)
         with decoding(path, "tree ensemble"):
             model = cls(
-                kind=payload["kind"],
-                trees=[Tree.from_dict(require_keys(d, TREE_KEYS, path, "tree")) for d in payload["trees"]],
+                kind=meta["kind"],
+                trees=[
+                    Tree(*(arrays[key][start:end] for key in TREE_KEYS))
+                    for start, end in zip((ends - counts).tolist(), ends.tolist())
+                ],
                 config=cfg_cls(**config),
-                n_columns=int(payload["n_columns"]),
-                base_score=float(payload["base_score"]),
-                train_loss=list(payload.get("train_loss", [])),
+                n_columns=int(meta["n_columns"]),
+                base_score=float(meta["base_score"]),
+                train_loss=list(meta["train_loss"]),
             )
         if not math.isfinite(model.base_score):
             raise DataError(f"{path}: base_score {model.base_score} is not finite")
@@ -736,7 +719,7 @@ def _grow_tree(
         nodes += [None, None]
         frontier.append((lid, idx[go_left], depth + 1))
         frontier.append((lid + 1, idx[~go_left], depth + 1))
-    return Tree.from_dict(dict(zip(TREE_KEYS, zip(*nodes))))
+    return Tree(*(np.asarray(column, dtype) for column, dtype in zip(zip(*nodes), NODE_DTYPES.values())))
 
 
 def _rows_and_labels(rows: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

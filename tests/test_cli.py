@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import shutil
 import signal
 import struct
@@ -15,6 +16,7 @@ import pytest
 import yaml
 
 from iloscast.cli import RunConfig, Workspace, cli_entry, run_stage
+from iloscast.container import read_container, write_container
 from iloscast.errors import ConfigError, MissingArtifactError
 
 
@@ -205,7 +207,7 @@ def test_evaluate_outputs_agree(pipeline_ws):
     eval_dirs = sorted((root / "eval").iterdir())
     assert eval_dirs
     for eval_dir in eval_dirs:
-        meta = json.loads((root / "models" / eval_dir.name / "meta.json").read_text())
+        _, meta = read_container(root / "models" / eval_dir.name / "model.ilos")
         ds = WindowDataset.load(root / "build" / meta["dataset"] / "windows.ilos")
         test = ds.indices(split=TEST)
         labels = ds.label[test]
@@ -254,14 +256,7 @@ def test_cli_truncated_container_exits_1(pipeline_ws, tmp_path, capsys, where):
     assert "truncated" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "stage, artifact",
-    [
-        ("evaluate", "models/booster_net1/meta.json"),
-        ("evaluate", "models/booster_net1/model.json"),
-        ("report", "eval/booster_net1/scores.json"),
-    ],
-)
+@pytest.mark.parametrize("stage, artifact", [("report", "eval/booster_net1/scores.json")])
 def test_cli_truncated_json_exits_1(pipeline_ws, tmp_path, capsys, stage, artifact):
     ws, args = copied_workspace(pipeline_ws, tmp_path)
     target = ws / artifact
@@ -272,12 +267,7 @@ def test_cli_truncated_json_exits_1(pipeline_ws, tmp_path, capsys, stage, artifa
 
 @pytest.mark.parametrize(
     "stage, artifact, content",
-    [
-        ("evaluate", "models/booster_net1/meta.json", "{}"),
-        ("evaluate", "models/booster_net1/meta.json", '{"name": "booster_net1", "kind": "booster"}'),
-        ("evaluate", "models/booster_net1/model.json", '{"format": "iloscast-tree-ensemble", "version": 1}'),
-        ("report", "eval/booster_net1/scores.json", '{"overall": 0.05}'),
-    ],
+    [("report", "eval/booster_net1/scores.json", '{"overall": 0.05}')],
 )
 def test_cli_json_missing_keys_exits_1(pipeline_ws, tmp_path, capsys, stage, artifact, content):
     ws, args = copied_workspace(pipeline_ws, tmp_path)
@@ -288,21 +278,7 @@ def test_cli_json_missing_keys_exits_1(pipeline_ws, tmp_path, capsys, stage, art
 
 @pytest.mark.parametrize(
     "stage, artifact, key, value",
-    [
-        ("evaluate", "models/booster_net1/meta.json", "grid_scores", 5),
-        ("evaluate", "models/booster_net1/meta.json", "grid_scores", [[1, 0.5, 2]]),
-        ("evaluate", "models/booster_net1/meta.json", "grid_scores", [["1", 0.5]]),
-        ("evaluate", "models/booster_net1/meta.json", "grid_scores", [[1, "0.5"]]),
-        ("evaluate", "models/booster_net1/meta.json", "dataset", ["x"]),
-        ("evaluate", "models/booster_net1/meta.json", "name", 1),
-        ("evaluate", "models/booster_net1/meta.json", "kind", None),
-        ("evaluate", "models/booster_net1/meta.json", "scope", {"net": 1}),
-        ("evaluate", "models/booster_net1/meta.json", "imputation", 0),
-        ("report", "eval/booster_net1/scores.json", "model", ["x"]),
-        ("evaluate", "models/booster_net1/meta.json", "kind", "xyz"),
-        ("evaluate", "models/booster_net1/meta.json", "kind", "forest"),
-        ("evaluate", "models/booster_net1/meta.json", "imputation", "zero"),
-    ],
+    [("report", "eval/booster_net1/scores.json", "model", ["x"])],
 )
 def test_cli_wrong_typed_json_value_exits_1(pipeline_ws, tmp_path, capsys, stage, artifact, key, value):
     ws, args = copied_workspace(pipeline_ws, tmp_path)
@@ -321,8 +297,6 @@ def test_cli_wrong_typed_json_value_exits_1(pipeline_ws, tmp_path, capsys, stage
     [("build", "ingest/net1/series.ilos", "ports"), ("evaluate", "build/net1/windows.ilos", "norm")],
 )
 def test_cli_container_metadata_missing_key_exits_1(pipeline_ws, tmp_path, capsys, stage, artifact, key):
-    from iloscast.container import read_container, write_container
-
     ws, args = copied_workspace(pipeline_ws, tmp_path)
     arrays, meta = read_container(ws / artifact)
     del meta[key]
@@ -382,8 +356,6 @@ def shift_one_day(arrays, meta):
          "norm", "network-code", "port-code-negative"],
 )
 def test_cli_corrupt_container_content_exits_1(pipeline_ws, tmp_path, capsys, stage, artifact, edit, message):
-    from iloscast.container import read_container, write_container
-
     ws, args = copied_workspace(pipeline_ws, tmp_path)
     arrays, meta = read_container(ws / artifact)
     edit(arrays, meta)
@@ -416,8 +388,6 @@ def first_test_window_tag(arrays, tag):
     ids=["label-short", "port-code-short", "norm-mean-short", "split-tag", "label-value", "x-wider", "x-deeper"],
 )
 def test_cli_inconsistent_window_arrays_exit_1(pipeline_ws, tmp_path, capsys, stage, edit, message):
-    from iloscast.container import read_container, write_container
-
     ws, args = copied_workspace(pipeline_ws, tmp_path)
     arrays, meta = read_container(ws / WINDOWS)
     edit(arrays, meta)
@@ -429,42 +399,49 @@ def test_cli_inconsistent_window_arrays_exit_1(pipeline_ws, tmp_path, capsys, st
     assert "Traceback" not in err
 
 
+BOOSTER = "models/booster_net1/model.ilos"
+
+
+def edit_container(path: Path, edit) -> None:
+    """Rewrite the container at ``path`` after ``edit(arrays, meta)``."""
+    arrays, meta = read_container(path)
+    edit(arrays, meta)
+    write_container(path, arrays, meta)
+
+
 def test_cli_tree_missing_node_array_exits_1(pipeline_ws, tmp_path, capsys):
     ws, args = copied_workspace(pipeline_ws, tmp_path)
-    target = ws / "models" / "booster_net1" / "model.json"
-    payload = json.loads(target.read_text(encoding="utf-8"))
-    del payload["trees"][0]["threshold"]
-    target.write_text(json.dumps(payload), encoding="utf-8")
+    edit_container(ws / BOOSTER, lambda a, m: a.pop("threshold"))
     assert cli_entry(["evaluate"] + args) == 1
-    assert "tree is missing key(s) 'threshold'" in capsys.readouterr().err
+    assert "container is missing key(s) 'threshold'" in capsys.readouterr().err
 
 
 def test_cli_tree_config_unknown_key_exits_1(pipeline_ws, tmp_path, capsys):
     ws, args = copied_workspace(pipeline_ws, tmp_path)
-    target = ws / "models" / "booster_net1" / "model.json"
-    payload = json.loads(target.read_text(encoding="utf-8"))
-    payload["config"]["bogus"] = 1
-    target.write_text(json.dumps(payload), encoding="utf-8")
+    edit_container(ws / BOOSTER, lambda a, m: m["config"].update(bogus=1))
     assert cli_entry(["evaluate"] + args) == 1
     err = capsys.readouterr().err
     assert "config has unknown key(s) ['bogus']" in err
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("key", ["n_features", "hidden_size"])
-def test_cli_brits_metadata_missing_key_exits_1(pipeline_ws, tmp_path, capsys, key):
-    from iloscast.container import read_container, write_container
+def saved_brits(ws: Path, name: str, scope: str, n_features: int) -> Path:
+    """``models/<name>/model.ilos`` under ``ws`` holding an untrained
+    recurrent model of ``n_features`` features and hidden size 2, trained
+    on ``scope``; its path."""
+    from iloscast.cli import _save_model
+    from iloscast.pipeline import TrainedModel
     from iloscast.rits import init_brits
 
+    trained = TrainedModel(name=name, kind="brits", scope=scope, model=init_brits(n_features, hidden_size=2))
+    _save_model(Workspace(ws), trained, dataset_scope=scope)
+    return ws / "models" / name / "model.ilos"
+
+
+@pytest.mark.parametrize("key", ["n_features", "hidden_size"])
+def test_cli_brits_metadata_missing_key_exits_1(pipeline_ws, tmp_path, capsys, key):
     ws, args = copied_workspace(pipeline_ws, tmp_path)
-    model_dir = ws / "models" / "brits_net1"
-    model_dir.mkdir()
-    meta = {"name": "brits_net1", "kind": "brits", "scope": "net1"}
-    (model_dir / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
-    init_brits(4, hidden_size=2).save(model_dir / "model.ilos")
-    arrays, meta = read_container(model_dir / "model.ilos")
-    del meta[key]
-    write_container(model_dir / "model.ilos", arrays, meta)
+    edit_container(saved_brits(ws, "brits_net1", "net1", 4), lambda a, m: m.pop(key))
     assert cli_entry(["evaluate"] + args) == 1
     err = capsys.readouterr().err
     assert f"metadata is missing key(s) '{key}'" in err
@@ -487,16 +464,15 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def first_split(tree: dict) -> int:
-    return next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+def first_split(arrays) -> int:
+    return int(np.flatnonzero(arrays["feature"] >= 0)[0])
 
 
 def set_tree_array(key, value):
-    """An edit that sets ``key`` of tree 0's first split node to ``value(tree)``."""
+    """An edit that sets ``key`` of tree 0's first split node to ``value(arrays)``."""
 
-    def edit(payload):
-        tree = payload["trees"][0]
-        tree[key][first_split(tree)] = value(tree)
+    def edit(arrays, meta):
+        arrays[key][first_split(arrays)] = value(arrays)
 
     return edit
 
@@ -504,15 +480,15 @@ def set_tree_array(key, value):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda p: p.update(kind="svm"), "unknown ensemble kind 'svm'"),
-        (lambda p: p["config"].update(max_depth="x"), "malformed tree ensemble"),
-        (lambda p: p["config"].update(max_depth=0), "malformed tree ensemble"),
-        (lambda p: p["trees"][0]["value"].append(0.0), "unequal"),
-        (set_tree_array("feature", lambda tree: 10**6), "feature outside"),
-        (set_tree_array("right", lambda tree: len(tree["feature"])), "child id"),
+        (lambda a, m: m.update(kind="svm"), "'kind' 'svm' is not one of"),
+        (lambda a, m: m["config"].update(max_depth="x"), "malformed tree ensemble"),
+        (lambda a, m: m["config"].update(max_depth=0), "malformed tree ensemble"),
+        (lambda a, m: a.update(value=np.append(a["value"], 0.0)), "n_nodes and the node arrays disagree"),
+        (set_tree_array("feature", lambda a: 10**6), "feature outside"),
+        (set_tree_array("right", lambda a: a["n_nodes"][0]), "child id"),
         (set_tree_array("left", first_split), "child id"),  # a self-loop
-        (lambda p: p["trees"][0]["value"].__setitem__(-1, float("nan")), "tree 0 has a value or gain"),
-        (lambda p: p.update(base_score=float("inf")), "base_score inf is not finite"),
+        (lambda a, m: a["value"].__setitem__(a["n_nodes"][0] - 1, np.nan), "tree 0 has a value or gain"),
+        (lambda a, m: m.update(base_score=float("inf")), "base_score inf is not finite"),
     ],
     ids=[
         "kind", "config-type", "config-range", "ragged", "feature", "child-range", "self-loop",
@@ -521,10 +497,7 @@ def set_tree_array(key, value):
 )
 def test_cli_corrupt_tree_model_exits_1(pipeline_ws, tmp_path, capsys, edit, message):
     ws, args = copied_workspace(pipeline_ws, tmp_path)
-    target = ws / "models" / "booster_net1" / "model.json"
-    payload = json.loads(target.read_text(encoding="utf-8"))
-    edit(payload)
-    target.write_text(json.dumps(payload), encoding="utf-8")
+    edit_container(ws / BOOSTER, edit)
     with deadline(60):
         assert cli_entry(["evaluate"] + args) == 1
     err = capsys.readouterr().err
@@ -538,21 +511,12 @@ def test_cli_corrupt_tree_model_exits_1(pipeline_ws, tmp_path, capsys, edit, mes
     ids=["missing", "wrong-shape"],
 )
 def test_cli_brits_bad_parameter_block_exits_1(pipeline_ws, tmp_path, capsys, block, replacement):
-    from iloscast.container import read_container, write_container
-    from iloscast.rits import init_brits
-
     ws, args = copied_workspace(pipeline_ws, tmp_path)
-    model_dir = ws / "models" / "brits_net1"
-    model_dir.mkdir()
-    meta = {"name": "brits_net1", "kind": "brits", "scope": "net1"}
-    (model_dir / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
-    init_brits(4, hidden_size=2).save(model_dir / "model.ilos")
-    arrays, meta = read_container(model_dir / "model.ilos")
+    path = saved_brits(ws, "brits_net1", "net1", 4)
     if replacement is None:
-        del arrays[block]
+        edit_container(path, lambda a, m: a.pop(block))
     else:
-        arrays[block] = replacement
-    write_container(model_dir / "model.ilos", arrays, meta)
+        edit_container(path, lambda a, m: a.update({block: replacement}))
     assert cli_entry(["evaluate"] + args) == 1
     err = capsys.readouterr().err
     assert f"block {block} is" in err
@@ -565,7 +529,6 @@ def test_cli_brits_model_of_another_width_exits_1(pipeline_ws, tmp_path, capsys,
     network model meets net1's dataset in evaluate, the pre-trained mega
     model the mega dataset in finetune."""
     from iloscast.dataset import WindowDataset
-    from iloscast.rits import init_brits
     from iloscast.transfer import build_mega_dataset
 
     ws, args = copied_workspace(pipeline_ws, tmp_path)
@@ -577,11 +540,7 @@ def test_cli_brits_model_of_another_width_exits_1(pipeline_ws, tmp_path, capsys,
         cfg = RunConfig.load(args[1])
         cfg.transfer = {"networks": ["net1"], "strategies": ["classifier_only"]}
         cfg.dump(args[1])
-    model_dir = ws / "models" / name
-    model_dir.mkdir()
-    meta = {"name": name, "kind": "brits", "scope": scope, "dataset": scope}
-    (model_dir / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
-    init_brits(width + 1, hidden_size=2).save(model_dir / "model.ilos")
+    saved_brits(ws, name, scope, width + 1)
     assert cli_entry([stage] + args) == 1
     err = capsys.readouterr().err
     assert f"takes {width + 1} features per step, but the data has {width}" in err
@@ -594,16 +553,16 @@ def test_cli_pretrain_reads_the_rebuilt_datasets(pipeline_ws, tmp_path):
     by older versions is ignored."""
     ws, args = copied_workspace(pipeline_ws, tmp_path)
     shutil.copytree(ws / "build" / "net1", ws / "build" / "mega")
-    booster = ws / "models" / "booster_mega" / "model.json"
+    booster = ws / "models" / "booster_mega" / "model.ilos"
     assert cli_entry(["pretrain"] + args) == 0
-    n_columns = json.loads(booster.read_text(encoding="utf-8"))["n_columns"]
+    n_columns = read_container(booster)[1]["n_columns"]
     assert n_columns % 7 == 0
     cfg = RunConfig.load(args[1])
     cfg.build = {"past_days": 5}
     cfg.dump(args[1])
     for stage in ("build", "pretrain"):
         assert cli_entry([stage] + args) == 0
-    assert json.loads(booster.read_text(encoding="utf-8"))["n_columns"] == n_columns // 7 * 5
+    assert read_container(booster)[1]["n_columns"] == n_columns // 7 * 5
 
 
 def test_reingest_of_fewer_networks_drops_the_others_downstream(pipeline_ws, tmp_path):
@@ -806,21 +765,121 @@ def test_cli_unknown_model_kind_exits_2_before_training(
 
 
 def test_cli_missing_model_meta_exits_3(pipeline_ws, tmp_path, capsys):
+    # A model's identity is in its container; a directory without one has none.
     ws, args = copied_workspace(pipeline_ws, tmp_path)
-    (ws / "models" / "booster_net1" / "meta.json").unlink()
-    assert cli_entry(["evaluate"] + args) == 3
-    assert "meta.json" in capsys.readouterr().err
-
-
-def test_cli_model_file_of_meta_kind_missing_exits_3(pipeline_ws, tmp_path, capsys):
-    # A booster directory whose meta.json says brits has no model.ilos.
-    ws, args = copied_workspace(pipeline_ws, tmp_path)
-    meta = ws / "models" / "booster_net1" / "meta.json"
-    meta.write_text(json.dumps(json.loads(meta.read_text()) | {"kind": "brits"}))
+    (ws / BOOSTER).unlink()
     assert cli_entry(["evaluate"] + args) == 3
     err = capsys.readouterr().err
-    assert "model.ilos" in err
+    assert f"missing artifact {ws / BOOSTER}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, old, stage",
+    [
+        ("booster_net1", "meta.json", "train"),
+        ("booster_net1", "model.json", "train"),
+        ("brits_mega", "meta.json", "pretrain"),
+        ("forest_mega_median", "model.json", "pretrain"),
+        ("brits_mega_ft-entirety_net1", "meta.json", "finetune"),
+    ],
+)
+def test_cli_older_model_layout_exits_1(pipeline_ws, tmp_path, capsys, name, old, stage):
+    """A model directory of the two-file layout of older versions is
+    refused, naming it and the stage that rewrites it, however well its
+    files would read."""
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    model_dir = ws / "models" / name
+    model_dir.mkdir(exist_ok=True)
+    (model_dir / old).write_text(json.dumps({"name": name, "kind": name.split("_")[0], "scope": "net1"}))
+    assert cli_entry(["evaluate"] + args) == 1
+    err = capsys.readouterr().err
+    assert f"{model_dir}: holds the {old} of an older model layout; re-run the '{stage}' stage" in err
+    assert "Traceback" not in err
+
+
+def model_files(model_dir: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(model_dir.iterdir())}
+
+
+def test_failed_model_write_leaves_the_previous_model(pipeline_ws, tmp_path, monkeypatch):
+    """``train`` with another grid whose k-th write into a model directory
+    fails, for every k up to a run that completes: after each failure the
+    directory holds exactly the bytes of the previous run's model."""
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    cfg = RunConfig.load(args[1])
+    cfg.workspace = str(ws)
+    cfg.train["grid"] = [5]
+    model_dir = ws / "models" / "booster_net1"
+    before = model_files(model_dir)
+    real_replace = os.replace
+    for k in range(1, 10):
+        writes = []
+
+        def replace(src, dst):
+            if Path(dst).parent == model_dir:
+                writes.append(dst)
+                if len(writes) == k:
+                    raise OSError(28, "No space left on device")
+            return real_replace(src, dst)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", replace)
+            try:
+                run_stage("train", cfg)
+            except OSError:
+                assert model_files(model_dir) == before, f"write {k} failed"
+                continue
+        break
+    # The run that completed wrote the directory once: the model's container.
+    assert len(writes) == k - 1 == 1
+    after = model_files(model_dir)
+    assert list(after) == ["model.ilos"]
+    assert after != before
+
+
+class FakePyplot:
+    """Stands in for matplotlib's pyplot, which need not be installed: every
+    call returns None, and ``subplots`` returns the figure and axes."""
+
+    def subplots(self, **kwargs):
+        return self, self
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: None
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        (None, 0),
+        ("threshold,precision,recall\r\n0.5,1.0,0.2\r\n0.4,0.5\r\n", 1),
+        ("threshold,precision\r\n0.5,1.0\r\n", 1),
+        ("", 1),
+        ("threshold,precision,recall\r\n0.5,1.0,x\r\n", 1),
+    ],
+    ids=["intact", "short-row", "no-recall", "empty", "not-a-number"],
+)
+def test_report_plots_read_every_curve_first(pipeline_ws, tmp_path, capsys, monkeypatch, text, code):
+    """With ``report.plots``, a ``pr_curve.csv`` that cannot be plotted exits
+    1 naming it before ``report`` writes anything."""
+    from iloscast import cli
+
+    monkeypatch.setattr(cli, "_pyplot", FakePyplot)
+    ws, args = copied_workspace(pipeline_ws, tmp_path)
+    cfg = RunConfig.load(args[1])
+    cfg.report = {"plots": True}
+    cfg.dump(args[1])
+    curve = ws / "eval" / "booster_net2" / "pr_curve.csv"
+    if text is not None:
+        curve.write_text(text, encoding="utf-8")
+    before = workspace_state(ws)
+    assert cli_entry(["report"] + args) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert f"{curve}: " in err
+        assert workspace_state(ws) == before
 
 
 def test_runlog_has_hashed_lineage(pipeline_ws):
@@ -842,8 +901,7 @@ def test_evaluate_logs_input_hashes(pipeline_ws):
     expected = {root / "synth" / "ground_truth.csv"}
     for net in ("net1", "net2", "net3"):
         expected.add(root / "build" / net / "windows.ilos")
-        expected.add(root / "models" / f"booster_{net}" / "meta.json")
-        expected.add(root / "models" / f"booster_{net}" / "model.json")
+        expected.add(root / "models" / f"booster_{net}" / "model.ilos")
     assert set(entry["inputs"]) == {str(p) for p in expected}
     for path, digest in entry["inputs"].items():
         assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()

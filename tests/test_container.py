@@ -132,7 +132,7 @@ def _write_audit(path, n):
 def _write_tree_model(path, n):
     from iloscast.trees import BoosterConfig, TreeEnsemble
 
-    TreeEnsemble("booster", [], BoosterConfig(), n_columns=1, train_loss=[0.5] * n).save(path)
+    write_container(path, *TreeEnsemble("booster", [], BoosterConfig(), n_columns=1, train_loss=[0.5] * n).to_container())
 
 
 def _write_curve(path, n):

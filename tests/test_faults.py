@@ -1,10 +1,11 @@
 """Damaged stage containers and bad PM CSVs end in their documented exit
 code, never in a traceback.
 
-Each case damages one container of a small built workspace, runs the stage
-that reads it and puts the original bytes back. ``series.ilos`` is read by
-``build`` and ``windows.ilos`` by ``train``; both stages load every
-container before they compute or write anything. Damage is deterministic:
+Each case damages one container of a small trained workspace, runs the
+stage that reads it and puts the original bytes back. ``series.ilos`` is
+read by ``build``, ``windows.ilos`` by ``train`` and each model's
+``model.ilos`` by ``evaluate``; each stage loads every container before it
+computes or writes anything. Damage is deterministic:
 seeded cut points, and every byte of the container header and seeded bytes
 of its metadata and index blocks flipped (XOR 0xFF). Flips of payload bytes
 are not covered: the container holds no checksum, so they go undetected.
@@ -28,20 +29,32 @@ import pytest
 from iloscast.cli import RunConfig, cli_entry, run_stage
 from iloscast.container import read_container, write_container
 
+BOOSTER = "models/booster_net1/model.ilos"
+BRITS = "models/brits_net1/model.ilos"
+
 #: Each container, and the stage that reads it.
-STAGES = {"ingest/net1/series.ilos": "build", "build/net1/windows.ilos": "train"}
+STAGES = {
+    "ingest/net1/series.ilos": "build",
+    "build/net1/windows.ilos": "train",
+    BOOSTER: "evaluate",
+    BRITS: "evaluate",
+}
 
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """A workspace built up to trained models, and the CLI arguments that
-    name it."""
+    """A workspace built up to trained models, a booster and a tiny
+    recurrent model per network, and the CLI arguments that name it."""
     tmp = tmp_path_factory.mktemp("faults")
     cfg = RunConfig(
         seed=3,
         workspace=str(tmp / "ws"),
         synth={"ports_per_network": [20, 15], "days": 60},
-        train={"models": ["booster"], "grid": [2]},
+        train={
+            "models": ["booster", "brits"],
+            "grid": [2],
+            "brits": {"hidden_size": 4, "max_epochs_phase1": 1, "max_epochs_phase2": 1},
+        },
     )
     for stage in ("synth", "ingest", "build", "train"):
         run_stage(stage, cfg)
@@ -136,8 +149,8 @@ def empty_metadata(arrays, meta):
     meta.clear()
 
 
-#: Array edits that no load check of the parent version caught; each
-#: reaches another check than the cases in test_cli.
+#: Array and metadata edits that leave a decodable container; each reaches
+#: another check than the cases in test_cli and test_trees.
 SHAPE_CASES = {
     "ingest/net1/series.ilos": {
         "start-day-float": lambda a, m: a.update(start_day=a["start_day"].astype(np.float64)),
@@ -153,6 +166,20 @@ SHAPE_CASES = {
         "norm-std-short": lambda a, m: m["norm"].update(std=m["norm"]["std"][:-1]),
         "x-2d": lambda a, m: a.update(x=a["x"][:, 0]),
     },
+    BOOSTER: {
+        "n-nodes-sum": lambda a, m: a["n_nodes"].__setitem__(0, a["n_nodes"][0] + 2),
+        "n-nodes-zero": lambda a, m: a.update(n_nodes=np.append(a["n_nodes"], 0)),
+        "threshold-short": lambda a, m: a.update(threshold=a["threshold"][:-1]),
+        "feature-float": lambda a, m: a.update(feature=a["feature"].astype(np.float64)),
+        "config-list": lambda a, m: m.update(config=[m["config"]]),
+    },
+    BRITS: {
+        "block-shape": lambda a, m: a.update({"fwd.lstm_U": a["fwd.lstm_U"][:, 1:]}),
+        "block-missing": lambda a, m: a.pop("bwd.cls_b"),
+        "block-nan": lambda a, m: a["fwd.cls_W"].__setitem__(0, np.nan),
+        "hidden-size": lambda a, m: m.update(hidden_size=m["hidden_size"] + 1),
+        "n-features-text": lambda a, m: m.update(n_features="x"),
+    },
 }
 
 
@@ -164,6 +191,37 @@ def test_inconsistent_container_exits_1(workspace, capsys, artifact):
         code, err = run_damaged(workspace, capsys, artifact, rewritten(path, edit))
         assert code == 1, f"{name}: {err}"
         assert f"{path}: " in err, name
+
+
+#: Identity values a model container's metadata cannot hold; each case
+#: names the key its message must name.
+IDENTITY_CASES = {
+    "grid-scores-int": ("grid_scores", 5),
+    "grid-scores-triple": ("grid_scores", [[1, 0.5, 2]]),
+    "grid-scores-count-text": ("grid_scores", [["1", 0.5]]),
+    "grid-scores-metric-text": ("grid_scores", [[1, "0.5"]]),
+    "dataset-list": ("dataset", ["x"]),
+    "name-int": ("name", 1),
+    "kind-null": ("kind", None),
+    "scope-mapping": ("scope", {"net": 1}),
+    "imputation-int": ("imputation", 0),
+    "kind-unknown": ("kind", "xyz"),
+    "kind-of-another-family": ("kind", "forest"),
+    "imputation-of-a-forest": ("imputation", "zero"),
+}
+
+
+@pytest.mark.parametrize("artifact", [BOOSTER, BRITS])
+def test_model_identity_value_exits_1(workspace, capsys, artifact):
+    path = workspace[0] / artifact
+    for case, (key, value) in IDENTITY_CASES.items():
+        code, err = run_damaged(workspace, capsys, artifact, rewritten(path, lambda a, m: m.update({key: value})))
+        assert code == 1, f"{case}: {err}"
+        assert f"{path}: " in err and repr(key) in err, case
+    for key in ("name", "kind", "scope", "dataset", "imputation", "grid_scores"):
+        code, err = run_damaged(workspace, capsys, artifact, rewritten(path, lambda a, m: m.pop(key)))
+        assert code == 1, f"{key} missing: {err}"
+        assert f"{path}: metadata is missing key(s) {key!r}" in err
 
 
 def ingest_text(tmp_path, capsys, text: str, name: str = "case") -> tuple[int, str, Path]:

@@ -180,7 +180,7 @@ def test_brits_stage_and_finetune_workspace(tmp_path):
         "finetune": built | {pretrained / "model.ilos"},
         "evaluate": built
         | {root / "synth" / "ground_truth.csv"}
-        | {d / name for d in (pretrained, tuned) for name in ("meta.json", "model.ilos")},
+        | {d / "model.ilos" for d in (pretrained, tuned)},
         "report": {root / "eval" / d.name / "scores.json" for d in (pretrained, tuned)},
     }
     written = {}
@@ -209,8 +209,9 @@ def test_brits_stage_and_finetune_workspace(tmp_path):
     assert "brits_mega" in report["models"]
     ft = report["models"]["brits_mega_ft-classifier_only_net3"]
     assert 0.0 <= ft["overall"] <= 0.1
-    # history is persisted for audit
-    assert (pretrained / "history.csv").exists()
+    # One container per model, beside its training curve.
+    for model_dir in (pretrained, tuned):
+        assert sorted(p.name for p in model_dir.iterdir()) == ["history.csv", "model.ilos"]
 
 
 def test_precursor_mask_semantics(small_world):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from iloscast.activation import sigmoid
+from iloscast.container import read_container, write_container
 from iloscast.errors import DataError
 from iloscast.missing import compute_time_gaps
 from rits_reference import finite_difference_block_errors, train_with_head_gradients_only
@@ -363,11 +366,23 @@ def test_classifier_head_training_equals_zeroed_gradient_reference(features, hid
 def test_model_save_load_round_trip(tmp_path):
     model = jittered_model()
     path = tmp_path / "model.ilos"
-    model.save(path)
-    loaded = BritsModel.load(path)
+    write_container(path, *model.to_container())
+    loaded = BritsModel.from_container(path, *read_container(path))
     assert loaded.hidden_size == model.hidden_size
     data = make_data(29, 6)
     np.testing.assert_array_equal(brits_predict(model, data), brits_predict(loaded, data))
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf], ids=["nan", "inf"])
+def test_model_with_a_non_finite_block_is_refused(tmp_path, value):
+    """A parameter that is not finite would turn every score NaN; loading
+    names the file and the block instead."""
+    model = jittered_model()
+    model.fwd["cls_W"].flat[0] = value
+    path = tmp_path / "model.ilos"
+    write_container(path, *model.to_container())
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: block fwd.cls_W holds a value that is not finite"):
+        BritsModel.from_container(path, *read_container(path))
 
 
 def test_decay_factors_in_unit_interval():

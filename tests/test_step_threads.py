@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from iloscast import rits, trees
+from iloscast.container import write_container
 from iloscast.cpus import usable_cpus
 from iloscast.missing import compute_time_gaps
 from iloscast.rits import (
@@ -265,7 +266,7 @@ def test_booster_fit_beside_a_live_step_thread_saves_the_same_bytes(two_threads,
     monkeypatch.setattr(trees, "SPLIT_WORKER_MIN_FIT_CELLS", 0)
     monkeypatch.setattr(trees, "SPLIT_WORKER_MIN_CELLS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    train_gbdt(rows, labels, config).save(tmp_path / "one.json")
+    write_container(tmp_path / "one.ilos", *train_gbdt(rows, labels, config).to_container())
 
     brits_loss_and_grads(jittered_model(5, 8, seed=6), *make_batch(6, 5, 7, 5))
     assert any(t.name.startswith("iloscast-bwd") for t in threading.enumerate())
@@ -273,9 +274,9 @@ def test_booster_fit_beside_a_live_step_thread_saves_the_same_bytes(two_threads,
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    train_gbdt(rows, labels, config).save(tmp_path / "two.json")
+    write_container(tmp_path / "two.ilos", *train_gbdt(rows, labels, config).to_container())
     assert forks
-    assert (tmp_path / "two.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+    assert (tmp_path / "two.ilos").read_bytes() == (tmp_path / "one.ilos").read_bytes()
 
 
 def test_sequential_step_starts_no_thread(monkeypatch):

@@ -32,6 +32,7 @@ from iloscast.trees import (
     _split_node_sorted,
     _split_presorted,
 )
+from iloscast.container import read_container, write_container
 from test_cli import deadline
 
 
@@ -462,7 +463,7 @@ def assert_reaped(pids):
 
 
 def saved_bytes(model, path) -> bytes:
-    model.save(path)
+    save(model, path)
     return path.read_bytes()
 
 
@@ -790,32 +791,96 @@ def test_grid_empty_errors():
 # Serialization
 
 
-def test_ensemble_json_round_trip(tmp_path):
+def save(model: TreeEnsemble, path) -> None:
+    write_container(path, *model.to_container())
+
+
+def load(path) -> TreeEnsemble:
+    return TreeEnsemble.from_container(path, *read_container(path))
+
+
+@pytest.mark.parametrize("kind", ["booster", "forest"])
+def test_ensemble_container_round_trip(tmp_path, kind):
+    """Every node array, the settings and the scores come back to the bit."""
     rng = np.random.default_rng(24)
     rows = rng.normal(size=(60, 3))
-    rows[rng.random((60, 3)) < 0.3] = np.nan
     labels = (rng.random(60) < 0.4).astype(float)
-    model = train_gbdt(rows, labels, BoosterConfig(n_trees=4))
-    path = tmp_path / "model.json"
-    model.save(path)
-    loaded = TreeEnsemble.load(path)
-    np.testing.assert_array_equal(predict_proba(model, rows), predict_proba(loaded, rows))
-    assert loaded.config == model.config
-    # default directions are explicit in the serialized form
-    import json
+    if kind == "booster":
+        rows[rng.random((60, 3)) < 0.3] = np.nan
+        model = train_gbdt(rows, labels, BoosterConfig(n_trees=4))
+    else:
+        model = train_random_forest(rows, labels, ForestConfig(n_trees=3, seed=1))
+    path = tmp_path / "model.ilos"
+    save(model, path)
+    loaded = load(path)
+    assert (loaded.kind, loaded.config, loaded.n_columns) == (model.kind, model.config, model.n_columns)
+    assert (loaded.base_score, loaded.train_loss) == (model.base_score, model.train_loss)
+    assert len(loaded.trees) == len(model.trees)
+    for old, new in zip(model.trees, loaded.trees):
+        for key in TREE_KEYS:
+            assert getattr(old, key).dtype == getattr(new, key).dtype, key
+            assert getattr(old, key).tobytes() == getattr(new, key).tobytes(), key
+    assert predict_proba(loaded, rows).tobytes() == predict_proba(model, rows).tobytes()
+    # The node arrays of all trees are concatenated, with a node count per tree.
+    arrays, _ = read_container(path)
+    assert arrays["n_nodes"].tolist() == [tree.n_nodes for tree in model.trees]
+    assert arrays["default_left"].dtype == bool
 
-    payload = json.loads(path.read_text())
-    assert "default_left" in payload["trees"][0]
-    # A booster file written while BoosterConfig had its unused seed loads.
-    payload["config"]["seed"] = 0
-    path.write_text(json.dumps(payload))
-    assert TreeEnsemble.load(path).config == model.config
+
+def first_split(arrays) -> int:
+    return int(np.flatnonzero(arrays["feature"] >= 0)[0])
 
 
 def nan_at_first_split(key):
-    def edit(payload):
-        tree = payload["trees"][0]
-        tree[key][next(i for i, f in enumerate(tree["feature"]) if f >= 0)] = float("nan")
+    def edit(arrays, meta):
+        arrays[key][first_split(arrays)] = np.nan
+
+    return edit
+
+
+def saved_booster(path) -> None:
+    rng = np.random.default_rng(26)
+    rows = rng.normal(size=(80, 3))
+    labels = (rows[:, 0] + rng.normal(size=80) > 0.3).astype(float)
+    save(train_gbdt(rows, labels, BoosterConfig(n_trees=2, max_depth=2)), path)
+
+
+def edited(path, edit) -> None:
+    arrays, meta = read_container(path)
+    edit(arrays, meta)
+    write_container(path, arrays, meta)
+
+
+def last_of_tree(i):
+    """The index of tree ``i``'s last node in the concatenated node arrays."""
+    return lambda arrays: int(arrays["n_nodes"][: i + 1].sum()) - 1
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda a, m: a["value"].__setitem__(last_of_tree(1)(a), np.nan), "tree 1 has a value or gain that is not finite"),
+        (lambda a, m: a["value"].__setitem__(last_of_tree(0)(a), -np.inf), "tree 0 has a value or gain that is not finite"),
+        (nan_at_first_split("gain"), "tree 0 has a value or gain that is not finite"),
+        (nan_at_first_split("threshold"), "tree 0 has a NaN threshold"),
+        (lambda a, m: m.update(base_score=float("inf")), "base_score inf is not finite"),
+        (lambda a, m: m.update(base_score=float("nan")), "base_score nan is not finite"),
+    ],
+    ids=["nan-value", "inf-value", "nan-gain", "nan-threshold", "inf-base-score", "nan-base-score"],
+)
+def test_load_rejects_non_finite_numbers(tmp_path, edit, message):
+    """A model holding NaN or infinity could not have been trained, and
+    loading names the file."""
+    path = tmp_path / "model.ilos"
+    saved_booster(path)
+    edited(path, edit)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}"):
+        load(path)
+
+
+def concatenated(key, change):
+    def edit(arrays, meta):
+        arrays[key] = change(arrays[key])
 
     return edit
 
@@ -823,72 +888,24 @@ def nan_at_first_split(key):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda p: p["trees"][1]["value"].__setitem__(-1, float("nan")), "tree 1 has a value or gain that is not finite"),
-        (lambda p: p["trees"][0]["value"].__setitem__(-1, float("-inf")), "tree 0 has a value or gain that is not finite"),
-        (nan_at_first_split("gain"), "tree 0 has a value or gain that is not finite"),
-        (nan_at_first_split("threshold"), "tree 0 has a NaN threshold"),
-        (lambda p: p.update(base_score=float("inf")), "base_score inf is not finite"),
-        (lambda p: p.update(base_score=float("nan")), "base_score nan is not finite"),
+        (concatenated("n_nodes", lambda c: c + np.eye(1, c.size, dtype=np.int64)[0]), "n_nodes and the node arrays disagree"),
+        (concatenated("n_nodes", lambda c: np.append(c, 0)), "n_nodes and the node arrays disagree"),
+        (concatenated("threshold", lambda v: v[:-1]), "n_nodes and the node arrays disagree"),
+        (concatenated("left", lambda v: v[:, None]), "n_nodes and the node arrays disagree"),
+        (concatenated("feature", lambda v: v.astype(np.float64)), "n_nodes and the node arrays disagree"),
+        (lambda a, m: a.pop("gain"), "container is missing key\\(s\\) 'gain'"),
+        (lambda a, m: m.pop("train_loss"), "metadata is missing key\\(s\\) 'train_loss'"),
+        (lambda a, m: m["config"].update(seed=0), "config has unknown key\\(s\\) \\['seed'\\] for BoosterConfig"),
+        (lambda a, m: m["config"].update(bootstrap=True), "config has unknown key\\(s\\) \\['bootstrap'\\]"),
     ],
-    ids=["nan-value", "inf-value", "nan-gain", "nan-threshold", "inf-base-score", "nan-base-score"],
+    ids=["counts-long", "count-zero", "threshold-short", "left-2d", "feature-float",
+         "gain-missing", "train-loss-missing", "retired-seed", "forest-key"],
 )
-def test_load_rejects_non_finite_numbers(tmp_path, edit, message):
-    """Python's json reads NaN and Infinity; a model holding them could not
-    have been trained, and loading names the file."""
-    import json
-
-    rng = np.random.default_rng(26)
-    rows = rng.normal(size=(80, 3))
-    labels = (rows[:, 0] + rng.normal(size=80) > 0.3).astype(float)
-    path = tmp_path / "model.json"
-    train_gbdt(rows, labels, BoosterConfig(n_trees=2, max_depth=2)).save(path)
-    payload = json.loads(path.read_text())
-    edit(payload)
-    path.write_text(json.dumps(payload))
+def test_load_rejects_inconsistent_node_arrays(tmp_path, edit, message):
+    """Node arrays and counts that do not fit together, and settings of
+    another kind or format, are refused naming the file."""
+    path = tmp_path / "model.ilos"
+    saved_booster(path)
+    edited(path, edit)
     with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}"):
-        TreeEnsemble.load(path)
-
-
-#: Config keys that files of the older format carry, with the values the
-#: fits then used.
-OLDER_CONFIG_KEYS = {
-    "booster": {"seed": 0},
-    "forest": {"max_depth": 12, "features_per_split": None, "bootstrap": True, "min_samples_split": 2},
-}
-
-
-@pytest.mark.parametrize("kind", ["booster", "forest"])
-def test_older_format_files_load(tmp_path, kind):
-    """Files that carry a per-node ``gain_flipped`` and the retired config
-    keys load to the same model; a key of neither format is still refused."""
-    import json
-
-    rng = np.random.default_rng(25)
-    rows = rng.normal(size=(80, 4))
-    labels = (rows[:, 0] + rng.normal(size=80) > 0.5).astype(float)
-    if kind == "booster":
-        rows[rng.random(rows.shape) < 0.3] = np.nan
-        model = train_gbdt(rows, labels, BoosterConfig(n_trees=3))
-    else:
-        model = train_random_forest(rows, labels, ForestConfig(n_trees=3, seed=1))
-    path = tmp_path / "model.json"
-    model.save(path)
-    payload = json.loads(path.read_text())
-    payload["config"].update(OLDER_CONFIG_KEYS[kind])
-    for tree in payload["trees"]:
-        tree["gain_flipped"] = [0.25] * len(tree["gain"])
-    path.write_text(json.dumps(payload))
-    loaded = TreeEnsemble.load(path)
-    assert loaded.config == model.config
-    assert loaded.train_loss == model.train_loss
-    for old, new in zip(model.trees, loaded.trees):
-        for key in TREE_KEYS:
-            assert getattr(old, key).tobytes() == getattr(new, key).tobytes(), key
-    assert predict_proba(loaded, rows).tobytes() == predict_proba(model, rows).tobytes()
-
-    # A key of the other kind only is still refused.
-    foreign = "bootstrap" if kind == "booster" else "learning_rate"
-    payload["config"][foreign] = 1
-    path.write_text(json.dumps(payload))
-    with pytest.raises(DataError, match=f"unknown key\\(s\\) \\['{foreign}'\\]"):
-        TreeEnsemble.load(path)
+        load(path)
