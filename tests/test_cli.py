@@ -265,27 +265,60 @@ def test_cli_truncated_json_exits_1(pipeline_ws, tmp_path, capsys, stage, artifa
     assert "undecodable" in capsys.readouterr().err
 
 
+#: A trained model's identity: the ``meta.json`` of older versions, now the
+#: JSON metadata of the model's ``model.ilos``. Cases naming it edit that
+#: metadata in place.
+MODEL_META = "models/booster_net1/meta.json"
+
+
+def edit_json(ws: Path, artifact: str, edit) -> None:
+    """Replace the JSON document ``artifact`` names under ``ws`` by
+    ``edit`` of it: a JSON file, or for :data:`MODEL_META` the metadata of
+    the model container beside it."""
+    if artifact == MODEL_META:
+        path = ws / artifact.replace("meta.json", "model.ilos")
+        arrays, meta = read_container(path)
+        write_container(path, arrays, edit(meta))
+    else:
+        target = ws / artifact
+        target.write_text(json.dumps(edit(json.loads(target.read_text(encoding="utf-8")))), encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "stage, artifact, content",
-    [("report", "eval/booster_net1/scores.json", '{"overall": 0.05}')],
+    [
+        ("evaluate", MODEL_META, '{"name": "booster_net1", "kind": "booster"}'),
+        ("report", "eval/booster_net1/scores.json", '{"overall": 0.05}'),
+    ],
 )
 def test_cli_json_missing_keys_exits_1(pipeline_ws, tmp_path, capsys, stage, artifact, content):
     ws, args = copied_workspace(pipeline_ws, tmp_path)
-    (ws / artifact).write_text(content, encoding="utf-8")
+    edit_json(ws, artifact, lambda _: json.loads(content))
     assert cli_entry([stage] + args) == 1
     assert "missing key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "stage, artifact, key, value",
-    [("report", "eval/booster_net1/scores.json", "model", ["x"])],
+    [
+        ("evaluate", MODEL_META, "grid_scores", 5),
+        ("evaluate", MODEL_META, "grid_scores", [[1, 0.5, 2]]),
+        ("evaluate", MODEL_META, "grid_scores", [["1", 0.5]]),
+        ("evaluate", MODEL_META, "grid_scores", [[1, "0.5"]]),
+        ("evaluate", MODEL_META, "dataset", ["x"]),
+        ("evaluate", MODEL_META, "name", 1),
+        ("evaluate", MODEL_META, "kind", None),
+        ("evaluate", MODEL_META, "scope", {"net": 1}),
+        ("evaluate", MODEL_META, "imputation", 0),
+        ("report", "eval/booster_net1/scores.json", "model", ["x"]),
+        ("evaluate", MODEL_META, "kind", "xyz"),
+        ("evaluate", MODEL_META, "kind", "forest"),
+        ("evaluate", MODEL_META, "imputation", "zero"),
+    ],
 )
 def test_cli_wrong_typed_json_value_exits_1(pipeline_ws, tmp_path, capsys, stage, artifact, key, value):
     ws, args = copied_workspace(pipeline_ws, tmp_path)
-    target = ws / artifact
-    payload = json.loads(target.read_text(encoding="utf-8"))
-    payload[key] = value
-    target.write_text(json.dumps(payload), encoding="utf-8")
+    edit_json(ws, artifact, lambda payload: {**payload, key: value})
     assert cli_entry([stage] + args) == 1
     err = capsys.readouterr().err
     assert repr(key) in err
