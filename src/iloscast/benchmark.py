@@ -9,8 +9,10 @@ seed, which the reproducibility gate exploits by running it twice.
 from __future__ import annotations
 
 import tempfile
+from functools import partial
 from pathlib import Path
 
+from . import fits
 from .pipeline import (
     DEFAULT_GRID,
     build_network_datasets,
@@ -43,7 +45,8 @@ def run_benchmark(seed: int = BENCH_SEED) -> dict:
     per-network scores, and the precursor-only subset score, plus the
     single-network-trained recurrent model's score on the smallest network
     for the transfer comparison. The generated CSVs live in a temporary
-    directory until they are ingested.
+    directory until they are ingested. The three fits go to
+    :func:`fits.run`; evaluation runs here.
     """
     with tempfile.TemporaryDirectory() as out_dir:
         result = generate(GenConfig(seed=seed), Path(out_dir))
@@ -53,14 +56,16 @@ def run_benchmark(seed: int = BENCH_SEED) -> dict:
     stats = dataset_stats(mega)["merged"]
     mask = precursor_mask(mega, result.events)
 
-    booster = train_tree_model(mega, "booster", "mega", grid=DEFAULT_GRID, seed=seed)
-    booster_report = evaluate_model(booster, mega, extra_masks={"precursor_only": mask})
-
-    brits = train_brits_model(mega, "mega", BENCH_BRITS, seed=seed)
-    brits_report = evaluate_model(brits, mega, extra_masks={"precursor_only": mask})
-
     smallest = min(datasets, key=lambda net: datasets[net].n)
-    brits_single = train_brits_model(datasets[smallest], smallest, BENCH_BRITS, seed=seed)
+    booster, brits, brits_single = fits.run(
+        [
+            ("booster on mega", partial(train_tree_model, mega, "booster", "mega", grid=DEFAULT_GRID, seed=seed)),
+            ("brits on mega", partial(train_brits_model, mega, "mega", BENCH_BRITS, seed=seed)),
+            (f"brits on {smallest}", partial(train_brits_model, datasets[smallest], smallest, BENCH_BRITS, seed=seed)),
+        ]
+    )
+    booster_report = evaluate_model(booster, mega, extra_masks={"precursor_only": mask})
+    brits_report = evaluate_model(brits, mega, extra_masks={"precursor_only": mask})
     single_report = evaluate_model(brits_single, datasets[smallest])
 
     return {

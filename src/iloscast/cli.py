@@ -16,8 +16,10 @@ import json
 import shutil
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from datetime import date
+from functools import partial
 from pathlib import Path
 from typing import Iterator
 
@@ -29,7 +31,7 @@ from .dataset import WindowDataset, write_audit_csv
 from .errors import ConfigError, DataError, IloscastError, IndicatorError, MissingArtifactError, NumericError
 from .ingest import PortSeries
 from .container import decoding, read_container, read_json, require_keys, text_cells, write_container, write_csv, write_json
-from . import metrics
+from . import fits, metrics
 from .pipeline import (
     DEFAULT_GRID,
     FOREST_IMPUTATIONS,
@@ -362,17 +364,20 @@ def stage_train(cfg: RunConfig, ws: Workspace) -> None:
         raise MissingArtifactError(f"no built dataset for network(s) {missing}")
     for net in networks:
         _check_validation_positives(datasets[net], net)
-    for net in networks:
-        for kind in kinds:
-            _save_model(ws, train_model(datasets[net], kind, net, **options), dataset_scope=net)
+    jobs = [
+        (f"{kind} on {net}", partial(train_model, datasets[net], kind, net, **options))
+        for net in networks
+        for kind in kinds
+    ]
+    fits.run(jobs, lambda trained: _save_model(ws, trained, dataset_scope=trained.scope))
 
 
 def stage_pretrain(cfg: RunConfig, ws: Workspace) -> None:
     """Build the mega-dataset and pre-train the selected models on it."""
     kinds, options = _train_options(cfg)
     mega = build_mega_dataset(list(_load_datasets(ws).values()))
-    for kind in kinds:
-        _save_model(ws, train_model(mega, kind, "mega", **options), dataset_scope="mega")
+    jobs = [(f"{kind} on mega", partial(train_model, mega, kind, "mega", **options)) for kind in kinds]
+    fits.run(jobs, lambda trained: _save_model(ws, trained, dataset_scope="mega"))
 
 
 FINETUNERS = {"classifier_only": finetune_classifier_only, "entirety": finetune_entirety}
@@ -396,17 +401,19 @@ def stage_finetune(cfg: RunConfig, ws: Workspace) -> None:
     if pretrained.kind != "brits":
         raise DataError(f"{model_path}: 'kind' {pretrained.kind!r} is not 'brits'")
     parent_hash = _sha256(model_path)
-    for net in networks:
-        for strategy in strategies:
-            model, history = FINETUNERS[strategy](pretrained.model, mega, net, schedule)
-            trained = TrainedModel(
-                name=f"brits_mega_ft-{strategy}_{net}",
-                kind="brits",
-                scope=net,
-                model=model,
-                history=history,
-            )
-            _save_model(ws, trained, dataset_scope="mega", parent_hash=parent_hash)
+
+    def finetune(strategy: str, net: str) -> TrainedModel:
+        model, history = FINETUNERS[strategy](pretrained.model, mega, net, schedule)
+        return TrainedModel(
+            name=f"brits_mega_ft-{strategy}_{net}", kind="brits", scope=net, model=model, history=history
+        )
+
+    jobs = [
+        (f"{strategy} fine-tune on {net}", partial(finetune, strategy, net))
+        for net in networks
+        for strategy in strategies
+    ]
+    fits.run(jobs, lambda trained: _save_model(ws, trained, dataset_scope="mega", parent_hash=parent_hash))
 
 
 def _is_grid_score(item) -> bool:
@@ -578,8 +585,12 @@ def _pyplot():
 def _read_curve(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """The recall and precision columns of a ``pr_curve.csv``;
     :class:`DataError` naming ``path`` unless both are there and finite."""
-    with decoding(path, "PR curve"):
-        rows = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
+    with decoding(path, "PR curve"), warnings.catch_warnings():
+        warnings.filterwarnings("error", "genfromtxt: Empty input file", UserWarning)
+        try:
+            rows = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
+        except UserWarning:
+            raise ValueError("the file holds no header line") from None
         recall, precision = rows["recall"], rows["precision"]
     if not (np.isfinite(recall).all() and np.isfinite(precision).all()):
         raise DataError(f"{path}: a recall or precision that is not a finite number")

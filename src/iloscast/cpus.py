@@ -1,4 +1,5 @@
-"""How many CPUs this process may run on."""
+"""How many CPUs this process may run on, and whether BLAS leaves room
+for more threads or processes beside it."""
 
 from __future__ import annotations
 
@@ -11,3 +12,10 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def blas_pinned() -> bool:
+    """Whether BLAS is pinned to one thread: ``OPENBLAS_NUM_THREADS``, else
+    ``OMP_NUM_THREADS``, is ``1``. Otherwise its own threads compete with
+    a second thread of ours, or share the one CPU of a pinned child."""
+    return os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS")) == "1"

@@ -19,10 +19,13 @@ forward writes every per-step quantity in place into one (T, B, width)
 array, which training reuses across steps (``StepWorkspace``); backprop
 uses plain temporaries, because writing them in place measured no faster.
 Every pass, training step or forward-only, runs the two directions on
-two threads when ``step_threads()`` allows it, with the same bits as one
-thread. Forward-only passes (``brits_forward`` and through it prediction,
-and ``evaluate_losses``) run the same time loop with step caching off,
-rewriting one slot per quantity, and sum the estimation error inside it.
+two threads when ``step_threads()`` allows it (two or more usable CPUs,
+BLAS pinned to one thread), with the same bits as one thread; that is a
+single fit, because a fit in a ``fits.run`` child is pinned to one CPU
+and runs them on one. Forward-only passes (``brits_forward`` and through it
+prediction, and ``evaluate_losses``) run the same time loop with step
+caching off, rewriting one slot per quantity, and sum the estimation
+error inside it.
 Classifier-only fine-tuning (``train_classifier_head``) runs one such
 pass and then trains the head alone on what it cached. The
 other sigmoids (combination weight, output probability) use the shared
@@ -45,7 +48,7 @@ from .activation import sigmoid
 # read_container and write_container are not called here; they stay bound
 # in this module, where perfbench's tracer looks them up.
 from .container import read_container, require_keys, write_container  # noqa: F401
-from .cpus import usable_cpus
+from .cpus import blas_pinned, usable_cpus
 from .errors import ConfigError, DataError, NumericError
 from .missing import compute_time_gaps
 
@@ -483,11 +486,9 @@ os.register_at_fork(after_in_child=_forget_worker)
 def step_threads() -> int:
     """Threads for the two directions of one pass, training step or
     forward-only: 2 when this process may run on two or more CPUs and BLAS
-    is pinned to one thread (``OPENBLAS_NUM_THREADS``, else
-    ``OMP_NUM_THREADS``, is ``1``); 1 otherwise, where a second thread
-    would compete with BLAS's own."""
-    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
-    return 2 if blas == "1" and usable_cpus() >= 2 else 1
+    is pinned to one thread (``cpus.blas_pinned``); 1 otherwise, where a
+    second thread would compete with BLAS's own."""
+    return 2 if blas_pinned() and usable_cpus() >= 2 else 1
 
 
 def _both_directions(run_fwd: Callable, run_bwd: Callable) -> tuple:

@@ -34,9 +34,11 @@ contiguous block per group of columns with equal observed counts
 (``_observed_sums``). ``train_gbdt`` updates the margin from the leaf each
 row reached while the tree grew instead of routing the rows again.
 
-With two usable CPUs, a large fit searches each large node's columns in
-two halves, one in a forked worker process (``_SplitSearch``), and keeps
-the better half's split by the same rule, so the trees do not change.
+A large fit in a process that may run on two or more CPUs searches each
+large node's columns in two halves, one in a forked worker process
+(``_SplitSearch``), and keeps the better half's split by the same rule,
+so the trees do not change. That is a single fit: fits that
+``fits.run`` puts in pinned children see one CPU and search in-process.
 """
 
 from __future__ import annotations

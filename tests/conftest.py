@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import signal
+from contextlib import suppress
 from dataclasses import fields
 from datetime import date
 
@@ -8,6 +11,34 @@ import pytest
 
 from iloscast.ingest import PortSeries
 from iloscast.schema import FeatureSchema
+
+
+def _children() -> list[int]:
+    """The pids of this process's children, running or exited but not yet
+    reaped, as Linux lists them under ``/proc``; [] where it does not."""
+    pids = []
+    for task in os.listdir("/proc/self/task") if os.path.isdir("/proc/self/task") else []:
+        with suppress(FileNotFoundError), open(f"/proc/self/task/{task}/children", encoding="ascii") as fh:
+            pids += [int(pid) for pid in fh.read().split()]
+    return pids
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running or unreaped, after
+    killing and reaping it so that later tests start clean."""
+    yield
+    try:
+        reaped, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    left = [reaped] if reaped else []
+    for pid in _children():
+        with suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        left.append(pid)
+    pytest.fail(f"the test left child processes running or unreaped: {left}")
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import shutil
 import signal
 import struct
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -907,9 +908,15 @@ def test_report_plots_read_every_curve_first(pipeline_ws, tmp_path, capsys, monk
     if text is not None:
         curve.write_text(text, encoding="utf-8")
     before = workspace_state(ws)
-    assert cli_entry(["report"] + args) == code
-    err = capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_entry(["report"] + args) == code
+    # stderr as it would read outside pytest, which records warnings instead
+    err = capsys.readouterr().err + "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught
+    )
     assert "Traceback" not in err
+    assert "Warning" not in err
     if code:
         assert f"{curve}: " in err
         assert workspace_state(ws) == before

@@ -4,11 +4,11 @@ environment."""
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import select
 import signal
+import subprocess
 import sys
 import threading
 import warnings
@@ -355,13 +355,13 @@ def test_pinned_child_fits_the_same_bits_on_two_threads(tmp_path, monkeypatch):
     want_params, want_history = tiny_fit()
     path = tmp_path / "fit.pkl"
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    child = multiprocessing.get_context("spawn").Process(target=_fit_in_child, args=(str(path),))
-    child.start()
-    child.join(60)
-    if child.is_alive():
-        child.kill()
-        child.join()
-    assert child.exitcode == 0
+    # A plain subprocess, not multiprocessing's spawn context, whose
+    # resource-tracker process would outlive the test.
+    here = os.path.dirname(os.path.abspath(__file__))
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join([here, *filter(None, sys.path)]))
+    code = "import sys, test_step_threads; test_step_threads._fit_in_child(sys.argv[1])"
+    child = subprocess.run([sys.executable, "-c", code, str(path)], timeout=60)
+    assert child.returncode == 0
     with open(path, "rb") as fh:
         threads, worker_started, params, history = pickle.load(fh)
     if len(os.sched_getaffinity(0)) >= 2:
