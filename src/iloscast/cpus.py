@@ -17,5 +17,10 @@ def usable_cpus() -> int:
 def blas_pinned() -> bool:
     """Whether BLAS is pinned to one thread: ``OPENBLAS_NUM_THREADS``, else
     ``OMP_NUM_THREADS``, is ``1``. Otherwise its own threads compete with
-    a second thread of ours, or share the one CPU of a pinned child."""
+    a second thread of ours, or share the one CPU of a pinned child.
+
+    The variable is read here, when called, but OpenBLAS sizes its thread
+    pool when numpy is imported: it only counts if it was set before
+    that import. Set after it, this reports BLAS pinned while its pool
+    still has a thread per CPU."""
     return os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS")) == "1"

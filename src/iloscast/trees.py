@@ -34,11 +34,16 @@ contiguous block per group of columns with equal observed counts
 (``_observed_sums``). ``train_gbdt`` updates the margin from the leaf each
 row reached while the tree grew instead of routing the rows again.
 
-A large fit in a process that may run on two or more CPUs searches each
-large node's columns in two halves, one in a forked worker process
-(``_SplitSearch``), and keeps the better half's split by the same rule,
-so the trees do not change. That is a single fit: fits that
-``fits.run`` puts in pinned children see one CPU and search in-process.
+The grower asks for the splits of a whole tree level at once. A node
+whose hessian total is under twice ``min_child_hessian`` becomes a leaf
+without a search, since no split of it could leave that much on both
+sides. A large fit in a process that may run on two or more CPUs forks
+one worker process (``_SplitSearch``) and sends it one task list per
+level. Each process presorts one half of the columns; large nodes are
+searched in both halves and the better half's split is kept by the same
+rule, and each small node is searched whole by one of the two. So the
+trees do not change. That is a single fit: fits that ``fits.run`` puts
+in pinned children see one CPU and search in-process.
 """
 
 from __future__ import annotations
@@ -277,6 +282,9 @@ def predict_proba(model: TreeEnsemble, rows: np.ndarray) -> np.ndarray:
 # Booster
 
 
+#: A node's split: (gain, feature, threshold, default_left).
+Split = tuple[float, int, float, bool]
+
 #: Nodes with at least this many rows search the columns presorted once per
 #: fit; smaller nodes sort their own rows in one 2-D pass, which is cheaper
 #: there than scanning every column's full presorted order (timings per node
@@ -286,29 +294,32 @@ PRESORT_MIN_ROWS = 500
 
 @dataclass(frozen=True)
 class _SortedColumns:
-    """Training rows as column blocks, each searched column's observed rows
-    presorted, and the root's cut positions.
+    """Training rows as column blocks, the columns a split can use and,
+    once ``presorted``, each such column's observed rows in value order
+    with the root's cut positions.
 
     Rows never change across boosting rounds, so everything here is
     computed once per fit. ``searched`` lists the columns that can win a
     split, ascending: the first of each group of bitwise-identical columns
     (a later copy only ties it, and ties go to the lower feature), among
     those with at least two distinct observed values (the others have no
-    threshold in any node). For the ``i``-th searched column, ``order[i]``
-    holds the row ids of its observed values in ascending value order, ties
-    by row id, ``values[i]`` those values and ``root_cut[i]`` the positions
-    in them that the root cuts after: the root holds every row in every
-    round.
+    threshold in any node). The small-node kernel needs only ``columns``
+    and ``searched``. Presorted, ``order[i]`` holds the row ids of the
+    ``i``-th searched column's observed values in ascending value order,
+    ties by row id, ``values[i]`` those values and ``root_cut[i]`` the
+    positions in them that the root cuts after: the root holds every row
+    in every round.
     """
 
     columns: np.ndarray  # (d, n): the rows transposed, C-contiguous
     searched: np.ndarray
-    order: list[np.ndarray]
-    values: list[np.ndarray]
-    root_cut: list[np.ndarray]
+    order: list[np.ndarray] = field(default_factory=list)
+    values: list[np.ndarray] = field(default_factory=list)
+    root_cut: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
     def of(cls, rows: np.ndarray) -> "_SortedColumns":
+        """The columns of ``rows`` and those to search, none presorted."""
         columns = np.ascontiguousarray(rows.T)
         bits = columns.view(np.uint64)
         # The wrapping sum of a column's bit patterns only narrows which
@@ -318,44 +329,49 @@ class _SortedColumns:
             same_key = kept.setdefault(key, [])
             if not any(np.array_equal(bits[e], bits[f]) for e in same_key):
                 same_key.append(f)
+        # The least and greatest observed value; inf and -inf for a column
+        # never observed, so only a column with two distinct values passes.
+        least = np.fmin.reduce(columns, axis=1, initial=np.inf)
+        spread = least < np.fmax.reduce(columns, axis=1, initial=-np.inf)
+        searched = sorted(f for same_key in kept.values() for f in same_key if spread[f])
+        return cls(columns, np.asarray(searched, dtype=np.int64))
+
+    def presorted(self) -> "_SortedColumns":
+        """These columns with every searched column presorted."""
+        x = self.columns[self.searched]
         # One 2-D sort of every column: a sort per column left freed heap
         # blocks behind that raised booster_fit's peak RSS by 5-9 %.
-        full = np.argsort(columns, axis=1, kind="stable")  # NaN sorts last
-        n_obs = (~np.isnan(columns)).sum(axis=1)
-        searched, order, values, root_cut = [], [], [], []
-        for f in sorted(f for same_key in kept.values() for f in same_key):
-            o = full[f, : n_obs[f]].copy()  # drops the NaN tail
-            v = columns[f, o]
-            cut = np.flatnonzero(v[:-1] < v[1:])
-            if cut.size:
-                searched.append(f)
-                order.append(o)
-                values.append(v)
-                root_cut.append(cut)
-        return cls(columns, np.asarray(searched, dtype=np.int64), order, values, root_cut)
+        full = np.argsort(x, axis=1, kind="stable")  # NaN sorts last
+        n_obs = np.count_nonzero(~np.isnan(x), axis=1).tolist()
+        del x  # before the per-column copies, which keep the peak lower
+        order, values, root_cut = [], [], []
+        for f, row, k in zip(self.searched, full, n_obs):
+            o = row[:k].copy()  # drops the NaN tail
+            v = self.columns[f, o]
+            order.append(o)
+            values.append(v)
+            root_cut.append(np.flatnonzero(v[:-1] < v[1:]))
+        return replace(self, order=order, values=values, root_cut=root_cut)
 
     def halves(self) -> tuple["_SortedColumns", "_SortedColumns"]:
         """The searched columns in two shares of about equal observed
-        count, each ascending: the presorted kernel's work on a column grows
-        with it. Columns go largest first to the lighter share."""
-        picks: tuple[list[int], list[int]] = ([], [])
-        load = [0, 0]
-        for i in sorted(range(len(self.order)), key=lambda i: -self.order[i].size):
-            share = int(load[1] < load[0])
-            picks[share].append(i)
-            load[share] += self.order[i].size
+        count, each ascending and not presorted: the presorted kernel's
+        work on a column grows with it. Columns go largest first to the
+        lighter share."""
+        n_obs = np.count_nonzero(~np.isnan(self.columns), axis=1)[self.searched].tolist()
+        return tuple(_SortedColumns(self.columns, self.searched[sorted(share)]) for share in _two_shares(n_obs))
 
-        def share_of(picked: list[int]) -> "_SortedColumns":
-            picked = sorted(picked)
-            return replace(
-                self,
-                searched=self.searched[picked],
-                order=[self.order[i] for i in picked],
-                values=[self.values[i] for i in picked],
-                root_cut=[self.root_cut[i] for i in picked],
-            )
 
-        return share_of(picks[0]), share_of(picks[1])
+def _two_shares(weights: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The positions of ``weights`` in two shares of about equal total
+    weight: largest first to the lighter share, to the first on a tie."""
+    shares: tuple[list[int], list[int]] = ([], [])
+    load = [0, 0]
+    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
+        share = int(load[1] < load[0])
+        shares[share].append(i)
+        load[share] += weights[i]
+    return shares
 
 
 def _midpoint(v: np.ndarray, cut: int) -> float:
@@ -375,7 +391,7 @@ def _score_candidates(
     threshold: Callable[[int, int], float],
     reg_lambda: float,
     min_child_hessian: float,
-) -> tuple[float, int, float, bool] | None:
+) -> Split | None:
     """Best positive-gain split among a node's candidate thresholds, or None.
 
     Candidates come feature by feature, ``counts[i]`` of them for
@@ -437,7 +453,7 @@ def _split_presorted(
     h: np.ndarray,
     reg_lambda: float,
     min_child_hessian: float,
-) -> tuple[float, int, float, bool] | None:
+) -> Split | None:
     """Large-node kernel: filter each column's presorted order to the node.
 
     ``idx`` is increasing, so the filtered order equals a stable sort of the
@@ -517,7 +533,7 @@ def _split_node_sorted(
     h: np.ndarray,
     reg_lambda: float,
     min_child_hessian: float,
-) -> tuple[float, int, float, bool] | None:
+) -> Split | None:
     """Small-node kernel: one 2-D sort, cumsum and gain pass over the
     searched columns."""
     g_node = g[idx]
@@ -556,7 +572,7 @@ def _best_split_booster(
     h: np.ndarray,
     reg_lambda: float,
     min_child_hessian: float,
-) -> tuple[float, int, float, bool] | None:
+) -> Split | None:
     """Best (gain, feature, threshold, default_left) or None.
 
     Gain is the second-order split gain with the absent set's gradient and
@@ -567,20 +583,19 @@ def _best_split_booster(
     return kernel(cols, idx, g, h, reg_lambda, min_child_hessian)
 
 
-#: A node is searched on two processes when its rows times searched
-#: columns reach this; below it the round trip to the worker costs more
-#: than searching half the columns saves (timings per node size in
-#: BENCH_booster_processes.json).
-SPLIT_WORKER_MIN_CELLS = 10_000
+#: A node is searched in two column halves, one per process, when its rows
+#: times searched columns reach this; a smaller node goes whole to one
+#: process, where one kernel call over every column costs less than two
+#: over half of them. Of the values 2,500 to 56,000 timed on whole fits,
+#: 40,000 and up were fastest (BENCH_booster_levels.json).
+SPLIT_WORKER_MIN_CELLS = 40_000
 
 #: A fit forks the split worker only when its rows times searched columns
 #: times rounds reach this; smaller fits do not win back the fork.
 SPLIT_WORKER_MIN_FIT_CELLS = 1_000_000
 
 
-def _better(
-    a: tuple[float, int, float, bool] | None, b: tuple[float, int, float, bool] | None
-) -> tuple[float, int, float, bool] | None:
+def _better(a: Split | None, b: Split | None) -> Split | None:
     """The better of two shares' splits by ``_score_candidates``' rule: the
     higher gain, and on equal gains the lower feature."""
     if a is None or b is None:
@@ -588,20 +603,60 @@ def _better(
     return a if (a[0], -a[1]) >= (b[0], -b[1]) else b
 
 
-class _SplitSearch:
-    """The booster's split finder for one fit, ``find(idx)``, over the
-    gradients ``g`` and hessians ``h`` that the caller rewrites each round.
+def _read(sock: socket.socket, size: int) -> bytes:
+    """``size`` bytes from ``sock``, or fewer if the other end closed."""
+    data = bytearray()
+    while len(data) < size:
+        chunk = sock.recv(size - len(data))
+        if not chunk:
+            break
+        data += chunk
+    return bytes(data)
 
-    Used as a context manager. With two or more usable CPUs, ``os.fork``,
-    two or more searched columns and a fit of at least
-    ``SPLIT_WORKER_MIN_FIT_CELLS``, entering forks one worker process that
-    inherits the presorted columns. ``g``, ``h`` and a node's row ids live
-    in one shared anonymous ``mmap``. At a node of at least
-    ``SPLIT_WORKER_MIN_CELLS``, this process writes the row ids, sends
-    their count over a socket, searches one half of the columns
-    (``_SortedColumns.halves``) while the worker searches the other, and
-    keeps the better reply (``_better``). Each column's candidates get the
-    same operations on either side, so the splits equal a search of every
+
+def _send(sock: socket.socket, message: object) -> None:
+    """Send ``message`` pickled, after its length in 8 bytes."""
+    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    sock.sendall(len(data).to_bytes(8, "little") + data)
+
+
+def _receive(sock: socket.socket) -> object | None:
+    """The next message ``_send`` sent on ``sock``, whole, or None if the
+    other end closed first."""
+    head = _read(sock, 8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "little")
+        data = _read(sock, size)
+        if len(data) == size:
+            return pickle.loads(data)
+    return None
+
+
+class _SplitSearch:
+    """The booster's split finder for one fit, ``find_splits(nodes)``, over
+    the gradients ``g`` and hessians ``h`` that the caller rewrites each
+    round.
+
+    A node whose hessian total is under twice ``min_child_hessian`` is
+    not searched: no split gives both children that much, as
+    ``hr = H - hl`` is exact there (Sterbenz's lemma), so every candidate
+    scores -inf and the kernels would return None.
+
+    Used as a context manager. Without a worker, entering presorts every
+    searched column and each node is searched here. With two or more
+    usable CPUs, ``os.fork``, two or more searched columns and a fit of at
+    least ``SPLIT_WORKER_MIN_FIT_CELLS``, entering cuts the searched
+    columns in two halves (``_SortedColumns.halves``) and forks one worker
+    process; each process presorts only its own half, at the same time.
+    ``g``, ``h`` and the row ids of a level live in one shared anonymous
+    ``mmap``: a level's nodes are disjoint, so their rows fit in its ``n``
+    slots. Per level, this process writes the rows the worker needs,
+    sends it one task list over a socket, runs its own tasks and takes one
+    reply. A node the presorted kernel searches, or one of at least
+    ``SPLIT_WORKER_MIN_CELLS``, is searched in both halves and the better
+    split kept (``_better``); a smaller node goes whole, to the process
+    with less estimated work so far. Each column's candidates get the same
+    operations on either side, so the splits equal a search of every
     column in one process to the bit. The worker only runs kernels and
     leaves on end of file; leaving the context closes the socket and reaps
     it, after killing it if the fit failed.
@@ -612,6 +667,7 @@ class _SplitSearch:
     ):
         self.cols = cols
         self.args = (reg_lambda, min_child_hessian)
+        self.least_hessian = 2.0 * min_child_hessian  # below it no split leaves min_child_hessian on both sides
         n = cols.columns.shape[1]
         self.forks = (
             cols.searched.size >= 2
@@ -629,20 +685,26 @@ class _SplitSearch:
 
     def __enter__(self) -> "_SplitSearch":
         if not self.forks:
+            self.mine = self.cols.presorted()
             return self
-        self.mine, theirs = self.cols.halves()
-        self.sock, child = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        mine, theirs = self.cols.halves()
+        self.sock, child = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads running
             pid = os.fork()
         if pid == 0:
             try:
                 self.sock.close()
-                self._serve(child, theirs)
+                self._serve(child, theirs.presorted())
             finally:
                 os._exit(0)
         child.close()
         self.pid = pid
+        try:
+            self.mine = mine.presorted()
+        except BaseException as exc:
+            self.__exit__(type(exc))
+            raise
         return self
 
     def __exit__(self, exc_type, *_) -> None:
@@ -656,71 +718,105 @@ class _SplitSearch:
             os.waitpid(self.pid, 0)
             self.pid = 0
 
+    def _search(self, cols: _SortedColumns, idx: np.ndarray) -> Split | None:
+        return _best_split_booster(cols, idx, self.g, self.h, *self.args)
+
     def _serve(self, sock: socket.socket, share: _SortedColumns) -> None:
-        """The worker's loop: search ``share`` at each node whose row count
-        arrives, and reply ``(True, split)`` or ``(False, error)``."""
-        while True:
-            count = sock.recv(8)
-            if not count:
-                return
-            idx = self.idx[: int.from_bytes(count, "little")]
+        """The worker's loop: for each task list ``(start, stop, halved)``
+        that arrives, search the rows ``idx[start:stop]`` over ``share`` if
+        halved, else over every searched column, and reply ``(True,
+        splits)`` or ``(False, error)``."""
+        while (tasks := _receive(sock)) is not None:
             try:
-                reply = (True, _best_split_booster(share, idx, self.g, self.h, *self.args))
+                splits = [self._search(share if halved else self.cols, self.idx[a:b]) for a, b, halved in tasks]
+                reply = (True, splits)
             except Exception as exc:  # reported to the fitting process
                 reply = (False, f"{type(exc).__name__}: {exc}")
-            sock.send(pickle.dumps(reply))
+            _send(sock, reply)
 
-    def find(self, idx: np.ndarray) -> tuple[float, int, float, bool] | None:
-        if not self.pid or idx.size * self.cols.searched.size < SPLIT_WORKER_MIN_CELLS:
-            return _best_split_booster(self.cols, idx, self.g, self.h, *self.args)
-        self.idx[: idx.size] = idx
+    def find_splits(self, nodes: Sequence[np.ndarray]) -> list[Split | None]:
+        """The split of each node of ``nodes``, row-id arrays that are each
+        increasing and pairwise disjoint, or None where it has none."""
+        live = [i for i, idx in enumerate(nodes) if self.h[idx].sum() >= self.least_hessian]
+        splits: list[Split | None] = [None] * len(nodes)
+        if not self.pid:
+            for i in live:
+                splits[i] = self._search(self.mine, nodes[i])
+            return splits
+        width = self.cols.searched.size
+        halved, whole = [], []
+        for i in live:
+            # Each process presorted only its half, so every node of the
+            # presorted kernel is halved.
+            big = nodes[i].size >= PRESORT_MIN_ROWS or nodes[i].size * width >= SPLIT_WORKER_MIN_CELLS
+            (halved if big else whole).append(i)
+        # The whole nodes of this process and of the worker, shared by rows:
+        # a whole node's work is about its rows times every column.
+        here, there = ([whole[k] for k in share] for share in _two_shares([nodes[i].size for i in whole]))
+        tasks, at = [], 0
+        for j, i in enumerate(halved + there):
+            self.idx[at : at + nodes[i].size] = nodes[i]
+            tasks.append((at, at + nodes[i].size, j < len(halved)))
+            at += nodes[i].size
         try:
-            self.sock.send(idx.size.to_bytes(8, "little"))
-            mine = _best_split_booster(self.mine, idx, self.g, self.h, *self.args)
-            reply = self.sock.recv(4096)
+            if tasks:
+                _send(self.sock, tasks)
+            for i in halved:
+                splits[i] = self._search(self.mine, nodes[i])
+            for i in here:
+                splits[i] = self._search(self.cols, nodes[i])
+            reply = _receive(self.sock) if tasks else (True, [])
         except ConnectionError:  # the worker is gone: send or receive fails
-            reply = b""
-        if not reply:
+            reply = None
+        if reply is None:
             raise RuntimeError(f"booster split worker (pid {self.pid}) exited during a split search")
-        ok, theirs = pickle.loads(reply)
+        ok, theirs = reply
         if not ok:
             raise RuntimeError(f"booster split worker (pid {self.pid}) failed: {theirs}")
-        return _better(mine, theirs)
+        for j, (i, split) in enumerate(zip(halved + there, theirs)):
+            splits[i] = _better(splits[i], split) if j < len(halved) else split
+        return splits
 
 
 def _grow_tree(
     columns: np.ndarray,
     root: np.ndarray,
     max_depth: int,
-    find_split: Callable[[np.ndarray], tuple[float, int, float, bool] | None],
+    find_splits: Callable[[list[np.ndarray]], list[Split | None]],
     leaf_value: Callable[[np.ndarray], float],
 ) -> Tree:
     """Grow one tree breadth-first over ``columns`` (d, n) from the row ids
-    ``root``.
+    ``root``, one level at a time.
 
-    A node shallower than ``max_depth`` with at least two rows ``idx`` asks
-    ``find_split(idx)`` for (gain, feature, threshold, default_left); a
-    node it gets None for, or does not ask, becomes a leaf of
-    ``leaf_value(idx)``. Absent cells follow ``default_left``.
+    The nodes of a level shallower than ``max_depth`` with at least two
+    rows are passed together, in node order, to ``find_splits``, which
+    returns each one's (gain, feature, threshold, default_left) in that
+    order; a node it gets None for, or does not ask, becomes a leaf of
+    ``leaf_value(idx)``. Absent cells follow ``default_left``. Node ids
+    are those of a first-in first-out grower: children are numbered in
+    the order of their parents.
     """
     nodes: list[list | None] = [None]  # one row per node, in TREE_KEYS order
-    frontier: list[tuple[int, np.ndarray, int]] = [(0, root, 0)]
-    while frontier:
-        node, idx, depth = frontier.pop(0)
-        split = None
-        if depth < max_depth and idx.size >= 2:
-            split = find_split(idx)
-        if split is None:
-            nodes[node] = [_LEAF, 0.0, True, _LEAF, _LEAF, leaf_value(idx), 0.0]
-            continue
-        gain, f, thr, go_left_default = split
-        vals = columns[f, idx]
-        go_left = np.where(np.isnan(vals), go_left_default, vals < thr)
-        lid = len(nodes)
-        nodes[node] = [f, thr, go_left_default, lid, lid + 1, 0.0, gain]
-        nodes += [None, None]
-        frontier.append((lid, idx[go_left], depth + 1))
-        frontier.append((lid + 1, idx[~go_left], depth + 1))
+    level: list[tuple[int, np.ndarray]] = [(0, root)]
+    depth = 0
+    while level:
+        asked = [k for k, (_, idx) in enumerate(level) if depth < max_depth and idx.size >= 2]
+        splits = dict(zip(asked, find_splits([level[k][1] for k in asked])))
+        below = []
+        for k, (node, idx) in enumerate(level):
+            split = splits.get(k)
+            if split is None:
+                nodes[node] = [_LEAF, 0.0, True, _LEAF, _LEAF, leaf_value(idx), 0.0]
+                continue
+            gain, f, thr, go_left_default = split
+            vals = columns[f, idx]
+            go_left = np.where(np.isnan(vals), go_left_default, vals < thr)
+            lid = len(nodes)
+            nodes[node] = [f, thr, go_left_default, lid, lid + 1, 0.0, gain]
+            nodes += [None, None]
+            below += [(lid, idx[go_left]), (lid + 1, idx[~go_left])]
+        level = below
+        depth += 1
     return Tree(*(np.asarray(column, dtype) for column, dtype in zip(zip(*nodes), NODE_DTYPES.values())))
 
 
@@ -765,7 +861,7 @@ def train_gbdt(
                 cols.columns,
                 np.arange(rows.shape[0], dtype=np.int64),
                 config.max_depth,
-                search.find,
+                search.find_splits,
                 leaf,
             )
             trees.append(tree)
@@ -787,7 +883,7 @@ def train_gbdt(
 
 def _best_split_gini(
     rows: np.ndarray, idx: np.ndarray, y: np.ndarray, mtry: int, rng: np.random.Generator
-) -> tuple[float, int, float, bool] | None:
+) -> Split | None:
     """Best Gini split over ``mtry`` features drawn from ``rng``, or None.
 
     Returned as the grower's (gain, feature, threshold, default_left) with
@@ -854,7 +950,7 @@ def train_random_forest(
                 rows.T,
                 rng.integers(0, n, size=n),
                 FOREST_MAX_DEPTH,
-                lambda idx: _best_split_gini(rows, idx, y, mtry, rng),
+                lambda level: [_best_split_gini(rows, idx, y, mtry, rng) for idx in level],
                 lambda idx: float(y[idx].mean()),
             )
         )

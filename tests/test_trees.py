@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import pickle
 import re
 import signal
 from dataclasses import replace
@@ -34,6 +35,7 @@ from iloscast.trees import (
 )
 from iloscast.container import read_container, write_container
 from test_cli import deadline
+from tree_reference import grow_fifo
 
 
 
@@ -256,7 +258,7 @@ def test_presorted_splits_match_exhaustive_oracle_on_large_nodes():
 def test_both_split_kernels_agree_bit_for_bit():
     rng = np.random.default_rng(32)
     rows, labels = mixed_rows(rng, 1200)
-    cols = _SortedColumns.of(rows)
+    cols = _SortedColumns.of(rows).presorted()
     cfg = BoosterConfig(n_trees=2, max_depth=4, min_child_hessian=0.5)
     model = train_gbdt(rows, labels, cfg)
     nodes = [(idx, g, h) for _, _, idx, g, h in replay_split_nodes(model, rows, labels)]
@@ -275,7 +277,7 @@ def test_both_split_kernels_agree_bit_for_bit():
     assert found >= len(nodes) - 2  # the 2- and 3-row nodes may have no legal split
     # Only the never-observed and constant columns: no candidate anywhere.
     for idx, g, h in nodes[:3]:
-        bare = _SortedColumns.of(rows[:, 2:4])
+        bare = _SortedColumns.of(rows[:, 2:4]).presorted()
         assert _split_presorted(bare, idx, g, h, 1.0, 0.5) is None
         assert _split_node_sorted(bare, idx, g, h, 1.0, 0.5) is None
 
@@ -299,7 +301,7 @@ def test_split_kernels_skip_redundant_columns_bit_for_bit():
     rows = np.column_stack(
         [rows, rows[:, win], np.where(rows[:, win] < thr, 2.0, rng.normal(size=n)), same_counts]
     )
-    cols = _SortedColumns.of(rows)
+    cols = _SortedColumns.of(rows).presorted()
     assert win in cols.searched and copy not in cols.searched
     assert 2 not in cols.searched and 3 not in cols.searched  # never observed, constant
     model = train_gbdt(rows, labels, cfg)
@@ -317,6 +319,47 @@ def test_split_kernels_skip_redundant_columns_bit_for_bit():
         assert _split_presorted(cols, *args) == expected
         assert _split_node_sorted(cols, *args) == expected
     assert found >= len(nodes) - 1
+
+
+def test_nodes_under_twice_min_child_hessian_are_leaves_without_a_search(monkeypatch):
+    """A node whose hessian total is under ``2 * min_child_hessian`` has no
+    split that leaves that much on both sides: the fit runs no kernel on
+    it, and the exhaustive oracle finds none. Every other leaf above the
+    depth limit is one the per-column reference finds no split for."""
+    rng = np.random.default_rng(43)
+    rows, labels = mixed_rows(rng, 900)
+    cfg = BoosterConfig(n_trees=3, max_depth=6, min_child_hessian=4.0)
+    least = 2 * cfg.min_child_hessian
+    search = trees._best_split_booster
+
+    def searched_only_above(cols, idx, g, h, *args):
+        assert h[idx].sum() >= least
+        return search(cols, idx, g, h, *args)
+
+    monkeypatch.setattr(trees, "_best_split_booster", searched_only_above)
+    model = train_gbdt(rows, labels, cfg)
+    y = labels.astype(np.float64)
+    margin = np.full(rows.shape[0], model.base_score)
+    skipped = 0
+    for tree in model.trees:
+        p = sigmoid(margin)
+        g, h = p - y, p * (1.0 - p)
+        frontier = [(0, np.arange(rows.shape[0]), 0)]
+        while frontier:
+            node, idx, depth = frontier.pop()
+            if tree.feature[node] < 0:
+                if depth < cfg.max_depth and idx.size >= 2:
+                    assert per_column_split(rows, idx, g, h, cfg.reg_lambda, cfg.min_child_hessian) is None
+                    if h[idx].sum() < least:
+                        assert oracle_best_split(rows, idx, g, h, cfg.reg_lambda, cfg.min_child_hessian) is None
+                        skipped += 1
+                continue
+            vals = rows[idx, tree.feature[node]]
+            go_left = np.where(np.isnan(vals), tree.default_left[node], vals < tree.threshold[node])
+            frontier.append((int(tree.left[node]), idx[go_left], depth + 1))
+            frontier.append((int(tree.right[node]), idx[~go_left], depth + 1))
+        margin += tree_values(tree, rows)
+    assert skipped >= 10
 
 
 def test_booster_train_loss_matches_tree_values_replay():
@@ -509,9 +552,10 @@ def nan_heavy(rng, n):
 @pytest.mark.parametrize("make", [mixed_rows, nan_heavy, duplicate_columns, two_searched_columns])
 @pytest.mark.parametrize("min_rows", [2, PRESORT_MIN_ROWS // 2, PRESORT_MIN_ROWS + 1])
 def test_worker_fit_saves_the_in_process_bytes(worker, monkeypatch, tmp_path, make, min_rows):
-    """Nodes of at least ``min_rows`` rows are searched in two shares, the
-    others in-process; the saved ensemble equals that of a fit with one
-    usable CPU byte for byte."""
+    """Nodes of at least ``min_rows`` rows, and every node of the presorted
+    kernel, are searched in two shares, the others whole in either
+    process; the saved ensemble equals that of a fit with one usable CPU
+    byte for byte."""
     rows, labels = make(np.random.default_rng(35), 1300)
     cfg = BoosterConfig(n_trees=3, max_depth=4, min_child_hessian=0.5)
     want = in_process_bytes(monkeypatch, rows, labels, cfg, tmp_path / "one.json")
@@ -522,37 +566,81 @@ def test_worker_fit_saves_the_in_process_bytes(worker, monkeypatch, tmp_path, ma
     assert len(worker) == 1
     shared = {size for size, cols in calls if cols < searched}
     alone = {size for size, cols in calls if cols == searched}
-    assert shared and min(shared) >= min_rows
-    assert all(size < min_rows for size in alone)
+    assert shared and min(shared) >= min(min_rows, PRESORT_MIN_ROWS)
+    assert all(size < min(min_rows, PRESORT_MIN_ROWS) for size in alone)
 
 
 def test_worker_splits_equal_one_process_at_every_threshold(worker, monkeypatch):
-    """Nodes either side of each size threshold give the split of one
-    search over every column: around ``PRESORT_MIN_ROWS`` in two shares,
-    and around ``SPLIT_WORKER_MIN_CELLS`` in one and in two."""
+    """Levels of nodes either side of each size threshold give the splits
+    of one search over every column: around ``PRESORT_MIN_ROWS`` in two
+    shares, and around ``SPLIT_WORKER_MIN_CELLS`` in a level that mixes
+    halved and whole nodes and in a level of whole nodes only. A whole
+    node goes to the process with fewer rows so far, ties to this one."""
     rng = np.random.default_rng(40)
     n = 3000
     rows, labels = nan_heavy(rng, n)
+    noise = rng.normal(size=(n, 100))  # wide enough for whole nodes under PRESORT_MIN_ROWS
+    noise[rng.random(noise.shape) < 0.6] = np.nan
+    rows = np.column_stack([rows, noise])
     cols = _SortedColumns.of(rows)
+    full = cols.presorted()
     first = -(-SPLIT_WORKER_MIN_CELLS // cols.searched.size)  # fewest rows for two shares
-    assert PRESORT_MIN_ROWS < first < n
+    assert 100 < first < PRESORT_MIN_ROWS
     p = np.clip(sigmoid(rng.normal(size=n)), 0.05, 0.95)
     one_process = trees._best_split_booster
     calls = record_searches(monkeypatch)
+
+    def level(*sizes):
+        """Disjoint increasing row ids of the given sizes."""
+        ends = np.cumsum(sizes)
+        perm = rng.permutation(n)
+        return [np.sort(perm[end - size : end]) for size, end in zip(sizes, ends)]
+
     with trees._SplitSearch(cols, 1, 1.0, 0.5) as search:
         assert worker
         np.subtract(p, labels, out=search.g)
         np.multiply(p, 1.0 - p, out=search.h)
-        for min_cells, sizes in (
-            (0, [2, 3, PRESORT_MIN_ROWS - 1, PRESORT_MIN_ROWS, PRESORT_MIN_ROWS + 1, n]),
-            (SPLIT_WORKER_MIN_CELLS, [first - 1, first]),
+        for min_cells, nodes in (
+            (0, level(2, 3, PRESORT_MIN_ROWS - 1, PRESORT_MIN_ROWS, PRESORT_MIN_ROWS + 1)),
+            (0, level(n)),
+            (SPLIT_WORKER_MIN_CELLS, level(first - 1, first, PRESORT_MIN_ROWS, 40, 30)),
+            (SPLIT_WORKER_MIN_CELLS, level(first - 1, 60, 40, 30, 3)),
         ):
             monkeypatch.setattr(trees, "SPLIT_WORKER_MIN_CELLS", min_cells)
-            for size in sizes:
-                idx = np.sort(rng.choice(n, size=size, replace=False))
-                assert search.find(idx) == one_process(cols, idx, search.g, search.h, 1.0, 0.5)
-    full = cols.searched.size
-    assert [size for size, searched in calls if searched == full] == [first - 1]
+            want = [one_process(full, idx, search.g, search.h, 1.0, 0.5) for idx in nodes]
+            assert search.find_splits(nodes) == want
+            assert any(want)
+    whole = [size for size, searched in calls if searched == cols.searched.size]
+    assert whole == [first - 1, first - 1]  # the rest went to the worker
+    assert {size for size, searched in calls if searched < cols.searched.size} >= {first, PRESORT_MIN_ROWS, n}
+
+
+def test_level_reply_over_4096_bytes_arrives_whole(worker, monkeypatch, tmp_path):
+    """Every node halved in a deep tree: levels of hundreds of nodes, whose
+    replies pickle to more than 4,096 bytes, arrive whole, and the fit
+    saves the in-process bytes. A majority vote of 13 signs makes each
+    split cut near zero, so the levels stay full."""
+    rng = np.random.default_rng(44)
+    rows = rng.normal(size=(8000, 13))
+    labels = (np.sign(rows).sum(axis=1) > 0).astype(float)
+    rows[rng.random(rows.shape) < 0.1] = np.nan
+    cfg = BoosterConfig(n_trees=1, max_depth=10, min_child_hessian=0.01)
+    want = in_process_bytes(monkeypatch, rows, labels, cfg, tmp_path / "one.ilos")
+    monkeypatch.setattr(trees, "SPLIT_WORKER_MIN_CELLS", 0)
+    sizes = []
+    receive = trees._receive
+    parent = os.getpid()
+
+    def recording(sock):
+        message = receive(sock)
+        if os.getpid() == parent:  # a reply, not a task list the worker took
+            sizes.append(len(pickle.dumps(message, pickle.HIGHEST_PROTOCOL)))
+        return message
+
+    monkeypatch.setattr(trees, "_receive", recording)
+    assert saved_bytes(train_gbdt(rows, labels, cfg), tmp_path / "two.ilos") == want
+    assert len(worker) == 1
+    assert max(sizes) > 4096
 
 
 def test_small_fit_or_one_searched_column_starts_no_worker(monkeypatch):
@@ -589,7 +677,7 @@ def test_equal_gains_in_two_shares_go_to_the_lower_feature(worker, monkeypatch, 
     noise[rng.random(n) < 0.1, 1] = np.nan
     rows = np.column_stack([noise, x, 2.0 * x])
     labels = (np.nan_to_num(x, nan=0.5) + 0.3 * rng.normal(size=n) > 0.2).astype(float)
-    mine, theirs = _SortedColumns.of(rows).halves()
+    mine, theirs = (share.presorted() for share in _SortedColumns.of(rows).halves())
     assert mine.searched.tolist() == [0, 3] and theirs.searched.tolist() == [1, 2]
     p = np.full(n, labels.mean())
     args = (np.arange(n), p - labels, p * (1.0 - p), 1.0, 1.0)
@@ -637,19 +725,31 @@ def test_failed_worker_fails_the_fit_and_is_reaped(worker, monkeypatch, how, mes
 
 
 def test_worker_killed_between_nodes_fails_the_fit(worker, monkeypatch):
-    """A worker that is gone before a node's row count is sent."""
+    """A worker that is gone before a level's task list is sent: the send
+    itself fails, and the fit fails naming the worker."""
     rows, labels = mixed_rows(np.random.default_rng(42), 1300)
     monkeypatch.setattr(trees, "SPLIT_WORKER_MIN_CELLS", 0)
     better = trees._better
+    send = trees._send
+    failed_sends = []
 
     def kill_worker(a, b):
         os.kill(worker[0], signal.SIGKILL)
         os.waitid(os.P_PID, worker[0], os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
         return better(a, b)
 
+    def recording_send(sock, message):
+        try:
+            send(sock, message)
+        except ConnectionError as exc:
+            failed_sends.append(type(exc))
+            raise
+
     monkeypatch.setattr(trees, "_better", kill_worker)
+    monkeypatch.setattr(trees, "_send", recording_send)
     with deadline(60), pytest.raises(RuntimeError, match="exited during a split search"):
         train_gbdt(rows, labels, BoosterConfig(n_trees=2, max_depth=3))
+    assert failed_sends == [BrokenPipeError]
     assert len(worker) == 1
     assert_reaped(worker)
 
@@ -708,6 +808,42 @@ def test_forest_probability_bounds():
     model = train_random_forest(rows, labels, ForestConfig(n_trees=15, seed=3))
     p = predict_proba(model, rows)
     assert np.all((p >= 0) & (p <= 1))
+
+
+# ---------------------------------------------------------------------------
+# Grower
+
+
+@pytest.mark.parametrize("kind", ["booster", "booster-worker", "forest"])
+def test_level_grower_equals_the_fifo_reference(request, monkeypatch, kind):
+    """Growing a level at a time gives the node arrays, to the byte, of
+    growing one node at a time from a first-in first-out queue: the same
+    node ids, leaves, and forest feature draws in the same order."""
+    rng = np.random.default_rng(45)
+    rows, labels = mixed_rows(rng, 1500)
+    if kind == "forest":
+        rows = np.where(np.isnan(rows), rng.normal(size=rows.shape), rows)
+        fit = lambda: train_random_forest(rows, labels, ForestConfig(n_trees=4, seed=3))
+    else:
+        fit = lambda: train_gbdt(rows, labels, BoosterConfig(n_trees=4, max_depth=6, min_child_hessian=0.5))
+    if kind == "booster-worker":
+        worker = request.getfixturevalue("worker")
+        monkeypatch.setattr(trees, "SPLIT_WORKER_MIN_CELLS", 1000)
+    levels = fit()
+
+    def one_node_at_a_time(columns, root, max_depth, find_splits, leaf_value):
+        return grow_fifo(columns, root, max_depth, lambda idx: find_splits([idx])[0], leaf_value)
+
+    monkeypatch.setattr(trees, "_grow_tree", one_node_at_a_time)
+    fifo = fit()
+    assert len(levels.trees) == len(fifo.trees)
+    assert sum(t.n_nodes for t in levels.trees) > 10 * len(levels.trees)
+    for a, b in zip(levels.trees, fifo.trees):
+        for key, dtype in trees.NODE_DTYPES.items():
+            assert getattr(a, key).dtype == getattr(b, key).dtype == dtype
+            assert getattr(a, key).tobytes() == getattr(b, key).tobytes(), key
+    if kind == "booster-worker":
+        assert len(worker) == 2
 
 
 # ---------------------------------------------------------------------------
